@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -42,6 +43,14 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def meet_counts(masks: Iterable[int], within: int) -> dict[int, int]:
+    """out[C] = how many masks f meet `within` in exactly C (f & within == C).
+
+    Subsets of `within` met by no mask are absent.
+    """
+    return Counter(map(within.__and__, masks))
 
 
 def set_key(mask: int) -> tuple[int, ...]:

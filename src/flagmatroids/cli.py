@@ -68,40 +68,54 @@ def _int_csv(text: Optional[str]) -> tuple[int, ...]:
 # --- verbs ------------------------------------------------------------------------
 
 
+def _representation_problem(p: int, fm, rep) -> Optional[str]:
+    if rep.p != p:
+        return f"matrix is over GF({rep.p}), certificate declares p = {p}"
+    if rp.represented_flag(rep) != fm:
+        return "matrix and levels do not represent the flag"
+    return None
+
+
+def _forbidden_minor_problem(p: int, fm, witness) -> Optional[str]:
+    """Why the certificate fails to prove non-representability, or None.
+
+    It proves it only when p has a known excluded-minor list, the flag is
+    full (the list characterizes full flags only), the target is isomorphic
+    to an entry of that list, and the script turns the flag into the target.
+    """
+    if p not in (2, 3):
+        return f"no excluded flag minors are known for p = {p}"
+    if not lm.is_full(fm):
+        return "flag is not full"
+    if all(fl.flag_isomorphic(witness.target, t) is None for _, t in rp.forbidden_flags(p)):
+        return f"target is not an excluded flag minor for GF({p})"
+    minor = fl.flag_minor(fm, witness.contract, witness.delete, witness.chops)
+    if fl.relabel_flag(minor, witness.bijection) != witness.target:
+        return "minor script does not yield the target"
+    return None
+
+
 def _cmd_validate(args) -> int:
     doc = _read(args.file)
     kind = io.detect_kind(doc)
     if kind == "certificate-representation":
-        fm = io.load_flag(doc["flag"])
-        rep = rp.FlagRepresentation(
-            io.load_matrix(doc["matrix"]), tuple(int(x) for x in doc["levels"])
-        )
-        ok = rp.represented_flag(rep) == fm
-        _emit(
-            {"kind": kind, "valid": ok},
-            "certificate verifies" if ok else "certificate does NOT verify",
-        )
-        return EXIT_YES if ok else EXIT_NO
-    if kind == "certificate-forbidden-minor":
-        fm = io.load_flag(doc["flag"])
-        target = io.load_flag(doc["target"])
-        minor = fl.flag_minor(
-            fm,
-            tuple(int(x) for x in doc["contract"]),
-            tuple(int(x) for x in doc["delete"]),
-            tuple(int(x) for x in doc["chops"]),
-        )
-        ok = fl.relabel_flag(minor, [int(x) for x in doc["bijection"]]) == target
-        _emit(
-            {"kind": kind, "valid": ok},
-            "certificate verifies" if ok else "certificate does NOT verify",
-        )
-        return EXIT_YES if ok else EXIT_NO
-    if kind == "chain":
+        problem = _representation_problem(*io.load_representation_certificate(doc))
+    elif kind == "certificate-forbidden-minor":
+        problem = _forbidden_minor_problem(*io.load_forbidden_minor_certificate(doc))
+    elif kind == "chain":
         raise InvalidInput("a partition chain validates only inside a graphic bundle")
-    io.load_by_kind(kind, doc)
-    _emit({"kind": kind, "valid": True}, f"valid {kind}")
-    return EXIT_YES
+    else:
+        io.load_by_kind(kind, doc)
+        _emit({"kind": kind, "valid": True}, f"valid {kind}")
+        return EXIT_YES
+    if problem is None:
+        _emit({"kind": kind, "valid": True}, "certificate verifies")
+        return EXIT_YES
+    _emit(
+        {"kind": kind, "valid": False, "reason": problem},
+        f"certificate does NOT verify: {problem}",
+    )
+    return EXIT_NO
 
 
 def _cmd_axioms(args) -> int:

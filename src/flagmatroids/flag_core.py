@@ -17,7 +17,15 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import matroid_core as mc
-from .bitset import elements_of, iter_bits, mask_of, set_key, squeeze
+from .bitset import (
+    elements_of,
+    iter_bits,
+    mask_of,
+    meet_counts,
+    set_key,
+    size_masks,
+    squeeze,
+)
 from .errors import (
     EmptyInterval,
     EmptyResult,
@@ -438,36 +446,48 @@ def flag_has_minor(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """Search for a minor isomorphic to `target`.
 
-    Enumerates disjoint (contract, delete) splits of the right total size in
+    Tries disjoint (contract, delete) splits of the right total size in
     lexicographic order (contraction-light first); the chop set is forced by
     the target's layer cardinalities.  Returns (contract, delete, chops,
     bijection) or None.
-    """
-    from itertools import combinations
 
-    total = fm.n - target.n
+    Splits are screened by counting before any minor is built.  Layer w of
+    fm/C\\D holds one set f - C for each f in layer w + |C| of fm with
+    f & (C|D) == C, so one `meet_counts` over the removed set C|D gives the
+    layer sizes of every split with that removed set.  Every target layer is
+    nonempty, and `flag_isomorphic` starts by comparing cardinalities and
+    layer sizes, so a split whose count differs from the target's size on
+    some target layer can never match.  The screen drops only those splits;
+    the rest are tried in the plain enumeration order, so the witness is
+    unchanged.
+    """
+    n = fm.n
+    total = n - target.n
     if total < 0:
         return None
+    # each feasible set carries its cardinality above the ground set, so one
+    # count per removed set keys every (C, layer) pair as C | size << n
+    tagged = [f | f.bit_count() << n for f in fm.feasible]
+    (w0, size0), *rest = [(w, len(layer)) for w, layer in _group_by_size(target.feasible)]
     want_cards = target.cardinalities
-    for c_size in range(total + 1):
-        for c in combinations(range(fm.n), c_size):
-            cmask = mask_of(c)
-            rest = [e for e in range(fm.n) if not cmask >> e & 1]
-            for d in combinations(rest, total - c_size):
-                try:
-                    cand = flag_minor(fm, cmask, mask_of(d))
-                except EmptyResult:
-                    continue
-                cards = cand.cardinalities
-                if not set(want_cards) <= set(cards):
-                    continue
-                chops = tuple(s for s in cards if s not in want_cards)
-                try:
-                    for s in chops:
-                        cand = chop(cand, s)
-                except LastLayer:
-                    continue
-                bij = flag_isomorphic(cand, target)
-                if bij is not None:
-                    return (c, d, chops, bij)
+    splits = []
+    for removed in size_masks(n, total):
+        counts = meet_counts(tagged, removed | -1 << n)
+        for key, count in counts.items():
+            cmask = key & removed
+            k = cmask.bit_count()
+            if count != size0 or key >> n != w0 + k:
+                continue
+            if any(counts.get(cmask | (w + k) << n) != size for w, size in rest):
+                continue
+            chops = tuple(
+                s - k for s in fm.cardinalities
+                if s - k not in want_cards and cmask | s << n in counts
+            )
+            c, d = elements_of(cmask), elements_of(removed ^ cmask)
+            splits.append((k, c, d, chops))
+    for _, c, d, chops in sorted(splits):
+        bij = flag_isomorphic(flag_minor(fm, c, d, chops), target)
+        if bij is not None:
+            return (c, d, chops, bij)
     return None

@@ -24,8 +24,23 @@ def dumps(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _int_list(xs) -> list[int]:
-    return [int(x) for x in xs]
+def _int(x: Any, what: str, minimum: Optional[int] = 0) -> int:
+    """A JSON integer (not a boolean), at least `minimum` unless that is None."""
+    if isinstance(x, bool) or not isinstance(x, int) or (minimum is not None and x < minimum):
+        bound = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise InvalidInput(f"{what}: expected {bound}, got {x!r}")
+    return x
+
+
+def _array(xs: Any, what: str) -> list:
+    if not isinstance(xs, list):
+        raise InvalidInput(f"{what}: expected an array, got {xs!r}")
+    return xs
+
+
+def _int_list(xs: Any, what: str, minimum: Optional[int] = 0) -> list[int]:
+    """An array of integers; by default of elements, so none is negative."""
+    return [_int(x, what, minimum) for x in _array(xs, what)]
 
 
 def _mask_family(masks) -> list[list[int]]:
@@ -48,7 +63,9 @@ def matroid_json(m: mc.Matroid) -> dict:
 
 def load_matroid(doc: Any) -> mc.Matroid:
     _require(doc, ("n", "bases"), "matroid")
-    return mc.matroid_from_bases(int(doc["n"]), [_int_list(b) for b in doc["bases"]])
+    return mc.matroid_from_bases(
+        _int(doc["n"], "n"), [_int_list(b, "basis") for b in _array(doc["bases"], "bases")]
+    )
 
 
 # --- flag matroids -------------------------------------------------------------
@@ -59,14 +76,18 @@ def flag_json(fm: fl.FlagMatroid) -> dict:
 
 def load_flag(doc: Any) -> fl.FlagMatroid:
     _require(doc, ("n", "feasible"), "flag matroid")
-    return fl.flag_matroid(int(doc["n"]), [_int_list(s) for s in doc["feasible"]])
+    return fl.flag_matroid(_int(doc["n"], "n"), _feasible_lists(doc))
+
+
+def _feasible_lists(doc: dict) -> list[list[int]]:
+    return [_int_list(f, "feasible set") for f in _array(doc["feasible"], "feasible")]
 
 
 def load_raw_family(doc: Any) -> tuple[int, list[int]]:
     """Ground size and mask family without flag validation (for `axioms`)."""
     _require(doc, ("n", "feasible"), "set family")
-    n = int(doc["n"])
-    fam = [mask_of(_int_list(s)) for s in doc["feasible"]]
+    n = _int(doc["n"], "n")
+    fam = [mask_of(s) for s in _feasible_lists(doc)]
     if any(m >> n for m in fam):
         raise InvalidInput("feasible set outside the ground set")
     return n, fam
@@ -86,12 +107,11 @@ def matrix_json(a: gl.GFMatrix) -> dict:
 
 def load_matrix(doc: Any) -> gl.GFMatrix:
     _require(doc, ("p", "rows", "cols", "entries"), "matrix")
-    entries = [_int_list(r) for r in doc["entries"]]
-    if len(entries) != int(doc["rows"]) or any(
-        len(r) != int(doc["cols"]) for r in entries
-    ):
+    entries = [_int_list(r, "matrix row", None) for r in _array(doc["entries"], "entries")]
+    rows, cols = _int(doc["rows"], "rows"), _int(doc["cols"], "cols")
+    if len(entries) != rows or any(len(r) != cols for r in entries):
         raise InvalidInput("matrix: entries do not match the declared shape")
-    return gl.matrix(int(doc["p"]), entries, cols=int(doc["cols"]))
+    return gl.matrix(_int(doc["p"], "p"), entries, cols=cols)
 
 
 def representation_json(rep: FlagRepresentation) -> dict:
@@ -104,7 +124,9 @@ def representation_json(rep: FlagRepresentation) -> dict:
 
 def load_representation(doc: Any) -> FlagRepresentation:
     _require(doc, ("matrix", "levels"), "representation")
-    return FlagRepresentation(load_matrix(doc["matrix"]), tuple(_int_list(doc["levels"])))
+    return FlagRepresentation(
+        load_matrix(doc["matrix"]), tuple(_int_list(doc["levels"], "levels"))
+    )
 
 
 # --- majors and witnesses ----------------------------------------------------------
@@ -125,7 +147,7 @@ def load_major(doc: Any) -> MajorStructure:
     matrix = load_matrix(doc["matrix"]) if "matrix" in doc else None
     return MajorStructure(
         load_matroid(doc["matroid"]),
-        tuple(tuple(_int_list(b)) for b in doc["blocks"]),
+        tuple(tuple(_int_list(b, "block")) for b in _array(doc["blocks"], "blocks")),
         matrix=matrix,
     )
 
@@ -148,14 +170,20 @@ def graph_json(g: gr.MultiGraph, colors: Optional[dict] = None) -> dict:
         "edges": [list(e) for e in g.edges],
     }
     if colors:
-        doc["colors"] = {k: _int_list(v) for k, v in sorted(colors.items())}
+        doc["colors"] = {k: list(v) for k, v in sorted(colors.items())}
     return doc
 
 
 def load_graph(doc: Any) -> tuple[gr.MultiGraph, dict]:
     _require(doc, ("vertices", "edges"), "graph")
-    g = gr.multigraph(int(doc["vertices"]), [_int_list(e) for e in doc["edges"]])
-    colors = {k: _int_list(v) for k, v in doc.get("colors", {}).items()}
+    g = gr.multigraph(
+        _int(doc["vertices"], "vertices"),
+        [_int_list(e, "edge") for e in _array(doc["edges"], "edges")],
+    )
+    colors = doc.get("colors", {})
+    if not isinstance(colors, dict):
+        raise InvalidInput(f"graph: colors must be an object, got {colors!r}")
+    colors = {k: _int_list(v, f"{k} vertices") for k, v in colors.items()}
     return g, colors
 
 
@@ -168,7 +196,13 @@ def chain_json(chain: gr.PartitionChain) -> dict:
 
 def load_chain(doc: Any, n: int) -> gr.PartitionChain:
     _require(doc, ("partitions",), "partition chain")
-    return gr.chain_of(n, [[_int_list(c) for c in part] for part in doc["partitions"]])
+    return gr.chain_of(
+        n,
+        [
+            [_int_list(c, "cell") for c in _array(part, "partition")]
+            for part in _array(doc["partitions"], "partitions")
+        ],
+    )
 
 
 def graphic_bundle_json(g: gr.MultiGraph, chain: gr.PartitionChain) -> dict:
@@ -216,8 +250,8 @@ def load_config(doc: Any) -> gr.CounterexampleConfig:
         top_merged_yellows=tuple(merged_colors.get("yellow", (0, 0))),
         top=top,
         top_reds=tuple(top_colors["red"]),
-        bb_pair=tuple(_int_list(doc["bb_pair"])),
-        rb_pair=tuple(_int_list(doc["rb_pair"])),
+        bb_pair=tuple(_int_list(doc["bb_pair"], "bb_pair")),
+        rb_pair=tuple(_int_list(doc["rb_pair"], "rb_pair")),
     )
 
 
@@ -247,6 +281,31 @@ def forbidden_minor_certificate(
         "chops": list(witness.chops),
         "bijection": list(witness.bijection),
     }
+
+
+def load_representation_certificate(doc: Any) -> tuple[int, fl.FlagMatroid, FlagRepresentation]:
+    """(declared p, flag, representation) of a representation certificate."""
+    _require(doc, ("p", "flag", "matrix", "levels"), "representation certificate")
+    return _int(doc["p"], "p"), load_flag(doc["flag"]), load_representation(doc)
+
+
+def load_forbidden_minor_certificate(
+    doc: Any,
+) -> tuple[int, fl.FlagMatroid, ForbiddenMinorWitness]:
+    """(declared p, flag, minor script) of a forbidden-minor certificate."""
+    _require(
+        doc,
+        ("p", "flag", "target_name", "target", "contract", "delete", "chops", "bijection"),
+        "forbidden-minor certificate",
+    )
+    if not isinstance(doc["target_name"], str):
+        raise InvalidInput("forbidden-minor certificate: target_name must be a string")
+    witness = ForbiddenMinorWitness(
+        doc["target_name"],
+        load_flag(doc["target"]),
+        *(tuple(_int_list(doc[k], k)) for k in ("contract", "delete", "chops", "bijection")),
+    )
+    return _int(doc["p"], "p"), load_flag(doc["flag"]), witness
 
 
 # --- generic loading -----------------------------------------------------------------

@@ -596,15 +596,19 @@ def ternary_forbidden_flags() -> tuple[tuple[str, fl.FlagMatroid], ...]:
     return tuple(out)
 
 
+def forbidden_flags(p: int) -> tuple[tuple[str, fl.FlagMatroid], ...]:
+    """The named excluded flag minors for representability over GF(p)."""
+    if p == 2:
+        return binary_forbidden_flags()
+    if p == 3:
+        return ternary_forbidden_flags()
+    raise InvalidInput("forbidden-minor route supports p in (2, 3)")
+
+
 def forbidden_minor_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecision:
     """Decide GF(2)/GF(3) representability of a full flag matroid by
     searching the fixed forbidden-minor list."""
-    if p == 2:
-        targets = binary_forbidden_flags()
-    elif p == 3:
-        targets = ternary_forbidden_flags()
-    else:
-        raise InvalidInput("forbidden-minor route supports p in (2, 3)")
+    targets = forbidden_flags(p)
     if not is_full(fm):
         raise NotFull("forbidden-minor characterization needs a full flag")
     for name, target in targets:

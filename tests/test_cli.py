@@ -7,6 +7,7 @@ from flagmatroids import flag_core as fl
 from flagmatroids import graphic as gr
 from flagmatroids import jsonio as io
 from flagmatroids import matroid_core as mc
+from flagmatroids import representability as rp
 
 
 @pytest.fixture()
@@ -145,6 +146,95 @@ def test_matrix_certificate_mutation_breaks(capture, corpus, tmp_path):
     path = tmp_path / "mut.json"
     path.write_text(io.dumps(cert))
     assert capture("validate", str(path))[0] in (1, 2)
+
+
+def _validate_doc(capture, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = capture("validate", str(path))
+    return code, json.loads(out)
+
+
+def _flag_file(tmp_path, fm):
+    path = tmp_path / "flag.json"
+    path.write_text(io.dumps(io.flag_json(fm)))
+    return str(path)
+
+
+def _minor_certificate(p, flag, target, chops=(), name="(U_{2,4})"):
+    return {
+        "schema": "certificate/forbidden-minor/1",
+        "p": p,
+        "flag": io.flag_json(flag),
+        "target_name": name,
+        "target": io.flag_json(target),
+        "contract": [],
+        "delete": [],
+        "chops": list(chops),
+        "bijection": list(range(target.n)),
+    }
+
+
+@pytest.mark.parametrize("p, reason", [(5, "no excluded flag minors"), (3, "not an excluded")])
+def test_forbidden_minor_certificate_needs_a_listed_field(capture, corpus, tmp_path, p, reason):
+    code, out, _ = capture("is-representable", corpus["iu23.json"], "--p", "2")
+    cert = json.loads(out)
+    assert _validate_doc(capture, tmp_path, cert)[0] == 0
+    cert["p"] = p
+    code, doc = _validate_doc(capture, tmp_path, cert)
+    assert code == 1 and not doc["valid"] and reason in doc["reason"]
+
+
+def test_forbidden_minor_certificate_needs_a_listed_target(capture, tmp_path):
+    # the script turns the flag into the target, but the target is GF(2)-representable
+    two_points = fl.flag_matroid(2, [[0], [1]])
+    code, doc = _validate_doc(capture, tmp_path, _minor_certificate(2, two_points, two_points))
+    assert code == 1 and "not an excluded flag minor" in doc["reason"]
+    assert capture("is-representable", _flag_file(tmp_path, two_points), "--p", "2")[0] == 0
+
+
+def test_forbidden_minor_certificate_needs_a_full_flag(capture, tmp_path):
+    u24 = mc.uniform(2, 4)
+    gap = fl.from_sequence([u24, mc.uniform(4, 4)])
+    target = fl.from_sequence([u24])
+    code, doc = _validate_doc(capture, tmp_path, _minor_certificate(2, gap, target, chops=[4]))
+    assert code == 1 and doc["reason"] == "flag is not full"
+    full = fl.from_sequence([u24, mc.uniform(3, 4)])
+    code, doc = _validate_doc(capture, tmp_path, _minor_certificate(2, full, target, chops=[3]))
+    assert code == 0 and doc == {"kind": "certificate-forbidden-minor", "valid": True}
+
+
+def test_representation_certificate_field_must_match_matrix(capture, tmp_path):
+    rep = rp.uniform_flag_representation(2, 4, 5)
+    cert = io.representation_certificate(rp.represented_flag(rep), rep)
+    assert _validate_doc(capture, tmp_path, cert)[0] == 0
+    cert["p"] = 2
+    code, doc = _validate_doc(capture, tmp_path, cert)
+    assert code == 1 and "GF(5)" in doc["reason"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3, "feasible": [[-1], [0]]},
+        {"n": 3, "feasible": [["a"], [0]]},
+        {
+            "schema": "certificate/representation/1",
+            "p": 2,
+            "flag": {"n": 2, "feasible": [[0], [1]]},
+            "levels": [1],
+        },
+        {"schema": "multigraph/1", "vertices": 2, "edges": [[0, 1]], "colors": [1]},
+        {"schema": "major/1", "matroid": {"n": 2, "bases": [[0]]}, "blocks": 5},
+    ],
+    ids=[
+        "negative-element", "string-element", "certificate-without-matrix",
+        "colors-not-an-object", "blocks-not-an-array",
+    ],
+)
+def test_malformed_documents_are_input_errors(capture, tmp_path, doc):
+    code, out = _validate_doc(capture, tmp_path, doc)
+    assert code == 2 and out["error"] == "InvalidInput"
 
 
 def test_represent_and_fillings(capture, corpus):
