@@ -80,15 +80,20 @@ def _forbidden_minor_problem(p: int, fm, witness) -> Optional[str]:
     """Why the certificate fails to prove non-representability, or None.
 
     It proves it only when p has a known excluded-minor list, the flag is
-    full (the list characterizes full flags only), the target is isomorphic
-    to an entry of that list, and the script turns the flag into the target.
+    full (the list characterizes full flags only), `target_name` names an
+    entry of that list and the target is isomorphic to that entry, and the
+    script turns the flag into the target.
     """
     if p not in (2, 3):
         return f"no excluded flag minors are known for p = {p}"
     if not lm.is_full(fm):
         return "flag is not full"
-    if all(fl.flag_isomorphic(witness.target, t) is None for _, t in rp.forbidden_flags(p)):
-        return f"target is not an excluded flag minor for GF({p})"
+    listed = dict(rp.forbidden_flags(p))
+    name = witness.target_name
+    if name not in listed:
+        return f"target_name {name} is not an excluded flag minor for GF({p})"
+    if fl.flag_isomorphic(witness.target, listed[name]) is None:
+        return f"target is not an excluded flag minor for GF({p}): not isomorphic to {name}"
     minor = fl.flag_minor(fm, witness.contract, witness.delete, witness.chops)
     if fl.relabel_flag(minor, witness.bijection) != witness.target:
         return "minor script does not yield the target"

@@ -3,13 +3,26 @@
 Matrices are immutable, tiny (at most 32 x 32) and stored as flat row-major
 tuples of ints reduced mod p.  Everything is plain integer arithmetic:
 determinism and exactness matter more than speed at this scale.
+
+Column independence has its own elimination kernel, so that questions about
+many column subsets never build a matrix per subset.  Columns are read once
+as plain tuples, and an independent set of columns is kept as a list of
+normalised (pivot, vector) pairs: vector[pivot] == 1, and each stored vector
+is zero at every earlier pivot.  Reducing a new column against the stored
+vectors in order therefore leaves it zero at every pivot (a later step never
+refills an earlier pivot), so the column is independent of the stored ones
+iff the remainder is nonzero, and the remainder, normalised at its first
+nonzero entry, keeps the invariant.  `column_bases` walks the column subsets
+in `combinations` order as a DFS over this list, dropping a branch as soon
+as its prefix is dependent or too few columns remain; `independent_columns`
+tests one short list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     FieldMismatch,
@@ -205,6 +218,49 @@ def is_nonsingular(a: GFMatrix) -> bool:
     return a.rows == a.cols and rank(a) == a.rows
 
 
+def _absorb(basis: list[tuple[int, list[int]]], v: Sequence[int], p: int) -> bool:
+    """Reduce v against basis; if a nonzero remainder is left, append it
+    normalised and return True, else return False (v is in the span)."""
+    for piv, b in basis:
+        f = v[piv]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, b)]
+    for piv, x in enumerate(v):
+        if x:
+            inv = pow(x, p - 2, p)
+            basis.append((piv, [y * inv % p for y in v]))
+            return True
+    return False
+
+
+def independent_columns(p: int, vectors: Iterable[Sequence[int]]) -> bool:
+    """True iff the vectors (equal length, entries in [0, p)) are linearly
+    independent over GF(p); the empty list is independent."""
+    basis: list[tuple[int, list[int]]] = []
+    return all(_absorb(basis, v, p) for v in vectors)
+
+
+def column_bases(a: GFMatrix, r: int) -> Iterator[int]:
+    """Bit masks of the independent r-subsets of a's columns, lazily, in
+    `combinations(range(a.cols), r)` order.  With r == rank(a) these are the
+    bases of the column matroid."""
+    p, n = a.p, a.cols
+    cols = [a.entries[j::n] for j in range(n)]
+    basis: list[tuple[int, list[int]]] = []
+
+    def walk(start: int, mask: int) -> Iterator[int]:
+        need = r - len(basis)
+        if need == 0:
+            yield mask
+            return
+        for j in range(start, n - need + 1):
+            if _absorb(basis, cols[j], p):
+                yield from walk(j + 1, mask | 1 << j)
+                basis.pop()
+
+    return walk(0, 0)
+
+
 def row_space_echelon(a: GFMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the row space: nonzero rows of the RREF."""
     r, pivots, _ = rref(a)
@@ -248,29 +304,15 @@ def nested_kernel_chain(a: GFMatrix, levels: Sequence[int]) -> list[tuple[int, .
             raise RankDeficient(f"prefix {d} has rank below {d}")
     p = a.p
     chain: list[tuple[int, ...]] = []
-    # echelon of the span of `chain`, kept for the independence test
-    span: list[list[int]] = []
-
-    def try_add(v: tuple[int, ...]) -> bool:
-        w = list(v)
-        for row in span:
-            lead = next(j for j, x in enumerate(row) if x)
-            if w[lead]:
-                f = w[lead]
-                w = [(x - f * y) % p for x, y in zip(w, row)]
-        if all(x == 0 for x in w):
-            return False
-        inv = pow(next(x for x in w if x), p - 2, p)
-        span.append([(x * inv) % p for x in w])
-        chain.append(v)
-        return True
-
+    # the span of `chain` in the column kernel's (pivot, vector) form
+    span: list[tuple[int, list[int]]] = []
     for d in reversed(levels):
         target = a.cols - d
         for v in kernel_basis(prefix_rows(a, d)):
             if len(chain) == target:
                 break
-            try_add(v)
+            if _absorb(span, v, p):
+                chain.append(v)
         if len(chain) != target:
             raise RankDeficient(f"kernel extension failed at prefix {d}")
     return chain

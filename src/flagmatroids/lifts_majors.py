@@ -27,7 +27,6 @@ from .errors import (
     LiftCharacterizationMismatch,
     NotElementaryLift,
     NotFull,
-    RankDeficientPrefix,
 )
 
 LIFT_METHODS = ("flats", "duals", "closures", "bases")
@@ -200,22 +199,6 @@ def lift_witness_sequence(fm: fl.FlagMatroid) -> LiftWitnessSequence:
 
 
 # --- fillings ----------------------------------------------------------------
-
-def fill_from_representation(a: gl.GFMatrix, levels: Sequence[int]) -> fl.FlagMatroid:
-    """The full flag matroid of (a; d_1, d_1+1, ..., d_k)."""
-    if not levels or any(x >= y for x, y in zip(levels, levels[1:])):
-        raise RankDeficientPrefix("levels must be strictly increasing")
-    lo, hi = levels[0], levels[-1]
-    if hi > a.rows:
-        raise RankDeficientPrefix(f"level {hi} exceeds row count {a.rows}")
-    layers = []
-    for d in range(lo, hi + 1):
-        prefix = gl.prefix_rows(a, d)
-        if gl.rank(prefix) != d:
-            raise RankDeficientPrefix(f"prefix {d} is rank deficient", level=d)
-        layers.append(mc.linear_matroid(prefix))
-    return fl.from_sequence(layers)
-
 
 @dataclass(frozen=True)
 class FillingSearch:

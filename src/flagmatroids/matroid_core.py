@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from . import gf_linalg as gl
@@ -128,16 +127,29 @@ class Matroid:
 
 def basis_exchange_witness(masks: Iterable[int]) -> Optional[tuple[int, int, int]]:
     """None if the equal-cardinality family satisfies basis exchange,
-    else a witness (B1, B2, x)."""
+    else the first witness (B1, B2, x) in family order.
+
+    Exchange asks, for B1 != B2 and x in B1 - B2, for some y in B2 - B1 with
+    B1 - x + y in the family.  reach[S] is the mask of the y outside S with
+    S + y in the family, built once from every member minus each of its
+    elements.  A y in reach[B1 - x] & B2 is outside B1 - x and is not x
+    (x is not in B2), so it lies in B2 - B1: an exchange for (B1, B2, x)
+    exists iff reach[B1 - x] & B2 != 0.  As B1 is in the family, x itself
+    is in reach[B1 - x], so the same test passes for every x in B1 & B2,
+    and for every x when B1 == B2; running it over all x in B1 therefore
+    finds the same first witness as running it over B1 - B2.
+    """
     fam = list(masks)
-    fam_set = set(fam)
+    reach: dict[int, int] = {}
+    for b in set(fam):
+        for x in iter_bits(b):
+            rest = b ^ 1 << x
+            reach[rest] = reach.get(rest, 0) | 1 << x
     for b1 in fam:
+        row = [(reach[b1 ^ 1 << x], x) for x in iter_bits(b1)]
         for b2 in fam:
-            if b1 == b2:
-                continue
-            for x in iter_bits(b1 & ~b2):
-                base = b1 ^ (1 << x)
-                if not any(base | (1 << y) in fam_set for y in iter_bits(b2 & ~b1)):
+            for can_reach, x in row:
+                if not can_reach & b2:
                     return (b1, b2, x)
     return None
 
@@ -202,13 +214,8 @@ def linear_matroid(a: gl.GFMatrix) -> Matroid:
     n = a.cols
     if n > MAX_GROUND:
         raise IndexOutOfRange(f"too many columns ({n})")
-    r = gl.rank(a)
-    bases = [
-        mask_of(cols)
-        for cols in combinations(range(n), r)
-        if gl.rank(gl.select_cols(a, cols)) == r
-    ]
-    return Matroid(n, tuple(sorted(bases, key=set_key)))
+    # column_bases yields in combinations order, which is set_key order
+    return Matroid(n, tuple(gl.column_bases(a, gl.rank(a))))
 
 
 # --- derived quantities -----------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 from math import log2
 from typing import Optional, Sequence
 
@@ -372,10 +372,8 @@ def matroid_representation(m: mc.Matroid, p: int) -> Optional[gl.GFMatrix]:
         for k in range(min(r, len(others) + 1)):
             for combo in combinations(others, k):
                 subset = combo + (e,)
-                mask = mask_of(subset)
-                want = rank_table[mask] == len(subset)
-                mat = gl.matrix(p, [[cols[c][i] for c in subset] for i in range(r)], cols=len(subset))
-                if (gl.rank(mat) == len(subset)) != want:
+                want = rank_table[mask_of(subset)] == len(subset)
+                if gl.independent_columns(p, [cols[c] for c in subset]) != want:
                     return False
         return True
 
@@ -464,12 +462,10 @@ def _search_levelwise(fm: fl.FlagMatroid, p: int) -> Optional[FlagRepresentation
 
 
 def _level_matches(a: gl.GFMatrix, level: int, layer: mc.Matroid) -> bool:
-    bases = layer.basis_set
-    for cols in combinations(range(a.cols), level):
-        sub = gl.select_cols(gl.prefix_rows(a, level), cols)
-        if gl.is_nonsingular(sub) != (mask_of(cols) in bases):
-            return False
-    return True
+    """True iff the column matroid of a's top `level` rows has exactly the
+    bases of `layer`, a rank-`level` matroid; stops at the first mismatch."""
+    got = gl.column_bases(gl.prefix_rows(a, level), level)
+    return all(b == want for b, want in zip_longest(got, layer.bases))
 
 
 def _search_columns(fm: fl.FlagMatroid, p: int, guard_bits: int) -> Optional[FlagRepresentation]:
@@ -502,8 +498,8 @@ def _search_columns(fm: fl.FlagMatroid, p: int, guard_bits: int) -> Optional[Fla
                 break
             for combo in combinations(range(len(cols) - 1), d - 1):
                 subset = combo + (j,)
-                sub = gl.matrix(p, [[cols[c][i] for c in subset] for i in range(d)], cols=d)
-                if gl.is_nonsingular(sub) != (mask_of(subset) in feas):
+                independent = gl.independent_columns(p, [cols[c][:d] for c in subset])
+                if independent != (mask_of(subset) in feas):
                     return False
         return True
 

@@ -193,6 +193,29 @@ def test_forbidden_minor_certificate_needs_a_listed_target(capture, tmp_path):
     assert capture("is-representable", _flag_file(tmp_path, two_points), "--p", "2")[0] == 0
 
 
+def test_forbidden_minor_certificate_target_name_must_be_listed(capture, tmp_path):
+    u24 = fl.from_sequence([mc.uniform(2, 4)])
+    cert = _minor_certificate(2, u24, u24, name="(F_7)")
+    code, doc = _validate_doc(capture, tmp_path, cert)
+    assert code == 1 and not doc["valid"]
+    assert doc["reason"] == "target_name (F_7) is not an excluded flag minor for GF(2)"
+    cert["target_name"] = "(U_{2,4})"
+    assert _validate_doc(capture, tmp_path, cert)[0] == 0
+
+
+def test_forbidden_minor_certificate_target_name_must_name_the_target(capture, corpus, tmp_path):
+    code, out, _ = capture("is-representable", corpus["iu23.json"], "--p", "2")
+    cert = json.loads(out)
+    assert cert["target_name"] == "(U_{1,3},U_{2,3})"
+    assert _validate_doc(capture, tmp_path, cert)[0] == 0
+    cert["target_name"] = "(U_{2,4})"
+    code, doc = _validate_doc(capture, tmp_path, cert)
+    assert code == 1 and not doc["valid"]
+    assert doc["reason"] == (
+        "target is not an excluded flag minor for GF(2): not isomorphic to (U_{2,4})"
+    )
+
+
 def test_forbidden_minor_certificate_needs_a_full_flag(capture, tmp_path):
     u24 = mc.uniform(2, 4)
     gap = fl.from_sequence([u24, mc.uniform(4, 4)])

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from flagmatroids import flag_core as fl
-from flagmatroids import gf_linalg as gl
 from flagmatroids import graphic as gr
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
@@ -119,13 +118,6 @@ def test_witness_non_uniqueness_at_gap_two():
 def test_is_full():
     assert lm.is_full(fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3)]))
     assert not lm.is_full(fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)]))
-
-
-def test_fill_from_representation():
-    a = gl.matrix(5, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 4, 4]])
-    fm = lm.fill_from_representation(a, (1, 3))
-    assert lm.is_full(fm)
-    assert [m.rank for m in fm.layers] == [1, 2, 3]
 
 
 def test_enumerate_fillings_examples():

@@ -4,13 +4,14 @@
 delete) split by counting before they build a minor.  The reference
 implementations below are the plain loops that build and compare every
 candidate minor; the screened searches must return exactly what they
-return, witness included.
+return, witness included.  Hypothesis settings come from the `tier1`
+profile in conftest.py.
 """
 
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flagmatroids import flag_core as fl
@@ -19,13 +20,6 @@ from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
 from flagmatroids.bitset import mask_of
 from flagmatroids.errors import EmptyResult, LastLayer
-
-SETTINGS = dict(
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
-
 
 def reference_flag_has_minor(fm, target):
     total = fm.n - target.n
@@ -109,7 +103,7 @@ def prefix_chain_flag(a):
     )
 
 
-@settings(max_examples=60, **SETTINGS)
+@settings(max_examples=60)
 @given(prefix_full_matrices())
 def test_flag_search_matches_reference_on_prefix_chains(a):
     fm = prefix_chain_flag(a)
@@ -117,7 +111,7 @@ def test_flag_search_matches_reference_on_prefix_chains(a):
         assert fl.flag_has_minor(fm, target) == reference_flag_has_minor(fm, target)
 
 
-@settings(max_examples=80, **SETTINGS)
+@settings(max_examples=80)
 @given(prefix_full_matrices(max_n=10))
 def test_matroid_search_matches_reference_on_linear_matroids(a):
     m = mc.linear_matroid(a)

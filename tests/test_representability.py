@@ -33,6 +33,13 @@ def test_flag_from_matrix_examples(fano, f7):
     assert nested.feasible == (mask_of([0]), mask_of([0, 1]), mask_of([0, 1, 2]))
 
 
+def test_flag_from_matrix_consecutive_levels_is_full():
+    a = gl.matrix(5, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 4, 4]])
+    fm = rp.flag_from_matrix(a, (1, 2, 3))
+    assert lm.is_full(fm)
+    assert [m.rank for m in fm.layers] == [1, 2, 3]
+
+
 def test_flag_representation_validates():
     with pytest.raises(Exception):
         rp.FlagRepresentation(gl.matrix(2, [[0, 0], [1, 0]]), (1, 2))
