@@ -7,13 +7,15 @@ conditions; the axiomatic checker `check_flag_axioms` is the independent
 brute-force route used by tests and the CLI.
 
 Layer and lift verdicts are memoized on the raw mask families, which makes
-exhaustive sweeps over all families on a small ground set cheap.
+exhaustive sweeps over all families on a small ground set cheap; each memo
+holds at most MEMO_SIZE entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from . import matroid_core as mc
@@ -43,33 +45,41 @@ def _family_key(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def _group_by_size(masks: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    groups: dict[int, list[int]] = {}
-    for s in masks:
-        groups.setdefault(s.bit_count(), []).append(s)
-    return [(size, tuple(sorted(groups[size], key=set_key))) for size in sorted(groups)]
+    """The layers of a canonical family.  masks must already be in
+    `_family_key` order, so each layer is a slice of equal cardinality,
+    sorted lexicographically."""
+    out, start = [], 0
+    for size, run in groupby(masks, int.bit_count):
+        stop = start + sum(1 for _ in run)
+        out.append((size, tuple(masks[start:stop])))
+        start = stop
+    return out
 
 
-@lru_cache(maxsize=None)
+# Memo bound: far above the working set of any sweep or decision, yet finite.
+MEMO_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def _layer_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
     return mc.basis_exchange_witness(layer)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _lift_witness(n: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> Optional[int]:
     """First flat of the lower layer matroid that is not a flat of the upper
     one, or None when the upper matroid is a lift of the lower."""
-    low = mc.Matroid(n, lower)
-    up = mc.Matroid(n, upper)
-    for mask in range(1 << n):
-        if mc.closure(low, mask) == mask and mc.closure(up, mask) != mask:
-            return mask
-    return None
+    return mc.first_unlifted(mc.Matroid(n, lower).flat_bits, mc.Matroid(n, upper).flat_bits)
 
 
 def layered_witness(n: int, family: Iterable[int]) -> Optional[tuple[str, object]]:
     """None if the family's layers are matroids chained by lifts, else the
     first failure: ("layer", (size, exchange witness)) or ("lift", (sizes, flat))."""
-    masks = _family_key(family)
+    return _canonical_layered_witness(n, _family_key(family))
+
+
+def _canonical_layered_witness(n: int, masks: tuple[int, ...]) -> Optional[tuple[str, object]]:
+    """`layered_witness` of a family already in `_family_key` order."""
     if not masks:
         return ("layer", (0, None))
     groups = _group_by_size(masks)
@@ -101,7 +111,7 @@ class FlagMatroid:
             raise IndexOutOfRange("feasible set outside the ground set")
         if self.feasible != _family_key(self.feasible):
             raise IndexOutOfRange("feasible family not in canonical order")
-        bad = layered_witness(self.n, self.feasible)
+        bad = _canonical_layered_witness(self.n, self.feasible)
         if bad is None:
             return
         kind, payload = bad
@@ -156,7 +166,7 @@ class AxiomReport:
     witness: Optional[dict] = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _axiom1_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
     """Witness (F, G, x) violating same-cardinality exchange, or None."""
     fam = set(layer)
@@ -171,7 +181,7 @@ def _axiom1_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, 
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _axiom2_witness(
     n: int, lower: tuple[int, ...], upper: tuple[int, ...]
 ) -> Optional[tuple[int, int]]:

@@ -39,16 +39,14 @@ class LiftResult:
     witness: Optional[tuple] = None
 
 
-def _lift_by_flats(n: int, lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
-    for mask in range(1 << n):
-        if mc.closure(quot, mask) == mask and mc.closure(lift, mask) != mask:
-            return ("flat", elements_of(mask))
-    return None
+def _flat_witness(quot_bits: int, lift_bits: int) -> Optional[tuple]:
+    mask = mc.first_unlifted(quot_bits, lift_bits)
+    return None if mask is None else ("flat", elements_of(mask))
 
 
-def _lift_by_closures(n: int, lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
-    for mask in range(1 << n):
-        if mc.closure(lift, mask) & ~mc.closure(quot, mask):
+def _lift_by_closures(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
+    for mask, (up, down) in enumerate(zip(lift.closure_table, quot.closure_table)):
+        if up & ~down:
             return ("subset", elements_of(mask))
     return None
 
@@ -63,8 +61,8 @@ def _fset(bases: frozenset[int], base: int, e: int) -> int:
     return out
 
 
-def _lift_by_bases(n: int, lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
-    full = (1 << n) - 1
+def _lift_by_bases(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
+    full = lift.full_mask
     lift_bases = lift.basis_set
     quot_bases = quot.basis_set
     for b in lift.bases:
@@ -85,13 +83,26 @@ def _lift_by_bases(n: int, lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple
 def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftResult:
     """Is `lift` a lift of `quot` (equivalently, `quot` a quotient of `lift`)?
 
-    method selects the characterization: "flats" (the definition), "duals",
-    "closures", "bases", or "all", which evaluates the four and raises if
-    they ever disagree.
+    method selects the characterization (Oxley, Matroid Theory, 7.3):
+
+    - "flats", the definition: every flat of quot is a flat of lift.  The
+      witness is the least flat of quot that is not one of lift, read from
+      `quot.flat_bits & ~lift.flat_bits`.
+    - "duals": quot* is a lift of lift*, so every flat of lift* is a flat
+      of quot*.  Dual flats come from the corank r*(S) = |S| - r(E) +
+      r(E - S) through `coflat_bits`; the witness is the least flat of
+      lift* that is not one of quot*.
+    - "closures": cl_lift(X) is a subset of cl_quot(X) for every X; the
+      witness is the least X where it is not.
+    - "bases": for every basis B of lift and e outside B there is a basis
+      B' of quot inside B whose fundamental circuit of e lies inside the
+      fundamental circuit of e in B; the witness is the first (B, e)
+      without one.
+
+    "all" evaluates the four and raises if they ever disagree.
     """
     if lift.n != quot.n:
         raise GroundSetMismatch("lift check needs a common ground set")
-    n = lift.n
     if method == "all":
         results = {m: is_lift(lift, quot, m) for m in LIFT_METHODS}
         verdicts = {m: r.ok for m, r in results.items()}
@@ -102,13 +113,13 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
         first = results["flats"]
         return LiftResult(first.ok, "all", first.witness)
     if method == "flats":
-        w = _lift_by_flats(n, lift, quot)
+        w = _flat_witness(quot.flat_bits, lift.flat_bits)
     elif method == "duals":
-        w = _lift_by_flats(n, mc.dual(quot), mc.dual(lift))
+        w = _flat_witness(lift.coflat_bits, quot.coflat_bits)
     elif method == "closures":
-        w = _lift_by_closures(n, lift, quot)
+        w = _lift_by_closures(lift, quot)
     elif method == "bases":
-        w = _lift_by_bases(n, lift, quot)
+        w = _lift_by_bases(lift, quot)
     else:
         raise ValueError(f"unknown method {method!r}")
     return LiftResult(w is None, method, w)

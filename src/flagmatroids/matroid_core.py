@@ -32,11 +32,20 @@ from .errors import (
 )
 
 MAX_GROUND = 20
+_ONE = ord("1")  # a set bit in the base-2 digit strings of flat_bits and coflat_bits
 
 
 @dataclass(frozen=True)
 class Matroid:
-    """Ground-set size plus the canonical sorted tuple of basis masks."""
+    """Ground-set size plus the canonical sorted tuple of basis masks.
+
+    Derived data is computed on first use and cached on the instance:
+    `independent_table` and `rank_table` (one entry per subset),
+    `closure_table` (the closure of every subset), and two 2^n-bit ints,
+    `flat_bits` (bit S set iff S is a flat) and `coflat_bits` (bit S set iff
+    S is a flat of the dual), both read off the rank table, so no dual
+    matroid is built to test duals.
+    """
 
     n: int
     bases: tuple[int, ...]
@@ -112,8 +121,63 @@ class Matroid:
         return common
 
     @cached_property
+    def closure_table(self) -> list[int]:
+        """closure_table[mask] == mask plus every e with r(mask + e) == r(mask)."""
+        table = self.rank_table
+        bits = [1 << e for e in range(self.n)]
+        out = []
+        for mask, r in enumerate(table):
+            cl = mask
+            for bit in bits:
+                if table[mask | bit] == r:
+                    cl |= bit
+            out.append(cl)
+        return out
+
+    @cached_property
+    def flat_bits(self) -> int:
+        """Bit S set iff S is a flat: r(S + e) > r(S) for every e outside S."""
+        table = self.rank_table
+        full = self.full_mask
+        digits = bytearray(b"0") * len(table)
+        for s, r in enumerate(table):
+            rest = full ^ s
+            while rest:
+                low = rest & -rest
+                if table[s | low] == r:
+                    break
+                rest ^= low
+            else:
+                digits[s] = _ONE
+        return int(digits[::-1], 2)
+
+    @cached_property
+    def coflat_bits(self) -> int:
+        """Bit S set iff S is a flat of the dual matroid.
+
+        The dual rank is r*(S) = |S| - r(E) + r(E - S), so for e outside S,
+        r*(S + e) - r*(S) = 1 + r(E - S - e) - r(E - S), which is positive
+        iff r(E - S - e) == r(E - S).  S is a dual flat iff its complement T
+        has r(T - e) == r(T) for every e in T.
+        """
+        table = self.rank_table
+        full = self.full_mask
+        digits = bytearray(b"0") * len(table)
+        for t, r in enumerate(table):
+            rest = t
+            while rest:
+                low = rest & -rest
+                if table[t ^ low] != r:
+                    break
+                rest ^= low
+            else:
+                digits[full ^ t] = _ONE
+        return int(digits[::-1], 2)
+
+    @cached_property
     def flats(self) -> tuple[int, ...]:
-        out = [m for m in range(1 << self.n) if closure(self, m) == m]
+        digits = format(self.flat_bits, "b")[::-1]
+        out = [s for s, d in enumerate(digits) if d == "1"]
         return tuple(sorted(out, key=set_key))
 
     @cached_property
@@ -232,15 +296,17 @@ def rank_of(m: Matroid, subset: int | Iterable[int]) -> int:
 
 
 def closure(m: Matroid, subset: int | Iterable[int]) -> int:
-    mask = _as_mask(m, subset)
-    table = m.rank_table
-    r = table[mask]
-    out = mask
-    for e in range(m.n):
-        bit = 1 << e
-        if not mask & bit and table[mask | bit] == r:
-            out |= bit
-    return out
+    return m.closure_table[_as_mask(m, subset)]
+
+
+def first_unlifted(quot_bits: int, lift_bits: int) -> Optional[int]:
+    """Least mask S with bit S set in quot_bits but not in lift_bits, or None.
+
+    With flat bitsets this is the first flat of the quotient that is not a
+    flat of the lift; every flat-based lift test reduces to this one AND.
+    """
+    missing = quot_bits & ~lift_bits
+    return (missing & -missing).bit_length() - 1 if missing else None
 
 
 def flats(m: Matroid) -> tuple[int, ...]:

@@ -248,3 +248,12 @@ def test_cryptomorphism_exhaustive_n3():
     for pick in range(1, 1 << len(sets)):
         fam = [sets[i] for i in range(len(sets)) if pick >> i & 1]
         assert fl.check_flag_axioms(n, fam).ok == (fl.layered_witness(n, fam) is None)
+
+
+def test_every_memo_is_bounded():
+    memos = [f for f in vars(fl).values() if hasattr(f, "cache_info")]
+    assert {f.__name__ for f in memos} >= {
+        "_layer_witness", "_lift_witness", "_axiom1_witness", "_axiom2_witness",
+    }
+    for f in memos:
+        assert f.cache_info().maxsize is not None, f.__name__
