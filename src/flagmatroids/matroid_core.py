@@ -32,19 +32,59 @@ from .errors import (
 )
 
 MAX_GROUND = 20
-_ONE = ord("1")  # a set bit in the base-2 digit strings of flat_bits and coflat_bits
+_ONE = ord("1")  # a set bit in the base-2 digit string of independent_bits
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@lru_cache(maxsize=MAX_GROUND + 1)
+def _element_bits(n: int) -> tuple[int, ...]:
+    """has[e] for e < n: the 2^n-bit int with bit S set iff e is in S.
+
+    Runs of 2^e clear then 2^e set bits, doubled up to 2^n bits."""
+    out = []
+    for e in range(n):
+        run = 1 << e
+        bits = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < 1 << n:
+            bits |= bits << width
+            width *= 2
+        out.append(bits)
+    return tuple(out)
+
+
+@lru_cache(maxsize=MAX_GROUND + 1)
+def _size_bits(n: int) -> tuple[int, ...]:
+    """size[k] for k <= n: the 2^n-bit int with bit S set iff |S| == k.
+
+    The upper half of the subsets of {0..n-1} holds n - 1, so size[k] is
+    size[k] on n - 1 elements plus size[k - 1] on n - 1 elements shifted
+    up by 2^(n - 1)."""
+    if n == 0:
+        return (1,)
+    low = _size_bits(n - 1) + (0,)
+    half = 1 << (n - 1)
+    return (low[0],) + tuple(low[k] | low[k - 1] << half for k in range(1, n + 1))
+
+
+def _bit_bytes(bits: int, n: int) -> bytes:
+    """One byte per subset S of {0..n-1}: bit S of the 2^n-bit int bits."""
+    return format(bits, f"0{1 << n}b")[::-1].encode().translate(_DIGIT_BYTES)
 
 
 @dataclass(frozen=True)
 class Matroid:
     """Ground-set size plus the canonical sorted tuple of basis masks.
 
-    Derived data is computed on first use and cached on the instance:
-    `independent_table` and `rank_table` (one entry per subset),
-    `closure_table` (the closure of every subset), and two 2^n-bit ints,
-    `flat_bits` (bit S set iff S is a flat) and `coflat_bits` (bit S set iff
-    S is a flat of the dual), both read off the rank table, so no dual
-    matroid is built to test duals.
+    Derived data is computed on first use and cached on the instance.  The
+    rank function is held as 2^n-bit ints: `independent_bits` (bit S set
+    iff S is independent) and `rank_levels`, the r nested levels
+    A_k = {S : r(S) >= k}.  Everything else is derived from them with
+    O(n*r) shifts and ANDs: `independent_table` and `rank_table`, read-only
+    `bytes` with one byte per subset, and `flat_bits` (bit S set iff S is a
+    flat) and `coflat_bits` (bit S set iff S is a flat of the dual), so no
+    dual matroid is built to test duals.  `closure_table` (the closure of
+    every subset) is read off the rank table one subset at a time.
     """
 
     n: int
@@ -76,35 +116,44 @@ class Matroid:
         return frozenset(self.bases)
 
     @cached_property
-    def independent_table(self) -> bytearray:
-        """independent_table[mask] == 1 iff mask is independent."""
-        table = bytearray(1 << self.n)
+    def independent_bits(self) -> int:
+        """Bit S set iff S is independent: the down-closure of the bases."""
+        digits = bytearray(b"0") * (1 << self.n)
         for b in self.bases:
-            table[b] = 1
-        for mask in range((1 << self.n) - 1, 0, -1):
-            if table[mask]:
-                for e in iter_bits(mask):
-                    table[mask ^ (1 << e)] = 1
-        table[0] = 1
-        return table
+            digits[b] = _ONE
+        bits = int(digits[::-1], 2)
+        for e, has in enumerate(_element_bits(self.n)):
+            bits |= (bits & has) >> (1 << e)
+        return bits
 
     @cached_property
-    def rank_table(self) -> list[int]:
-        """rank_table[mask] == rank of the subset mask."""
-        ind = self.independent_table
-        table = [0] * (1 << self.n)
-        for mask in range(1, 1 << self.n):
-            if ind[mask]:
-                table[mask] = mask.bit_count()
-            else:
-                low = mask & -mask
-                best = table[mask ^ low]
-                for e in iter_bits(mask ^ low):
-                    r = table[mask ^ (1 << e)]
-                    if r > best:
-                        best = r
-                table[mask] = best
-        return table
+    def rank_levels(self) -> tuple[int, ...]:
+        """A_1..A_r: bit S of the k-th level is set iff r(S) >= k.
+
+        A_k is the up-closure of the independent k-sets."""
+        ind = self.independent_bits
+        element_bits = _element_bits(self.n)
+        out = []
+        for level in _size_bits(self.n)[1:self.rank + 1]:
+            up = ind & level
+            for e, has in enumerate(element_bits):
+                up |= (up & ~has) << (1 << e)
+            out.append(up)
+        return tuple(out)
+
+    @cached_property
+    def independent_table(self) -> bytes:
+        """independent_table[mask] == 1 iff mask is independent."""
+        return _bit_bytes(self.independent_bits, self.n)
+
+    @cached_property
+    def rank_table(self) -> bytes:
+        """rank_table[mask] == rank of the subset mask: the number of levels
+        holding it, summed one byte per subset (ranks never carry)."""
+        total = sum(
+            int.from_bytes(_bit_bytes(level, self.n), "little") for level in self.rank_levels
+        )
+        return total.to_bytes(1 << self.n, "little")
 
     @cached_property
     def loops_mask(self) -> int:
@@ -136,20 +185,19 @@ class Matroid:
 
     @cached_property
     def flat_bits(self) -> int:
-        """Bit S set iff S is a flat: r(S + e) > r(S) for every e outside S."""
-        table = self.rank_table
-        full = self.full_mask
-        digits = bytearray(b"0") * len(table)
-        for s, r in enumerate(table):
-            rest = full ^ s
-            while rest:
-                low = rest & -rest
-                if table[s | low] == r:
-                    break
-                rest ^= low
-            else:
-                digits[s] = _ONE
-        return int(digits[::-1], 2)
+        """Bit S set iff S is a flat: r(S + e) > r(S) for every e outside S.
+
+        For S without e, bit S of A_k >> 2^e is bit S + e of A_k, so S + e
+        raises the rank iff some level holds S + e but not S."""
+        levels = self.rank_levels
+        flat = (1 << (1 << self.n)) - 1
+        for e, has in enumerate(_element_bits(self.n)):
+            step = 1 << e
+            raised = 0
+            for level in levels:
+                raised |= (level >> step) & ~level
+            flat &= has | raised
+        return flat
 
     @cached_property
     def coflat_bits(self) -> int:
@@ -158,21 +206,21 @@ class Matroid:
         The dual rank is r*(S) = |S| - r(E) + r(E - S), so for e outside S,
         r*(S + e) - r*(S) = 1 + r(E - S - e) - r(E - S), which is positive
         iff r(E - S - e) == r(E - S).  S is a dual flat iff its complement T
-        has r(T - e) == r(T) for every e in T.
+        has r(T - e) == r(T) for every e in T.  For T holding e, bit T of
+        A_k << 2^e is bit T - e of A_k, so removing e drops the rank iff
+        some level holds T but not T - e.  The complements T are collected
+        first; the map T -> E - T is the index map T -> 2^n - 1 - T, which
+        reverses the 2^n-bit string.
         """
-        table = self.rank_table
-        full = self.full_mask
-        digits = bytearray(b"0") * len(table)
-        for t, r in enumerate(table):
-            rest = t
-            while rest:
-                low = rest & -rest
-                if table[t ^ low] != r:
-                    break
-                rest ^= low
-            else:
-                digits[full ^ t] = _ONE
-        return int(digits[::-1], 2)
+        levels = self.rank_levels
+        size = 1 << self.n
+        dropped = 0
+        for e, has in enumerate(_element_bits(self.n)):
+            step = 1 << e
+            for level in levels:
+                dropped |= level & ~(level << step) & has
+        kept = ((1 << size) - 1) ^ dropped
+        return int(format(kept, f"0{size}b")[::-1], 2)
 
     @cached_property
     def flats(self) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import combinations
 
@@ -236,3 +237,12 @@ def test_loops_and_parallel_classes():
 def test_enumerate_matroids_counts():
     # labeled matroid counts on 0..4 elements
     assert [sum(1 for _ in mc.enumerate_matroids(n)) for n in range(5)] == [1, 2, 5, 16, 68]
+
+
+def test_every_memo_is_bounded():
+    memos = [f for f in vars(mc).values() if hasattr(f, "cache_info")]
+    assert {f.__name__ for f in memos} >= {"_element_bits", "_size_bits", "fano_matroid"}
+    for f in memos:
+        # a memo without arguments holds one entry; any other needs a bound
+        if inspect.signature(f.__wrapped__).parameters:
+            assert f.cache_info().maxsize is not None, f.__name__
