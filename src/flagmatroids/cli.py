@@ -2,7 +2,9 @@
 
 Every verb writes one canonical JSON document to stdout and a short human
 summary to stderr.  Exit codes: 0 = yes/success, 1 = no/negative verdict,
-2 = input error, 3 = budget exhausted / unknown.
+2 = input error, 3 = budget exhausted / unknown, 4 = internal error (a fault
+in the program, never a verdict; stdout holds an
+{"error": "InternalError", ...} document).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     BudgetExhausted,
     Error,
     FieldTooSmall,
+    InternalError,
     InvalidInput,
     SearchSpaceTooLarge,
 )
@@ -30,6 +33,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(doc, summary: str) -> None:
@@ -218,7 +222,7 @@ def _cmd_is_representable(args) -> int:
         )
         verdicts = {k: d.representable for k, d in decisions.items()}
         if len(set(verdicts.values())) != 1:
-            raise Error(f"decision routes disagree: {verdicts}")
+            raise InternalError(f"decision routes disagree: {verdicts}")
     primary = decisions.get("minors") or decisions.get("witness")
     if primary.representable:
         cert = decisions.get("witness")
@@ -442,9 +446,17 @@ def run(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except Error as exc:
         payload = {k: (list(v) if isinstance(v, tuple) else v) for k, v in exc.payload.items()}
-        sys.stdout.write(io.dumps({"error": exc.code, "detail": str(exc), **({"witness": payload} if payload else {})}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        doc = {"error": exc.code, "detail": str(exc), **({"witness": payload} if payload else {})}
+        status = EXIT_INTERNAL if isinstance(exc, InternalError) else EXIT_INPUT
+    except Exception as exc:  # a fault in the program; exit 1 would read as "no"
+        import traceback  # here, not at the top: only a fault needs it
+
+        traceback.print_exc()
+        doc = {"error": InternalError.__name__, "detail": f"{type(exc).__name__}: {exc}"}
+        status = EXIT_INTERNAL
+    sys.stdout.write(io.dumps(doc))
+    print(f"error: {doc['detail']}", file=sys.stderr)
+    return status
 
 
 def main() -> None:

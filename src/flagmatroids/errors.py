@@ -167,3 +167,10 @@ class ConfigInconsistent(Error):
 
 class InvalidInput(Error):
     """Malformed JSON document or command-line value."""
+
+
+# --- faults -----------------------------------------------------------------
+
+class InternalError(Error):
+    """A fault inside the program, such as decision routes that disagree;
+    it says nothing about the input."""

@@ -15,7 +15,7 @@ from . import gf_linalg as gl
 from . import graphic as gr
 from . import matroid_core as mc
 from .bitset import elements_of, mask_of
-from .errors import InvalidInput
+from .errors import IndexOutOfRange, InvalidInput
 from .lifts_majors import LiftWitnessSequence, MajorStructure
 from .representability import FlagRepresentation, ForbiddenMinorWitness
 
@@ -63,9 +63,10 @@ def matroid_json(m: mc.Matroid) -> dict:
 
 def load_matroid(doc: Any) -> mc.Matroid:
     _require(doc, ("n", "bases"), "matroid")
-    return mc.matroid_from_bases(
-        _int(doc["n"], "n"), [_int_list(b, "basis") for b in _array(doc["bases"], "bases")]
-    )
+    n = _int(doc["n"], "n")
+    if n > mc.MAX_GROUND:
+        raise IndexOutOfRange(f"ground set size {n} outside 0..{mc.MAX_GROUND}")
+    return mc.matroid_from_bases(n, [_int_list(b, "basis") for b in _array(doc["bases"], "bases")])
 
 
 # --- flag matroids -------------------------------------------------------------

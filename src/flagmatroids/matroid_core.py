@@ -31,12 +31,15 @@ from .errors import (
     OverlappingSets,
 )
 
-MAX_GROUND = 20
+MAX_GROUND = 20  # the largest ground set of a loaded document or a flag
+# A lift witness of a flag on n elements has n + 1 (lifts_majors), so a
+# matroid built inside the library may have one element more.
+MAX_MATROID_GROUND = MAX_GROUND + 1
 _ONE = ord("1")  # a set bit in the base-2 digit string of independent_bits
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@lru_cache(maxsize=MAX_GROUND + 1)
+@lru_cache(maxsize=MAX_MATROID_GROUND + 1)
 def _element_bits(n: int) -> tuple[int, ...]:
     """has[e] for e < n: the 2^n-bit int with bit S set iff e is in S.
 
@@ -53,7 +56,7 @@ def _element_bits(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=MAX_GROUND + 1)
+@lru_cache(maxsize=MAX_MATROID_GROUND + 1)
 def _size_bits(n: int) -> tuple[int, ...]:
     """size[k] for k <= n: the 2^n-bit int with bit S set iff |S| == k.
 
@@ -91,8 +94,8 @@ class Matroid:
     bases: tuple[int, ...]
 
     def __post_init__(self):
-        if not (0 <= self.n <= MAX_GROUND):
-            raise IndexOutOfRange(f"ground set size {self.n} outside 0..{MAX_GROUND}")
+        if not (0 <= self.n <= MAX_MATROID_GROUND):
+            raise IndexOutOfRange(f"ground set size {self.n} outside 0..{MAX_MATROID_GROUND}")
         if not self.bases:
             raise ConstructionFailed("a matroid has at least one basis")
         full = (1 << self.n) - 1

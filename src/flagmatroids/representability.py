@@ -7,9 +7,14 @@ contributes the empty feasible set, which is how rank-0 bottom layers (for
 instance from graphic chains with a single-cell partition) are carried.
 
 Decision procedures for GF(2)/GF(3) come in three mutually cross-checking
-routes: forbidden flag minors, the lift-witness route (matroid-level
-forbidden minors on the witness matroids, plus an explicit stitched
-certificate), and exhaustive search for a representing matrix.
+routes: forbidden flag minors; the lift-witness route, which builds the
+unique candidate representation of each witness matroid
+(`matroid_representation`; binary and ternary matroids are uniquely
+representable), decides by checking it once, and stitches the pair
+representations into an explicit certificate; and a level-by-level search
+for a representing matrix.  Matroid-level excluded minors
+(`matroid_core.is_binary`/`is_ternary`) are not used here; they remain an
+independent cross-check of `matroid_representation`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product, zip_longest
 from math import log2
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import flag_core as fl
 from . import gf_linalg as gl
@@ -338,67 +343,135 @@ def _stitch_with_scaling(
     return stitch_representations(rep_a, rep_b2)
 
 
-# --- matroid representation search --------------------------------------------------
+# --- matroid representations over GF(2) and GF(3) -------------------------------------
 
 def matroid_representation(m: mc.Matroid, p: int) -> Optional[gl.GFMatrix]:
-    """Exhaustive search for a GF(p) matrix whose column matroid is m.
+    """The canonical GF(p) matrix whose column matroid is m, for p in (2, 3),
+    or None when m is not representable over GF(p).
 
-    Canonicalized: the lexicographically first basis maps to the identity
-    and every other column has leading entry 1 (or is zero, for loops), so
-    the search space covers each representation class once.
+    Binary and ternary matroids are uniquely representable (Brylawski and
+    Lucas 1976): a representation is fixed up to row operations and column
+    scaling, so there is one candidate to build and check.  The
+    lexicographically first basis B = {b_0 < b_1 < ...} becomes the
+    identity, and entry (i, e) of another column is nonzero iff
+    B - b_i + e is a basis.  Over GF(2) that fixes the matrix; over GF(3)
+    `_ternary_signs` fixes the signs and `_least_row_signs` picks the
+    canonical one of the 2^r row-sign choices: every column has leading
+    entry 1 (loops are zero) and the columns, taken in increasing order,
+    are each lexicographically least.  That is the first matrix an
+    exhaustive column-by-column search in that order would find.  The
+    candidate is checked once against the bases of m; by uniqueness a
+    mismatch means that m is not representable over GF(p).
     """
-    gl.field(p)
+    if p not in (2, 3):
+        raise InvalidInput("unique representations need p in (2, 3)")
     r, n = m.rank, m.n
     if r == 0:
         return gl.matrix(p, [], cols=n)
-    base = elements_of(m.bases[0])
-    cols: dict[int, tuple[int, ...]] = {}
-    for pos, e in enumerate(base):
-        cols[e] = tuple(1 if i == pos else 0 for i in range(r))
-    rest = [e for e in range(n) if e not in cols]
-    loops_mask = m.loops_mask
+    first = m.bases[0]
+    base = elements_of(first)
+    rest = [e for e in range(n) if not first >> e & 1]
 
-    candidates: list[tuple[int, ...]] = []
-    for vec in product(range(p), repeat=r):
-        lead = next((x for x in vec if x), None)
-        if lead is None or lead == 1:
-            candidates.append(vec)
+    def is_basis(rows: Sequence[int], cols: Sequence[int]) -> bool:
+        """Whether the square submatrix on these rows and on these columns
+        of `rest` is nonsingular: B with those rows' elements swapped for
+        those columns' is a basis."""
+        swapped = first ^ mask_of(base[i] for i in rows) | mask_of(rest[j] for j in cols)
+        return swapped in m.basis_set
 
-    rank_table = m.rank_table
+    entries = {(i, j): 1 for i in range(r) for j in range(len(rest)) if is_basis((i,), (j,))}
+    if p == 3:
+        _ternary_signs(entries, r, len(rest), is_basis)
+        _least_row_signs(entries, r, len(rest))
+    columns = {e: tuple(int(i == pos) for i in range(r)) for pos, e in enumerate(base)}
+    for j, e in enumerate(rest):
+        columns[e] = tuple(entries.get((i, j), 0) for i in range(r))
+    out = gl.matrix(p, [[columns[e][i] for e in range(n)] for i in range(r)], cols=n)
+    return out if _level_matches(out, r, m) else None
 
-    def consistent(e: int, decided: list[int]) -> bool:
-        # all subsets through e of size <= r must agree on independence
-        others = [x for x in decided if x != e]
-        for k in range(min(r, len(others) + 1)):
-            for combo in combinations(others, k):
-                subset = combo + (e,)
-                want = rank_table[mask_of(subset)] == len(subset)
-                if gl.independent_columns(p, [cols[c] for c in subset]) != want:
-                    return False
-        return True
 
-    decided = list(base)
+def _ternary_signs(
+    entries: dict[tuple[int, int], int],
+    r: int,
+    c: int,
+    is_basis: Callable[[Sequence[int], Sequence[int]], bool],
+) -> None:
+    """Give each GF(3) entry of the support its sign, in place.
 
-    def place(idx: int) -> bool:
-        if idx == len(rest):
-            return True
-        e = rest[idx]
-        pool = [candidates[0]] if loops_mask >> e & 1 else candidates[1:]
-        for vec in pool:
-            cols[e] = vec
-            decided.append(e)
-            if consistent(e, decided) and place(idx + 1):
-                return True
-            decided.pop()
-            del cols[e]
-        return False
+    The support graph has row nodes 0..r-1 and column nodes r..r+c-1, with
+    an edge i - r + j for each entry (i, j).  Entries are fixed one at a
+    time, always one whose ends are nearest in the graph of the entries
+    fixed so far.  An entry whose ends are not yet connected joins a
+    spanning forest; rows and columns can be scaled so that the forest
+    carries 1s, so it keeps its 1.  Any other entry closes a cycle with a
+    shortest path between its ends, and the cycle has no chord in the
+    whole support: a chord would be a shorter path, or an unfixed entry
+    with nearer ends.  So the cycle's square submatrix has determinant
+    ±1 ± 1, nonsingular for exactly one sign of the new entry, and
+    `is_basis` says which.
+    """
+    size = r + c
+    far = 2 * size
+    dist = [[0 if u == v else far for v in range(size)] for u in range(size)]
+    fixed: list[list[int]] = [[] for _ in range(size)]
+    pending = sorted(entries)
+    while pending:
+        i, j = min(pending, key=lambda edge: dist[edge[0]][r + edge[1]])
+        pending.remove((i, j))
+        end = r + j
+        if dist[i][end] < far:
+            path = [i]
+            while path[-1] != end:
+                u = path[-1]
+                path.append(next(v for v in fixed[u] if dist[v][end] == dist[u][end] - 1))
+            rows = sorted(u for u in path if u < r)
+            cols = sorted(u - r for u in path if u >= r)
+            square = [[entries.get((a, b), 0) for a in rows] for b in cols]
+            if gl.independent_columns(3, square) != is_basis(rows, cols):
+                entries[i, j] = 2
+        from_i, from_end = dist[i][:], dist[end][:]
+        for u in range(size):
+            via_i, via_end = dist[u][i] + 1, dist[u][end] + 1
+            dist[u] = [min(d, via_i + e, via_end + f) for d, e, f in zip(dist[u], from_end, from_i)]
+        fixed[i].append(end)
+        fixed[end].append(i)
 
-    if not place(0):
-        return None
-    out = gl.matrix(p, [[cols[j][i] for j in range(n)] for i in range(r)], cols=n)
-    if mc.linear_matroid(out) != m:
-        raise InvalidInput("search invariant broken")  # pragma: no cover
-    return out
+
+def _least_row_signs(entries: dict[tuple[int, int], int], r: int, c: int) -> None:
+    """Rescale the rows of a GF(3) matrix [I | X] (and restore I by scaling
+    its columns) so that each column of X, in order, has leading entry 1 and
+    is lexicographically least.
+
+    A column's entries after scaling row i by the sign s_i and the column by
+    its leading entry are x_i s_i x_lead s_lead.  Going down the column,
+    each entry can be made 1 unless its row is already tied to the leading
+    row by an earlier choice; ties are kept as a union-find over rows with
+    the relative sign (0 for +1, 1 for -1) to the parent.
+    """
+    parent, flip = list(range(r)), [0] * r
+
+    def find(i: int) -> tuple[int, int]:
+        sign = 0
+        while parent[i] != i:
+            sign ^= flip[i]
+            i = parent[i]
+        return i, sign
+
+    def negative(i: int, j: int) -> int:
+        return int(entries[i, j] == 2)
+
+    supports = [[i for i in range(r) if (i, j) in entries] for j in range(c)]
+    for j, col in enumerate(supports):
+        for i in col[1:]:
+            (root_i, sign_i), (root_lead, sign_lead) = find(i), find(col[0])
+            if root_i != root_lead:
+                parent[root_i] = root_lead
+                flip[root_i] = sign_i ^ sign_lead ^ negative(i, j) ^ negative(col[0], j)
+    sign = [find(i)[1] for i in range(r)]
+    for j, col in enumerate(supports):
+        lead = negative(col[0], j) ^ sign[col[0]] if col else 0
+        for i in col:
+            entries[i, j] = 2 if negative(i, j) ^ sign[i] ^ lead else 1
 
 
 # --- flag representation search ------------------------------------------------------
@@ -617,17 +690,14 @@ def forbidden_minor_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDeci
     return RepresentabilityDecision(p, True)
 
 
-def _pair_representation(q: mc.Matroid, x: int, p: int) -> FlagRepresentation:
+def _pair_representation(rmat: gl.GFMatrix, x: int) -> FlagRepresentation:
     """Representation of (Q/x, Q\\x) extracted from a representation of Q.
 
     Row-reduces so that column x becomes the last unit vector; dropping that
     column gives the pair's matrix, whose top rows represent the
     contraction.
     """
-    rmat = matroid_representation(q, p)
-    if rmat is None:
-        raise NoTransform(f"witness matroid not representable over GF({p})")
-    r = q.rank
+    p, r = rmat.p, rmat.rows
     rows = [list(rmat.row(i)) for i in range(r)]
     pivot = max(i for i in range(r) if rows[i][x] % p)
     rows[pivot], rows[r - 1] = rows[r - 1], rows[pivot]
@@ -638,36 +708,39 @@ def _pair_representation(q: mc.Matroid, x: int, p: int) -> FlagRepresentation:
             f = rows[i][x]
             rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r - 1])]
     pair_rows = [row[:x] + row[x + 1 :] for row in rows]
-    return FlagRepresentation(gl.matrix(p, pair_rows, cols=q.n - 1), (r - 1, r))
+    return FlagRepresentation(gl.matrix(p, pair_rows, cols=rmat.cols - 1), (r - 1, r))
 
 
 def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecision:
     """Decide representability of a full flag via its lift witness sequence:
     representable iff every witness matroid is, in which case stitching the
-    per-pair representations yields an explicit certificate."""
-    if p == 2:
-        matroid_ok = mc.is_binary
-    elif p == 3:
-        matroid_ok = mc.is_ternary
-    else:
+    per-pair representations yields an explicit certificate.
+
+    Each witness matroid is decided by building its unique candidate
+    representation (`matroid_representation`), and the same matrix then
+    gives the pair's representation.
+    """
+    if p not in (2, 3):
         raise InvalidInput("witness route supports p in (2, 3)")
     if not is_full(fm):
         raise NotFull("witness route needs a full flag")
     layers = fm.layers
     if len(layers) == 1:
-        if not matroid_ok(layers[0]):
-            return RepresentabilityDecision(p, False)
         a = matroid_representation(layers[0], p)
+        if a is None:
+            return RepresentabilityDecision(p, False)
         return RepresentabilityDecision(
             p, True, certificate=FlagRepresentation(a, (layers[0].rank,))
         )
-    seq = lift_witness_sequence(fm)
-    if not all(matroid_ok(q) for q, _ in seq.witnesses):
-        return RepresentabilityDecision(p, False)
-    rep: Optional[FlagRepresentation] = None
-    for q, x in seq.witnesses:
-        pair = _pair_representation(q, x, p)
-        rep = pair if rep is None else _stitch_with_scaling(rep, pair)
+    pairs = []
+    for q, x in lift_witness_sequence(fm).witnesses:
+        rmat = matroid_representation(q, p)
+        if rmat is None:
+            return RepresentabilityDecision(p, False)
+        pairs.append(_pair_representation(rmat, x))
+    rep = pairs[0]
+    for pair in pairs[1:]:
+        rep = _stitch_with_scaling(rep, pair)
     if represented_flag(rep) != fm:
         raise NoTransform("stitched certificate mismatch")  # pragma: no cover
     return RepresentabilityDecision(p, True, certificate=rep)

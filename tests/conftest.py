@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
@@ -84,6 +85,34 @@ def fano():
 @pytest.fixture(scope="session")
 def f7(fano):
     return mc.linear_matroid(fano)
+
+
+@st.composite
+def gf_matrices(draw, max_n=10):
+    """A matrix over GF(2/3/5/7) with 0..5 rows and 1..max_n columns.
+
+    Columns are fresh, zero, or a nonzero multiple of an earlier column, and
+    the last row is sometimes the sum of the first two, so rank-deficient
+    matrices, loops and parallel classes all occur.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows = draw(st.integers(0, 5))
+    n = draw(st.integers(1, max_n))
+    cols: list[list[int]] = []
+    for j in range(n):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy"] if j else ["fresh", "zero"]))
+        if kind == "fresh":
+            cols.append(draw(st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows)))
+        elif kind == "zero":
+            cols.append([0] * rows)
+        else:
+            src = draw(st.integers(0, j - 1))
+            scale = draw(st.integers(1, p - 1))
+            cols.append([x * scale % p for x in cols[src]])
+    if rows >= 3 and draw(st.booleans()):
+        for c in cols:
+            c[-1] = (c[0] + c[1]) % p
+    return gl.matrix(p, [[c[i] for c in cols] for i in range(rows)], cols=n)
 
 
 def random_gf_matrix(rng: random.Random, p: int, rows: int, cols: int) -> gl.GFMatrix:

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from conftest import random_prefix_chain_matrix
 from flagmatroids import cli
 from flagmatroids import flag_core as fl
 from flagmatroids import graphic as gr
@@ -384,3 +386,49 @@ def test_subprocess_determinism_across_hash_seeds(corpus):
     first, second = run("1"), run("4242")
     assert first.returncode == second.returncode == 1
     assert first.stdout == second.stdout
+
+
+def test_witness_route_runs_at_twenty_elements(capture, corpus):
+    # the lift witness of a flag on 20 elements is a matroid on 21
+    a = random_prefix_chain_matrix(random.Random(20), 2, 2, 20)
+    flag = corpus["write"]("n20.json", io.flag_json(rp.flag_from_matrix(a, (1, 2))))
+    for method in ("minors", "witness"):
+        code, out, _ = capture("is-representable", flag, "--p", "2", "--method", method)
+        assert code == 0
+        code, out, _ = capture("validate", corpus["write"](f"n20-{method}.json", out))
+        assert code == 0 and json.loads(out)["valid"]
+
+
+def test_documents_stay_limited_to_twenty_elements(capture, corpus):
+    matroid = corpus["write"]("matroid21.json", io.matroid_json(mc.uniform(1, 21)))
+    flag = corpus["write"]("flag21.json", {"schema": "flag-matroid/1", "n": 21, "feasible": [[0]]})
+    for argv in (("validate", matroid), ("validate", flag), ("is-representable", flag, "--p", "2")):
+        code, out, _ = capture(*argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "IndexOutOfRange"
+
+
+def test_an_internal_fault_exits_4_not_no(capture, corpus, monkeypatch):
+    def broken(fm, p):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(rp, "witness_route_decision", broken)
+    code, out, err = capture(
+        "is-representable", corpus["chain3.json"], "--p", "2", "--method", "witness"
+    )
+    assert code == cli.EXIT_INTERNAL == 4
+    assert json.loads(out) == {"error": "InternalError", "detail": "RuntimeError: boom"}
+    assert "Traceback" in err
+
+
+def test_disagreeing_routes_exit_4(capture, corpus, monkeypatch):
+    monkeypatch.setattr(
+        rp, "forbidden_minor_decision", lambda fm, p: rp.RepresentabilityDecision(p, False)
+    )
+    code, out, _ = capture(
+        "is-representable", corpus["chain3.json"], "--p", "3", "--method", "all"
+    )
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["error"] == "InternalError"
+    assert doc["detail"].startswith("decision routes disagree")

@@ -15,7 +15,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_rank_mod_p
+from conftest import gf_matrices, oracle_rank_mod_p
 from flagmatroids import gf_linalg as gl
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
@@ -53,34 +53,6 @@ def reference_basis_exchange_witness(masks):
                 if not any(base | (1 << y) in fam_set for y in iter_bits(b2 & ~b1)):
                     return (b1, b2, x)
     return None
-
-
-@st.composite
-def gf_matrices(draw, max_n=10):
-    """A matrix over GF(2/3/5/7) with 0..5 rows and 1..max_n columns.
-
-    Columns are fresh, zero, or a nonzero multiple of an earlier column, and
-    the last row is sometimes the sum of the first two, so rank-deficient
-    matrices, loops and parallel classes all occur.
-    """
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    rows = draw(st.integers(0, 5))
-    n = draw(st.integers(1, max_n))
-    cols: list[list[int]] = []
-    for j in range(n):
-        kind = draw(st.sampled_from(["fresh", "zero", "copy"] if j else ["fresh", "zero"]))
-        if kind == "fresh":
-            cols.append(draw(st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows)))
-        elif kind == "zero":
-            cols.append([0] * rows)
-        else:
-            src = draw(st.integers(0, j - 1))
-            scale = draw(st.integers(1, p - 1))
-            cols.append([x * scale % p for x in cols[src]])
-    if rows >= 3 and draw(st.booleans()):
-        for c in cols:
-            c[-1] = (c[0] + c[1]) % p
-    return gl.matrix(p, [[c[i] for c in cols] for i in range(rows)], cols=n)
 
 
 @settings(max_examples=150)
