@@ -10,6 +10,7 @@ in the program, never a verdict; stdout holds an
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -351,7 +352,14 @@ def _cmd_counterexample(args) -> int:
     return EXIT_YES if report.ok else EXIT_NO
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on the first `run` and then reused.
+
+    Reuse is safe because parsing leaves the parser unchanged: each call
+    fills a fresh namespace, every option default is an immutable str, int
+    or None, `prog` is fixed, and each verb is bound by `set_defaults(fn=...)`.
+    """
     parser = argparse.ArgumentParser(
         prog="flagmatroids",
         description="Exact computation with matroids and flag matroids.",
@@ -440,8 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Error as exc:

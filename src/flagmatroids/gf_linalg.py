@@ -64,7 +64,7 @@ class FieldPrime:
         return pow(a, self.p - 2, self.p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # p comes from the input, so the memo has a bound
 def field(p: int) -> FieldPrime:
     return FieldPrime(p)
 

@@ -57,11 +57,12 @@ Partition = tuple[tuple[int, ...], ...]
 
 
 def _canon_partition(cells: Iterable[Iterable[int]], n: int) -> Partition:
-    canon = tuple(sorted((tuple(sorted(c)) for c in cells), key=lambda c: c[0]))
+    cells = [tuple(sorted(c)) for c in cells]
+    if not all(cells):
+        raise BadPartition("empty cell")
+    canon = tuple(sorted(cells, key=lambda c: c[0]))
     seen: set[int] = set()
     for cell in canon:
-        if not cell:
-            raise BadPartition("empty cell")
         for v in cell:
             if not (0 <= v < n) or v in seen:
                 raise BadPartition(f"vertex {v} missing, repeated or out of range")

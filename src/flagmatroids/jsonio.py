@@ -61,11 +61,13 @@ def matroid_json(m: mc.Matroid) -> dict:
     return {"schema": "matroid/1", "n": m.n, "bases": _mask_family(m.bases)}
 
 
-def load_matroid(doc: Any) -> mc.Matroid:
+def load_matroid(doc: Any, max_ground: int = mc.MAX_GROUND) -> mc.Matroid:
+    """A matroid document; a lift witness may have `mc.MAX_MATROID_GROUND`
+    elements, any other document at most `mc.MAX_GROUND`."""
     _require(doc, ("n", "bases"), "matroid")
     n = _int(doc["n"], "n")
-    if n > mc.MAX_GROUND:
-        raise IndexOutOfRange(f"ground set size {n} outside 0..{mc.MAX_GROUND}")
+    if n > max_ground:
+        raise IndexOutOfRange(f"ground set size {n} outside 0..{max_ground}")
     return mc.matroid_from_bases(n, [_int_list(b, "basis") for b in _array(doc["bases"], "bases")])
 
 
@@ -162,6 +164,20 @@ def witnesses_json(seq: LiftWitnessSequence) -> dict:
     }
 
 
+def load_witnesses(doc: Any) -> LiftWitnessSequence:
+    """The document `witnesses_json` writes; each element indexes its matroid."""
+    _require(doc, ("witnesses",), "lift witness sequence")
+    out = []
+    for item in _array(doc["witnesses"], "witnesses"):
+        _require(item, ("matroid", "element"), "lift witness")
+        q = load_matroid(item["matroid"], mc.MAX_MATROID_GROUND)
+        x = _int(item["element"], "element")
+        if x >= q.n:
+            raise IndexOutOfRange(f"witness element {x} outside 0..{q.n - 1}")
+        out.append((q, x))
+    return LiftWitnessSequence(tuple(out))
+
+
 # --- graphs ---------------------------------------------------------------------
 
 def graph_json(g: gr.MultiGraph, colors: Optional[dict] = None) -> dict:
@@ -177,10 +193,11 @@ def graph_json(g: gr.MultiGraph, colors: Optional[dict] = None) -> dict:
 
 def load_graph(doc: Any) -> tuple[gr.MultiGraph, dict]:
     _require(doc, ("vertices", "edges"), "graph")
-    g = gr.multigraph(
-        _int(doc["vertices"], "vertices"),
-        [_int_list(e, "edge") for e in _array(doc["edges"], "edges")],
-    )
+    vertices = _int(doc["vertices"], "vertices")
+    edges = [_int_list(e, "edge") for e in _array(doc["edges"], "edges")]
+    if any(len(e) != 2 for e in edges):
+        raise InvalidInput("graph: every edge is a pair of vertices")
+    g = gr.multigraph(vertices, edges)
     colors = doc.get("colors", {})
     if not isinstance(colors, dict):
         raise InvalidInput(f"graph: colors must be an object, got {colors!r}")
@@ -317,6 +334,7 @@ _LOADERS = {
     "gf-matrix/1": ("matrix", load_matrix),
     "flag-representation/1": ("representation", load_representation),
     "major/1": ("major", load_major),
+    "lift-witness-sequence/1": ("witnesses", load_witnesses),
     "multigraph/1": ("graph", lambda d: load_graph(d)[0]),
     "graphic-flag/1": ("graphic-bundle", load_graphic_bundle),
     "counterexample-config/1": ("config", load_config),
@@ -333,6 +351,8 @@ def load_by_kind(kind: str, doc: Any):
 def detect_kind(doc: Any) -> str:
     if isinstance(doc, dict) and "schema" in doc:
         schema = doc["schema"]
+        if not isinstance(schema, str):
+            raise InvalidInput(f"schema: expected a string, got {schema!r}")
         if schema in _LOADERS:
             return _LOADERS[schema][0]
         if schema == "certificate/representation/1":

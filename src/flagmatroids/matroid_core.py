@@ -403,9 +403,15 @@ def dual(m: Matroid) -> Matroid:
 
 
 def _contract_masks(m: Matroid, cmask: int) -> list[int]:
-    """Basis masks of m / cmask, still in the original indexing."""
-    rc = m.rank_table[cmask]
-    out = {b & ~cmask for b in m.bases if (b & cmask).bit_count() == rc}
+    """Basis masks of m / cmask, still in the original indexing.
+
+    r(C) is the largest |B & C| over the bases B, so contracting builds no
+    rank table: one contraction of a 21-element witness would otherwise
+    materialise 2^21 bytes to read one rank.
+    """
+    meets = [(b & cmask).bit_count() for b in m.bases]
+    rc = max(meets)
+    out = {b & ~cmask for b, k in zip(m.bases, meets) if k == rc}
     return sorted(out)
 
 

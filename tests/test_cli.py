@@ -301,6 +301,35 @@ def test_witness_and_major(capture, corpus, tmp_path):
     assert code == 3
 
 
+def test_witness_documents_validate(capture, corpus):
+    # at n = 20 the witness matroid has 21 elements, one more than a matroid document
+    a = random_prefix_chain_matrix(random.Random(20), 2, 2, 20)
+    n20 = corpus["write"]("n20.json", io.flag_json(rp.flag_from_matrix(a, (1, 2))))
+    for flag in (corpus["chain3.json"], n20):
+        code, out, _ = capture("witness", flag)
+        assert code == 0
+        code, out, _ = capture("validate", corpus["write"]("witness.json", out))
+        assert code == 0 and json.loads(out) == {"kind": "witnesses", "valid": True}
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("element", 4, "IndexOutOfRange"),
+        ("element", -1, "InvalidInput"),
+        ("bases", [[0, 1], [2, 3]], "ConstructionFailed"),
+        ("n", 22, "IndexOutOfRange"),
+    ],
+    ids=["element-outside", "element-negative", "not-a-matroid", "too-large"],
+)
+def test_malformed_witness_documents_are_input_errors(capture, corpus, field, value, error):
+    doc = json.loads(capture("witness", corpus["chain3.json"])[1])
+    first = doc["witnesses"][0]
+    (first if field == "element" else first["matroid"])[field] = value
+    code, out, _ = capture("validate", corpus["write"]("bad-witness.json", doc))
+    assert code == 2 and json.loads(out)["error"] == error
+
+
 def _write_rep(tmp_path):
     from flagmatroids import representability as rp
 
@@ -432,3 +461,45 @@ def test_disagreeing_routes_exit_4(capture, corpus, monkeypatch):
     doc = json.loads(out)
     assert doc["error"] == "InternalError"
     assert doc["detail"].startswith("decision routes disagree")
+
+
+def test_two_runs_build_one_parser(capture, corpus, monkeypatch):
+    import argparse
+
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert capture("validate", corpus["iu23.json"])[0] == 0
+    assert capture("minor", corpus["chain3.json"], "--chop", "2")[0] == 0
+    assert progs.count("flagmatroids") == 1
+
+
+def test_option_defaults_do_not_leak_between_runs(capture, corpus):
+    parser = cli._build_parser()
+    chain3 = corpus["chain3.json"]
+    code, out, _ = capture("minor", chain3, "--contract", "0")
+    assert code == 0 and json.loads(out)["n"] == 2
+    code, out, _ = capture("minor", chain3)
+    with open(chain3) as fh:
+        assert code == 0 and out == fh.read()
+
+    assert capture("fillings", corpus["gap.json"], "--budget", "2")[0] == 3
+    code, out, _ = capture("fillings", corpus["gap.json"])
+    assert code == 0 and len(json.loads(out)["fillings"]) == 4
+    assert cli._build_parser() is parser
+
+
+def test_a_usage_error_leaves_the_parser_usable(capture, corpus):
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        capture("is-representable", corpus["iu23.json"], "--p", "4")
+    assert exc.value.code == 2
+    code, out, _ = capture("is-representable", corpus["iu23.json"], "--p", "2")
+    assert code == 1 and json.loads(out)["target_name"] == "(U_{1,3},U_{2,3})"
+    assert cli._build_parser() is parser

@@ -15,6 +15,14 @@ def test_field_rejects_non_primes():
     assert gl.field(65521).p == 65521  # largest prime below 2^16
 
 
+def test_every_memo_is_bounded():
+    # field(p) is keyed by a prime read from the input
+    memos = [f for f in vars(gl).values() if hasattr(f, "cache_info")]
+    assert {f.__name__ for f in memos} >= {"field"}
+    for f in memos:
+        assert f.cache_info().maxsize is not None, f.__name__
+
+
 def test_matrix_cap():
     with pytest.raises(MatrixTooLarge):
         gl.zero(2, 33, 1)

@@ -131,6 +131,14 @@ def test_minor_k4_contraction():
     assert out.n == 5 and out.rank == 2
 
 
+def test_contraction_builds_no_rank_table(f7):
+    q = mc.Matroid(f7.n, f7.bases)  # fresh, so nothing is cached on it yet
+    # {1, 3, 5} is a line of the Fano plane; the other four points are
+    # parallel in the contraction
+    assert mc.minor(q, [1, 3, 5], 0) == mc.uniform(1, 4)
+    assert "rank_table" not in vars(q) and "rank_levels" not in vars(q)
+
+
 def test_minor_rejects_overlap():
     with pytest.raises(OverlappingSets):
         mc.minor(mc.uniform(2, 4), [0], [0])
