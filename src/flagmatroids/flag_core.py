@@ -24,7 +24,6 @@ from .bitset import (
     iter_bits,
     mask_of,
     meet_counts,
-    set_key,
     size_masks,
     squeeze,
 )
@@ -40,8 +39,28 @@ from .errors import (
 )
 
 
+# Each byte's bits reversed and complemented, so that reading the translated
+# little-endian bytes of S as a big-endian int gives 2^24 - 1 - bitreverse24(S).
+_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _order_key(mask: int) -> int:
+    """(|S| << 24) | (2^24 - 1 - bitreverse24(S)), for S inside {0..23}.
+
+    Element e is bit 23 - e of the reversed mask, so among sets of equal
+    size the one holding the least element of their symmetric difference
+    is the larger reversed mask and the lexicographically smaller element
+    list: these keys ascend in (cardinality, lex) order."""
+    low = mask.to_bytes(3, "little").translate(_REVERSED_COMPLEMENT)
+    return mask.bit_count() << 24 | int.from_bytes(low, "big")
+
+
 def _family_key(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=lambda s: (s.bit_count(), set_key(s))))
+    """The canonical order of a family: by cardinality, then lexicographic."""
+    try:
+        return tuple(sorted(set(masks), key=_order_key))
+    except OverflowError:  # a set reaching past element 23 is outside every flag
+        raise IndexOutOfRange("feasible set outside the ground set") from None
 
 
 def _group_by_size(masks: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -62,6 +81,9 @@ MEMO_SIZE = 1 << 14
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _layer_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
+    """None for a basis family, else its first basis exchange witness."""
+    if mc.Matroid(n, layer).is_matroid:
+        return None
     return mc.basis_exchange_witness(layer)
 
 
@@ -109,7 +131,8 @@ class FlagMatroid:
         full = (1 << self.n) - 1
         if any(f & ~full for f in self.feasible):
             raise IndexOutOfRange("feasible set outside the ground set")
-        if self.feasible != _family_key(self.feasible):
+        keys = list(map(_order_key, self.feasible))
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise IndexOutOfRange("feasible family not in canonical order")
         bad = _canonical_layered_witness(self.n, self.feasible)
         if bad is None:

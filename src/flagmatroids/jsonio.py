@@ -15,7 +15,7 @@ from . import gf_linalg as gl
 from . import graphic as gr
 from . import matroid_core as mc
 from .bitset import elements_of, mask_of
-from .errors import IndexOutOfRange, InvalidInput
+from .errors import IndexOutOfRange, InvalidInput, OverlappingSets
 from .lifts_majors import LiftWitnessSequence, MajorStructure
 from .representability import FlagRepresentation, ForbiddenMinorWitness
 
@@ -43,6 +43,22 @@ def _int_list(xs: Any, what: str, minimum: Optional[int] = 0) -> list[int]:
     return [_int(x, what, minimum) for x in _array(xs, what)]
 
 
+def _ground_size(doc: dict, max_ground: int = mc.MAX_GROUND) -> int:
+    n = _int(doc["n"], "n")
+    if n > max_ground:
+        raise IndexOutOfRange(f"ground set size {n} outside 0..{max_ground}")
+    return n
+
+
+def _element_set(xs: Any, what: str) -> list[int]:
+    """An array of distinct elements: a set, so a repeat is an error.  Matrix
+    rows and graph edges use `_int_list`, since their values may repeat."""
+    out = _int_list(xs, what)
+    if len(set(out)) != len(out):
+        raise InvalidInput(f"{what}: repeated element in {out!r}")
+    return out
+
+
 def _mask_family(masks) -> list[list[int]]:
     return [list(elements_of(m)) for m in masks]
 
@@ -65,10 +81,9 @@ def load_matroid(doc: Any, max_ground: int = mc.MAX_GROUND) -> mc.Matroid:
     """A matroid document; a lift witness may have `mc.MAX_MATROID_GROUND`
     elements, any other document at most `mc.MAX_GROUND`."""
     _require(doc, ("n", "bases"), "matroid")
-    n = _int(doc["n"], "n")
-    if n > max_ground:
-        raise IndexOutOfRange(f"ground set size {n} outside 0..{max_ground}")
-    return mc.matroid_from_bases(n, [_int_list(b, "basis") for b in _array(doc["bases"], "bases")])
+    n = _ground_size(doc, max_ground)
+    bases = [_element_set(b, "basis") for b in _array(doc["bases"], "bases")]
+    return mc.matroid_from_bases(n, bases)
 
 
 # --- flag matroids -------------------------------------------------------------
@@ -79,17 +94,17 @@ def flag_json(fm: fl.FlagMatroid) -> dict:
 
 def load_flag(doc: Any) -> fl.FlagMatroid:
     _require(doc, ("n", "feasible"), "flag matroid")
-    return fl.flag_matroid(_int(doc["n"], "n"), _feasible_lists(doc))
+    return fl.flag_matroid(_ground_size(doc), _feasible_lists(doc))
 
 
 def _feasible_lists(doc: dict) -> list[list[int]]:
-    return [_int_list(f, "feasible set") for f in _array(doc["feasible"], "feasible")]
+    return [_element_set(f, "feasible set") for f in _array(doc["feasible"], "feasible")]
 
 
 def load_raw_family(doc: Any) -> tuple[int, list[int]]:
     """Ground size and mask family without flag validation (for `axioms`)."""
     _require(doc, ("n", "feasible"), "set family")
-    n = _int(doc["n"], "n")
+    n = _ground_size(doc)
     fam = [mask_of(s) for s in _feasible_lists(doc)]
     if any(m >> n for m in fam):
         raise InvalidInput("feasible set outside the ground set")
@@ -146,13 +161,20 @@ def major_json(major: MajorStructure) -> dict:
 
 
 def load_major(doc: Any) -> MajorStructure:
+    """A major document; its blocks are disjoint sets of the matroid's elements."""
     _require(doc, ("matroid", "blocks"), "major")
     matrix = load_matrix(doc["matrix"]) if "matrix" in doc else None
-    return MajorStructure(
-        load_matroid(doc["matroid"]),
-        tuple(tuple(_int_list(b, "block")) for b in _array(doc["blocks"], "blocks")),
-        matrix=matrix,
-    )
+    q = load_matroid(doc["matroid"])
+    blocks = tuple(tuple(_element_set(b, "block")) for b in _array(doc["blocks"], "blocks"))
+    seen = 0
+    for block in blocks:
+        bm = mask_of(block)
+        if bm >> q.n:
+            raise IndexOutOfRange(f"block {list(block)} outside the ground set 0..{q.n - 1}")
+        if bm & seen:
+            raise OverlappingSets(f"block {list(block)} meets an earlier block")
+        seen |= bm
+    return MajorStructure(q, blocks, matrix=matrix)
 
 
 def witnesses_json(seq: LiftWitnessSequence) -> dict:

@@ -1,10 +1,13 @@
 """Matroids on ground sets {0..n-1}, stored by their basis family.
 
 Subsets are int bit masks throughout.  Construction from a basis family is
-cheap-checked only (shape, equal cardinality); the public constructors
-(`matroid_from_bases`, `matroid_from_independent_sets`, JSON loading) run the
-full exchange validation, while operations whose outputs are always
-matroids (duals, minors, linear and graphic constructions) trust themselves.
+cheap-checked only (shape, equal cardinality); `Matroid.is_matroid` decides
+basis exchange by the local rank axiom on the rank levels.  The public
+constructors (`matroid_from_bases`, JSON loading) run that test and take a
+witness from `basis_exchange_witness` only when it fails;
+`matroid_from_independent_sets` checks the independence axioms as stated.
+Operations whose outputs are always matroids (duals, minors, linear and
+graphic constructions) trust themselves.
 """
 
 from __future__ import annotations
@@ -86,8 +89,10 @@ class Matroid:
     O(n*r) shifts and ANDs: `independent_table` and `rank_table`, read-only
     `bytes` with one byte per subset, and `flat_bits` (bit S set iff S is a
     flat) and `coflat_bits` (bit S set iff S is a flat of the dual), so no
-    dual matroid is built to test duals.  `closure_table` (the closure of
-    every subset) is read off the rank table one subset at a time.
+    dual matroid is built to test duals.  `is_matroid` (whether the bases
+    satisfy basis exchange) comes from the same per-element step as
+    `flat_bits`.  `closure_table` (the closure of every subset) is read off
+    the rank table one subset at a time.
     """
 
     n: int
@@ -186,21 +191,52 @@ class Matroid:
             out.append(cl)
         return out
 
-    @cached_property
-    def flat_bits(self) -> int:
-        """Bit S set iff S is a flat: r(S + e) > r(S) for every e outside S.
+    def _moved_bits(self) -> Iterator[int]:
+        """Per element e, the 2^n-bit int with bit S set iff S holds e or
+        r(S + e) > r(S).
 
         For S without e, bit S of A_k >> 2^e is bit S + e of A_k, so S + e
         raises the rank iff some level holds S + e but not S."""
         levels = self.rank_levels
-        flat = (1 << (1 << self.n)) - 1
         for e, has in enumerate(_element_bits(self.n)):
             step = 1 << e
             raised = 0
             for level in levels:
                 raised |= (level >> step) & ~level
-            flat &= has | raised
+            yield has | raised
+
+    @cached_property
+    def flat_bits(self) -> int:
+        """Bit S set iff S is a flat: r(S + e) > r(S) for every e outside S."""
+        flat = (1 << (1 << self.n)) - 1
+        for moved in self._moved_bits():
+            flat &= moved
         return flat
+
+    @cached_property
+    def is_matroid(self) -> bool:
+        """True iff the bases satisfy basis exchange.
+
+        r(S) = max |B & S| over the bases is 0 on the empty set, monotone and
+        grows by at most one per element, so the family is a basis family
+        iff r also satisfies the local rank axiom (Oxley, Matroid Theory,
+        1.3): for S and e, f outside S, r(S + e) = r(S + f) = r(S) implies
+        r(S + e + f) = r(S).  With stay_e = {S without e : r(S + e) = r(S)},
+        bit S of stay_f >> 2^e is bit S + e of stay_f, so the axiom fails
+        for e < f exactly at the bits of stay_e & stay_f & ~(stay_f >> 2^e).
+        That is O(n^2) big-int ANDs and no loop over the bases; the n stay
+        bitsets live only for this call.
+        """
+        everything = (1 << (1 << self.n)) - 1
+        stay = []
+        for moved in self._moved_bits():
+            stay_f = everything ^ moved
+            for e, stay_e in enumerate(stay):
+                both = stay_e & stay_f
+                if both & (stay_f >> (1 << e)) != both:
+                    return False
+            stay.append(stay_f)
+        return True
 
     @cached_property
     def coflat_bits(self) -> int:
@@ -273,8 +309,8 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Validated construction from explicit basis sets."""
     masks = sorted({mask_of(b) for b in bases}, key=set_key)
     m = Matroid(n, tuple(masks))
-    witness = basis_exchange_witness(masks)
-    if witness is not None:
+    if not m.is_matroid:
+        witness = basis_exchange_witness(masks)
         raise ConstructionFailed(
             "basis exchange fails",
             bases=tuple(elements_of(w) for w in witness[:2]),

@@ -115,6 +115,28 @@ def gf_matrices(draw, max_n=10):
     return gl.matrix(p, [[c[i] for c in cols] for i in range(rows)], cols=n)
 
 
+@st.composite
+def linear_matroids(draw):
+    """Column matroids over GF(2/3/5) on n <= 10 columns.  Each column is
+    fresh, zero, a repeat of an earlier column or a nonzero multiple of
+    one, so loops and parallel classes are common."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rows = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 10))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "scaled"]))
+        if kind == "zero":
+            cols.append([0] * rows)
+        elif kind == "fresh" or not cols:
+            cols.append(draw(st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows)))
+        else:
+            base = draw(st.sampled_from(cols))
+            c = 1 if kind == "repeat" else draw(st.integers(1, p - 1))
+            cols.append([c * x % p for x in base])
+    return mc.linear_matroid(gl.matrix(p, [list(r) for r in zip(*cols)]))
+
+
 def random_gf_matrix(rng: random.Random, p: int, rows: int, cols: int) -> gl.GFMatrix:
     return gl.matrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
 

@@ -503,3 +503,43 @@ def test_a_usage_error_leaves_the_parser_usable(capture, corpus):
     code, out, _ = capture("is-representable", corpus["iu23.json"], "--p", "2")
     assert code == 1 and json.loads(out)["target_name"] == "(U_{1,3},U_{2,3})"
     assert cli._build_parser() is parser
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("validate", {"n": 3, "bases": [[0, 0]]}),
+        ("validate", {"n": 3, "feasible": [[0], [1, 2, 1]]}),
+        ("axioms", {"n": 3, "feasible": [[0, 0]]}),
+        ("validate", {"schema": "major/1", "matroid": {"n": 3, "bases": [[0]]},
+                      "blocks": [[1, 1]]}),
+    ],
+    ids=["matroid-basis", "flag-feasible", "axioms-feasible", "major-block"],
+)
+def test_set_documents_reject_repeated_elements(capture, corpus, verb, doc):
+    code, out, _ = capture(verb, corpus["write"]("repeat.json", json.dumps(doc)))
+    assert code == 2
+    out = json.loads(out)
+    assert out["error"] == "InvalidInput" and "repeated element" in out["detail"]
+
+
+def test_matrix_rows_and_graph_edges_may_repeat_values(capture, corpus):
+    graph = {"schema": "multigraph/1", "vertices": 2, "edges": [[0, 0], [0, 1]]}
+    matrix = {"schema": "gf-matrix/1", "p": 2, "rows": 1, "cols": 2, "entries": [[1, 1]]}
+    for doc in (graph, matrix):
+        code, out, _ = capture("validate", corpus["write"]("values.json", json.dumps(doc)))
+        assert code == 0 and json.loads(out)["valid"]
+
+
+def test_major_blocks_outside_the_ground_set_are_rejected(capture, corpus):
+    doc = {"schema": "major/1", "matroid": {"n": 3, "bases": [[0]]}, "blocks": [[0], [7]]}
+    code, out, _ = capture("validate", corpus["write"]("outside.json", json.dumps(doc)))
+    assert code == 2
+    assert json.loads(out)["error"] == "IndexOutOfRange"
+
+
+def test_overlapping_major_blocks_are_rejected(capture, corpus):
+    doc = {"schema": "major/1", "matroid": {"n": 3, "bases": [[0]]}, "blocks": [[0, 1], [1]]}
+    code, out, _ = capture("validate", corpus["write"]("overlap.json", json.dumps(doc)))
+    assert code == 2
+    assert json.loads(out)["error"] == "OverlappingSets"

@@ -13,9 +13,8 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from flagmatroids import gf_linalg as gl
+from conftest import linear_matroids
 from flagmatroids import matroid_core as mc
 from flagmatroids.bitset import iter_bits
 
@@ -99,28 +98,6 @@ def test_every_matroid_on_at_most_5_elements():
 )
 def test_degenerate_matroids(m):
     assert_kernel_matches(m)
-
-
-@st.composite
-def linear_matroids(draw):
-    """Column matroids over GF(2/3/5) on n <= 10 columns.  Each column is
-    fresh, zero, a repeat of an earlier column or a nonzero multiple of
-    one, so loops and parallel classes are common."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    rows = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 10))
-    cols = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "scaled"]))
-        if kind == "zero":
-            cols.append([0] * rows)
-        elif kind == "fresh" or not cols:
-            cols.append(draw(st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows)))
-        else:
-            base = draw(st.sampled_from(cols))
-            c = 1 if kind == "repeat" else draw(st.integers(1, p - 1))
-            cols.append([c * x % p for x in base])
-    return mc.linear_matroid(gl.matrix(p, [list(r) for r in zip(*cols)]))
 
 
 @settings(max_examples=80)
