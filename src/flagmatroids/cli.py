@@ -212,29 +212,28 @@ def _cmd_is_representable(args) -> int:
             return EXIT_NO
         _emit({"representable": None, "p": p}, "filling budget exhausted")
         return EXIT_UNKNOWN
-    decisions = {}
-    if method in ("minors", "all"):
-        decisions["minors"] = rp.forbidden_minor_decision(fm, p)
-    if method in ("witness", "all"):
-        decisions["witness"] = rp.witness_route_decision(fm, p)
-    if method == "all":
-        decisions["search"] = rp.RepresentabilityDecision(
-            p, rp.search_representation(fm, p) is not None
-        )
+    if method == "witness":
+        decision = rp.full_flag_decision(fm, p)
+    else:
+        # minors first, as an independent cross-check of the witness route
+        minors = rp.forbidden_minor_decision(fm, p)
+        decisions = {"minors": minors}
+        if minors.representable or method == "all":
+            decisions["witness"] = rp.witness_route_decision(fm, p)
+        if method == "all":
+            decisions["search"] = rp.RepresentabilityDecision(
+                p, rp.search_representation(fm, p) is not None
+            )
         verdicts = {k: d.representable for k, d in decisions.items()}
         if len(set(verdicts.values())) != 1:
             raise InternalError(f"decision routes disagree: {verdicts}")
-    primary = decisions.get("minors") or decisions.get("witness")
-    if primary.representable:
-        cert = decisions.get("witness")
-        cert = cert.certificate if cert else rp.witness_route_decision(fm, p).certificate
-        decision = rp.RepresentabilityDecision(p, True, certificate=cert)
+        decision = decisions["witness"] if minors.representable else minors
+    if decision.representable:
         _emit(emit_certificate(fm, decision), f"representable over GF({p})")
         return EXIT_YES
-    minors = decisions.get("minors") or rp.forbidden_minor_decision(fm, p)
     _emit(
-        emit_certificate(fm, minors),
-        f"not representable over GF({p}): {minors.witness.target_name} minor",
+        emit_certificate(fm, decision),
+        f"not representable over GF({p}): {decision.witness.target_name} minor",
     )
     return EXIT_NO
 
@@ -403,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("is-representable", help="decide GF(2)/GF(3) representability")
     p.add_argument("file")
     p.add_argument("--p", type=int, choices=(2, 3), required=True)
-    p.add_argument("--method", choices=("minors", "witness", "search", "all"), default="minors")
+    p.add_argument("--method", choices=("minors", "witness", "search", "all"), default="witness")
     p.add_argument("--budget", type=int, default=10000)
     p.set_defaults(fn=_cmd_is_representable)
 

@@ -55,6 +55,13 @@ def _order_key(mask: int) -> int:
     return mask.bit_count() << 24 | int.from_bytes(low, "big")
 
 
+def _split_key(cmask: int, dmask: int) -> int:
+    """Sorts the (C, D) splits of one total size |C| + |D| in (|C|, C, D)
+    order, C and D compared as element lists.  On at most 20 elements an
+    `_order_key` is below 21 << 24 < 2^29, so D's key never reaches C's."""
+    return _order_key(cmask) << 29 | _order_key(dmask)
+
+
 def _family_key(masks: Iterable[int]) -> tuple[int, ...]:
     """The canonical order of a family: by cardinality, then lexicographic."""
     try:
@@ -364,14 +371,17 @@ def flag_minor(
     chops: Iterable[int] = (),
 ) -> FlagMatroid:
     """Contract, delete, then chop.  Chop values refer to cardinalities in
-    the flag after contraction and deletion."""
-    cmask = contract if isinstance(contract, int) else mask_of(contract)
-    dmask = delete if isinstance(delete, int) else mask_of(delete)
-    if cmask & dmask:
+    the flag after contraction and deletion.
+
+    Element lists are checked against the ground set before their masks are
+    built, so an element such as 10^8 costs no 10^8-bit int."""
+    c = set(elements_of(contract) if isinstance(contract, int) else contract)
+    d = set(elements_of(delete) if isinstance(delete, int) else delete)
+    if c & d:
         raise OverlappingSets("contract and delete sets intersect")
-    full = (1 << fm.n) - 1
-    if (cmask | dmask) & ~full:
+    if any(not 0 <= e < fm.n for e in c | d):
         raise IndexOutOfRange("element outside ground set")
+    cmask, dmask = mask_of(c), mask_of(d)
     removed = cmask | dmask
     kept = [
         squeeze(f ^ cmask, removed)
@@ -480,9 +490,10 @@ def flag_has_minor(
     """Search for a minor isomorphic to `target`.
 
     Tries disjoint (contract, delete) splits of the right total size in
-    lexicographic order (contraction-light first); the chop set is forced by
-    the target's layer cardinalities.  Returns (contract, delete, chops,
-    bijection) or None.
+    (|C|, C, D) order, C and D compared as element lists (deletion-only
+    first); the chop set is forced by the target's layer cardinalities.
+    Returns (contract, delete, chops, bijection) for the first split that
+    matches, or None.
 
     Splits are screened by counting before any minor is built.  Layer w of
     fm/C\\D holds one set f - C for each f in layer w + |C| of fm with
@@ -490,9 +501,14 @@ def flag_has_minor(
     layer sizes of every split with that removed set.  Every target layer is
     nonempty, and `flag_isomorphic` starts by comparing cardinalities and
     layer sizes, so a split whose count differs from the target's size on
-    some target layer can never match.  The screen drops only those splits;
-    the rest are tried in the plain enumeration order, so the witness is
-    unchanged.
+    some target layer can never match.  The screen drops only those splits.
+
+    The removed sets are walked in lexicographic order, so the deletion-only
+    splits (C empty) that survive arrive in (|C|, C, D) order and lead it:
+    each is tried at once, and a hit ends the walk.  Every other survivor is
+    kept under one int, `_split_key(C, D)`, and they are tried after the walk
+    in key order.  The first hit is therefore the first matching split of the
+    plain (|C|, C, D) enumeration, and no minor is built after it.
     """
     n = fm.n
     total = n - target.n
@@ -503,7 +519,13 @@ def flag_has_minor(
     tagged = [f | f.bit_count() << n for f in fm.feasible]
     (w0, size0), *rest = [(w, len(layer)) for w, layer in _group_by_size(target.feasible)]
     want_cards = target.cardinalities
-    splits = []
+
+    def attempt(cmask: int, dmask: int, chops: tuple[int, ...]):
+        c, d = elements_of(cmask), elements_of(dmask)
+        bij = flag_isomorphic(flag_minor(fm, c, d, chops), target)
+        return None if bij is None else (c, d, chops, bij)
+
+    later = []
     for removed in size_masks(n, total):
         counts = meet_counts(tagged, removed | -1 << n)
         for key, count in counts.items():
@@ -517,10 +539,16 @@ def flag_has_minor(
                 s - k for s in fm.cardinalities
                 if s - k not in want_cards and cmask | s << n in counts
             )
-            c, d = elements_of(cmask), elements_of(removed ^ cmask)
-            splits.append((k, c, d, chops))
-    for _, c, d, chops in sorted(splits):
-        bij = flag_isomorphic(flag_minor(fm, c, d, chops), target)
-        if bij is not None:
-            return (c, d, chops, bij)
+            if cmask:
+                dmask = removed ^ cmask
+                later.append((_split_key(cmask, dmask), cmask, dmask, chops))
+            else:  # deletion-only: the next split of the plain order
+                hit = attempt(0, removed, chops)
+                if hit is not None:
+                    return hit
+    later.sort()
+    for _, cmask, dmask, chops in later:
+        hit = attempt(cmask, dmask, chops)
+        if hit is not None:
+            return hit
     return None

@@ -50,13 +50,19 @@ def _ground_size(doc: dict, max_ground: int = mc.MAX_GROUND) -> int:
     return n
 
 
-def _element_set(xs: Any, what: str) -> list[int]:
-    """An array of distinct elements: a set, so a repeat is an error.  Matrix
-    rows and graph edges use `_int_list`, since their values may repeat."""
+def _element_set(xs: Any, what: str, n: int) -> list[int]:
+    """An array of distinct elements of {0..n-1}: a set, so a repeat is an
+    error.  Matrix rows and graph edges use `_int_list`, since their values
+    may repeat.
+
+    An element at or past n comes back as n.  The set then still lies
+    outside the ground set, so the caller's own bound check rejects it with
+    its usual error document, but no mask wider than n + 1 bits is built:
+    an element of 10^8 would otherwise cost a 10^8-bit int."""
     out = _int_list(xs, what)
     if len(set(out)) != len(out):
         raise InvalidInput(f"{what}: repeated element in {out!r}")
-    return out
+    return [min(e, n) for e in out]
 
 
 def _mask_family(masks) -> list[list[int]]:
@@ -82,7 +88,7 @@ def load_matroid(doc: Any, max_ground: int = mc.MAX_GROUND) -> mc.Matroid:
     elements, any other document at most `mc.MAX_GROUND`."""
     _require(doc, ("n", "bases"), "matroid")
     n = _ground_size(doc, max_ground)
-    bases = [_element_set(b, "basis") for b in _array(doc["bases"], "bases")]
+    bases = [_element_set(b, "basis", n) for b in _array(doc["bases"], "bases")]
     return mc.matroid_from_bases(n, bases)
 
 
@@ -94,18 +100,19 @@ def flag_json(fm: fl.FlagMatroid) -> dict:
 
 def load_flag(doc: Any) -> fl.FlagMatroid:
     _require(doc, ("n", "feasible"), "flag matroid")
-    return fl.flag_matroid(_ground_size(doc), _feasible_lists(doc))
+    n = _ground_size(doc)
+    return fl.flag_matroid(n, _feasible_lists(doc, n))
 
 
-def _feasible_lists(doc: dict) -> list[list[int]]:
-    return [_element_set(f, "feasible set") for f in _array(doc["feasible"], "feasible")]
+def _feasible_lists(doc: dict, n: int) -> list[list[int]]:
+    return [_element_set(f, "feasible set", n) for f in _array(doc["feasible"], "feasible")]
 
 
 def load_raw_family(doc: Any) -> tuple[int, list[int]]:
     """Ground size and mask family without flag validation (for `axioms`)."""
     _require(doc, ("n", "feasible"), "set family")
     n = _ground_size(doc)
-    fam = [mask_of(s) for s in _feasible_lists(doc)]
+    fam = [mask_of(s) for s in _feasible_lists(doc, n)]
     if any(m >> n for m in fam):
         raise InvalidInput("feasible set outside the ground set")
     return n, fam
@@ -165,12 +172,13 @@ def load_major(doc: Any) -> MajorStructure:
     _require(doc, ("matroid", "blocks"), "major")
     matrix = load_matrix(doc["matrix"]) if "matrix" in doc else None
     q = load_matroid(doc["matroid"])
-    blocks = tuple(tuple(_element_set(b, "block")) for b in _array(doc["blocks"], "blocks"))
+    raw = _array(doc["blocks"], "blocks")
+    blocks = tuple(tuple(_element_set(b, "block", q.n)) for b in raw)
     seen = 0
-    for block in blocks:
+    for block, given in zip(blocks, raw):
         bm = mask_of(block)
         if bm >> q.n:
-            raise IndexOutOfRange(f"block {list(block)} outside the ground set 0..{q.n - 1}")
+            raise IndexOutOfRange(f"block {given} outside the ground set 0..{q.n - 1}")
         if bm & seen:
             raise OverlappingSets(f"block {list(block)} meets an earlier block")
         seen |= bm

@@ -15,6 +15,12 @@ representations into an explicit certificate; and a level-by-level search
 for a representing matrix.  Matroid-level excluded minors
 (`matroid_core.is_binary`/`is_ternary`) are not used here; they remain an
 independent cross-check of `matroid_representation`.
+
+A full flag is decided by `full_flag_decision`, witness route first: it is
+polynomial and its "yes" carries the certificate.  The forbidden-minor
+search runs only after a "no", to name the excluded minor; if it finds none
+the two characterizations disagree, which is a fault (`InternalError`).
+The fillings route decides each filling by the witness route alone.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .errors import (
     FieldMismatch,
     FieldTooSmall,
     GroundSetMismatch,
+    InternalError,
     InvalidInput,
     LastLayer,
     LevelCollapse,
@@ -746,24 +753,31 @@ def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecisi
     return RepresentabilityDecision(p, True, certificate=rep)
 
 
+def full_flag_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecision:
+    """Decide GF(2)/GF(3) representability of a full flag, witness route
+    first.  A "yes" carries the witness route's certificate.  Only a "no"
+    runs the forbidden-minor search, to certify it with a listed minor;
+    when that finds none the routes disagree and InternalError is raised."""
+    decision = witness_route_decision(fm, p)
+    if decision.representable:
+        return decision
+    minors = forbidden_minor_decision(fm, p)
+    if minors.representable:
+        verdicts = {"witness": False, "minors": True}
+        raise InternalError(f"decision routes disagree: {verdicts}")
+    return minors
+
+
 def is_binary_full(fm: fl.FlagMatroid) -> RepresentabilityDecision:
-    """Forbidden-minor decision over GF(2); positive answers carry a
-    certificate from the witness route."""
-    return _full_decision(fm, 2)
+    """`full_flag_decision` over GF(2): the witness route decides, and a
+    "no" carries a forbidden-minor certificate."""
+    return full_flag_decision(fm, 2)
 
 
 def is_ternary_full(fm: fl.FlagMatroid) -> RepresentabilityDecision:
-    """Forbidden-minor decision over GF(3); positive answers carry a
-    certificate from the witness route."""
-    return _full_decision(fm, 3)
-
-
-def _full_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecision:
-    decision = forbidden_minor_decision(fm, p)
-    if not decision.representable:
-        return decision
-    cert = witness_route_decision(fm, p).certificate
-    return RepresentabilityDecision(p, True, certificate=cert)
+    """`full_flag_decision` over GF(3): the witness route decides, and a
+    "no" carries a forbidden-minor certificate."""
+    return full_flag_decision(fm, 3)
 
 
 @dataclass(frozen=True)
@@ -778,16 +792,16 @@ def is_representable_via_fillings(
 ) -> FillingDecision:
     """Tri-state decision for arbitrary flags: representable iff some
     filling is; bounded filling enumeration makes the negative answer
-    conditional on completeness."""
+    conditional on completeness.  Each filling is decided by the witness
+    route alone, so no minor search runs and no minor certificate is made."""
     from .lifts_majors import enumerate_fillings
 
     if p not in (2, 3):
         raise InvalidInput("filling route supports p in (2, 3)")
     search = enumerate_fillings(fm, budget)
     for filling in search.fillings:
-        decision = forbidden_minor_decision(filling, p)
-        if decision.representable:
-            cert = witness_route_decision(filling, p).certificate
+        cert = witness_route_decision(filling, p).certificate
+        if cert is not None:
             for level in cert.levels:
                 if level not in fm.cardinalities:
                     cert = chop_representation(cert, level)

@@ -1,4 +1,6 @@
-"""Shared fixtures: brute-force oracles and seeded random generators.
+"""Shared fixtures: brute-force oracles, seeded random generators, and the
+CLI harness (`capture` runs one verb in-process, `corpus` writes the small
+documents the CLI tests read).
 
 The oracle helpers here deliberately avoid the library's linear algebra and
 matroid code paths so that expected values in tests are computed
@@ -7,6 +9,7 @@ independently of the functions they check.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
@@ -14,9 +17,11 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from flagmatroids import cli
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import graphic as gr
+from flagmatroids import jsonio as io
 from flagmatroids import matroid_core as mc
 from flagmatroids.representability import FlagRepresentation
 
@@ -85,6 +90,49 @@ def fano():
 @pytest.fixture(scope="session")
 def f7(fano):
     return mc.linear_matroid(fano)
+
+
+# --- CLI fixtures ------------------------------------------------------------------
+
+@pytest.fixture()
+def capture(capsys):
+    def run(*args):
+        code = cli.run(list(args))
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    return run
+
+
+@pytest.fixture()
+def corpus(tmp_path):
+    files = {}
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(io.dumps(doc) if isinstance(doc, dict) else doc)
+        files[name] = str(path)
+        return files[name]
+
+    write("iu23.json", io.flag_json(fl.chop(fl.independent_flag(mc.uniform(2, 3)), 0)))
+    write("bf7.json", io.flag_json(fl.basis_flag(mc.fano_matroid())))
+    write("chain3.json", io.flag_json(
+        fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3), mc.uniform(3, 3)])
+    ))
+    write("gap.json", io.flag_json(fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])))
+    write("fano.json", io.matrix_json(mc.fano_matrix()))
+    write("u24.json", io.matroid_json(mc.uniform(2, 4)))
+    write("u24b.json", io.matroid_json(mc.uniform(2, 4)))
+    write("bad_family.json", json.dumps({"n": 3, "feasible": [[0], [1], [0, 1], [1, 2]]}))
+    k4 = gr.multigraph(4, [(0, 1), (0, 3), (0, 2), (1, 3), (1, 2), (3, 2)])
+    chain = gr.chain_of(
+        4, [[[0, 1, 2, 3]], [[0, 1, 3], [2]], [[0, 1], [2], [3]], [[0], [1], [2], [3]]]
+    )
+    write("k4bundle.json", io.graphic_bundle_json(k4, chain))
+    write("config.json", io.config_json(gr.reference_counterexample_config()))
+    files["write"] = write
+    files["dir"] = tmp_path
+    return files
 
 
 @st.composite

@@ -6,51 +6,9 @@ import pytest
 from conftest import random_prefix_chain_matrix
 from flagmatroids import cli
 from flagmatroids import flag_core as fl
-from flagmatroids import graphic as gr
 from flagmatroids import jsonio as io
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
-
-
-@pytest.fixture()
-def capture(capsys):
-    def run(*args):
-        code = cli.run(list(args))
-        out = capsys.readouterr()
-        return code, out.out, out.err
-
-    return run
-
-
-@pytest.fixture()
-def corpus(tmp_path):
-    files = {}
-
-    def write(name, doc):
-        path = tmp_path / name
-        path.write_text(io.dumps(doc) if isinstance(doc, dict) else doc)
-        files[name] = str(path)
-        return files[name]
-
-    write("iu23.json", io.flag_json(fl.chop(fl.independent_flag(mc.uniform(2, 3)), 0)))
-    write("bf7.json", io.flag_json(fl.basis_flag(mc.fano_matroid())))
-    write("chain3.json", io.flag_json(
-        fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3), mc.uniform(3, 3)])
-    ))
-    write("gap.json", io.flag_json(fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])))
-    write("fano.json", io.matrix_json(mc.fano_matrix()))
-    write("u24.json", io.matroid_json(mc.uniform(2, 4)))
-    write("u24b.json", io.matroid_json(mc.uniform(2, 4)))
-    write("bad_family.json", json.dumps({"n": 3, "feasible": [[0], [1], [0, 1], [1, 2]]}))
-    k4 = gr.multigraph(4, [(0, 1), (0, 3), (0, 2), (1, 3), (1, 2), (3, 2)])
-    chain = gr.chain_of(
-        4, [[[0, 1, 2, 3]], [[0, 1, 3], [2]], [[0, 1], [2], [3]], [[0], [1], [2], [3]]]
-    )
-    write("k4bundle.json", io.graphic_bundle_json(k4, chain))
-    write("config.json", io.config_json(gr.reference_counterexample_config()))
-    files["write"] = write
-    files["dir"] = tmp_path
-    return files
 
 
 def test_validate_and_axioms(capture, corpus):
@@ -461,6 +419,53 @@ def test_disagreeing_routes_exit_4(capture, corpus, monkeypatch):
     doc = json.loads(out)
     assert doc["error"] == "InternalError"
     assert doc["detail"].startswith("decision routes disagree")
+
+
+def test_a_no_without_a_listed_minor_exits_4(capture, corpus, monkeypatch):
+    # the witness route says "no" on bf7 over GF(3); no minor search finds F_7
+    monkeypatch.setattr(fl, "flag_has_minor", lambda fm, target: None)
+    for method in ((), ("--method", "minors")):
+        code, out, err = capture("is-representable", corpus["bf7.json"], "--p", "3", *method)
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["error"] == "InternalError"
+        assert doc["detail"].startswith("decision routes disagree: ")
+        assert "Traceback" not in err
+
+
+def test_a_huge_element_builds_no_huge_mask(capture, corpus):
+    """An element such as 10^8 is bounded before any mask is built, and the
+    error documents stay what they were."""
+    import tracemalloc
+
+    big = 100000000
+    flag, ok = ({"n": 3, "feasible": [[big]]}, {"n": 3, "feasible": [[0]]})
+    cases = [
+        (("validate", flag), 2, {"error": "IndexOutOfRange",
+                                 "detail": "feasible set outside the ground set"}),
+        (("axioms", flag), 2, {"error": "InvalidInput",
+                               "detail": "feasible set outside the ground set"}),
+        (("validate", {"n": 3, "bases": [[big]]}), 2,
+         {"error": "IndexOutOfRange", "detail": "basis element outside the ground set"}),
+        (("validate", {"schema": "major/1", "matroid": {"n": 3, "bases": [[0]]},
+                       "blocks": [[0], [big]]}), 2,
+         {"error": "IndexOutOfRange", "detail": f"block [{big}] outside the ground set 0..2"}),
+        (("minor", ok, "--contract", str(big)), 2,
+         {"error": "IndexOutOfRange", "detail": "element outside ground set"}),
+        (("minor", ok, "--contract", "-1"), 2,
+         {"error": "IndexOutOfRange", "detail": "element outside ground set"}),
+    ]
+    cli._build_parser()
+    for i, ((verb, doc, *rest), want_code, want_doc) in enumerate(cases):
+        path = corpus["write"](f"huge{i}.json", json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code, out, _ = capture(verb, path, *rest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, json.loads(out)) == (want_code, want_doc)
+        assert peak < 2 << 20, f"{verb} {doc}: peak {peak} bytes"
 
 
 def test_two_runs_build_one_parser(capture, corpus, monkeypatch):

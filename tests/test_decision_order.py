@@ -1,0 +1,251 @@
+"""The order in which full flags are decided, and the order of the minor walk.
+
+A full flag is decided by the witness route; the forbidden-minor search runs
+only to certify a "no".  The compositions this replaced (minor search first,
+witness route for the certificate) are kept below as references: the
+decisions, fillings and CLI output must not change.  `flag_has_minor` tries
+the deletion-only splits during its walk over the removed sets and the rest
+after one sort, and it must build exactly as many minors as the plain
+(|C|, C, D) enumeration of the surviving splits needs to reach its hit.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from conftest import random_full_flag, random_prefix_chain_matrix
+from flagmatroids import flag_core as fl
+from flagmatroids import gf_linalg as gl
+from flagmatroids import jsonio as io
+from flagmatroids import matroid_core as mc
+from flagmatroids import representability as rp
+from flagmatroids.bitset import mask_of, size_masks
+from flagmatroids.lifts_majors import enumerate_fillings, is_full
+from test_minor_search import reference_flag_has_minor
+
+FLAG_TARGETS = [t for _, t in rp.binary_forbidden_flags() + rp.ternary_forbidden_flags()]
+
+
+def minors_first_decision(fm, p):
+    """The composition `is_binary_full`/`is_ternary_full` used before: the
+    forbidden-minor search decides, the witness route certifies a "yes"."""
+    decision = rp.forbidden_minor_decision(fm, p)
+    if not decision.representable:
+        return decision
+    cert = rp.witness_route_decision(fm, p).certificate
+    return rp.RepresentabilityDecision(p, True, certificate=cert)
+
+
+def minors_first_fillings(fm, p, budget=10000):
+    """The fillings loop as it was: each filling decided minors-first."""
+    search = enumerate_fillings(fm, budget)
+    for filling in search.fillings:
+        if rp.forbidden_minor_decision(filling, p).representable:
+            cert = rp.witness_route_decision(filling, p).certificate
+            for level in cert.levels:
+                if level not in fm.cardinalities:
+                    cert = rp.chop_representation(cert, level)
+            return rp.FillingDecision("yes", filling=filling, certificate=cert)
+    return rp.FillingDecision("no" if search.complete else "unknown")
+
+
+def planted_matrix(rng):
+    """A prefix-full matrix over GF(5) whose first two rows carry five
+    pairwise independent columns, so its rank-2 layer has a U_{2,5}
+    restriction and the flag is neither binary nor ternary."""
+    n, r = rng.randint(5, 8), rng.randint(2, 4)
+    while True:
+        rows = [row + [rng.randrange(5) for _ in range(n - 5)]
+                for row in ([1, 0, 1, 1, 1], [0, 1, 1, 2, 3])]
+        rows += [[rng.randrange(5) for _ in range(n)] for _ in range(r - 2)]
+        a = gl.matrix(5, rows, cols=n)
+        if all(gl.rank(gl.prefix_rows(a, d)) == d for d in range(1, r + 1)):
+            return a
+
+
+def seeded_flags(count, seed):
+    """(flag, p) pairs: prefix chains over GF(2/3/5) and planted flags, each
+    with levels lo..r, on at most 8 elements."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 4 == 3:
+            a = planted_matrix(rng)
+        else:
+            field = rng.choice([2, 3, 5])
+            n = rng.randint(3, 8)
+            a = random_prefix_chain_matrix(rng, field, rng.randint(1, min(4, n - 1)), n)
+            if a is None:
+                continue
+        lo = rng.randint(0, a.rows - 1)
+        fm = rp.flag_from_matrix(a, range(lo, a.rows + 1))
+        out.append((fm, rng.choice([2, 3])))
+    return out
+
+
+SEEDED = seeded_flags(40, 9)
+
+
+def test_seeded_flags_give_both_verdicts():
+    verdicts = {rp.witness_route_decision(fm, p).representable for fm, p in SEEDED}
+    assert verdicts == {True, False}
+
+
+def test_default_route_writes_what_the_minors_route_writes(capture, corpus):
+    paths = [(corpus[name], p) for name in ("iu23.json", "bf7.json", "chain3.json", "gap.json")
+             for p in (2, 3)]
+    paths += [(corpus["write"](f"seeded{i}.json", io.flag_json(fm)), p)
+              for i, (fm, p) in enumerate(SEEDED)]
+    codes = set()
+    for path, p in paths:
+        default = capture("is-representable", path, "--p", str(p))
+        minors = capture("is-representable", path, "--p", str(p), "--method", "minors")
+        assert default[:2] == minors[:2]
+        codes.add(default[0])
+    assert codes == {0, 1}
+
+
+def test_full_decisions_match_the_minors_first_composition(f7):
+    rng = random.Random(53)
+    flags = [fm for fm, _ in SEEDED] + [random_full_flag(rng, 6) for _ in range(30)]
+    flags += [fl.basis_flag(f7), fl.independent_flag(mc.uniform(2, 4))]
+    seen = set()
+    for fm in flags:
+        for p, decide in ((2, rp.is_binary_full), (3, rp.is_ternary_full)):
+            got = decide(fm)
+            assert got == minors_first_decision(fm, p)
+            seen.add(got.representable)
+    assert seen == {True, False}
+
+
+def gapped_flags(count, seed):
+    """Flags that are not full: a full flag with a middle layer chopped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        fm = random_full_flag(rng, 6)
+        if len(fm.cardinalities) >= 3:
+            out.append(fl.chop(fm, rng.choice(fm.cardinalities[1:-1])))
+    return out
+
+
+def test_fillings_route_matches_the_minors_first_loop():
+    flags = gapped_flags(20, 59)
+    assert not any(is_full(fm) for fm in flags)
+    statuses = set()
+    for fm in flags:
+        for p in (2, 3):
+            got = rp.is_representable_via_fillings(fm, p)
+            assert got == minors_first_fillings(fm, p)
+            statuses.add(got.status)
+    assert {"yes", "no"} <= statuses
+
+
+def test_a_yes_runs_no_minor_search(monkeypatch, f7):
+    def forbidden(fm, target):
+        raise AssertionError("minor search on a 'yes' answer")
+
+    monkeypatch.setattr(fl, "flag_has_minor", forbidden)
+    bf7 = fl.basis_flag(f7)
+    assert rp.is_binary_full(bf7).representable
+    gap = fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])
+    assert rp.is_representable_via_fillings(gap, 2).status == "yes"
+    # a "no" of the filling route needs no minor certificate either
+    bad = fl.chop(fl.independent_flag(mc.uniform(2, 4)), 0)
+    assert rp.is_representable_via_fillings(bad, 2).status == "no"
+
+
+def test_a_no_without_a_listed_minor_is_a_fault(monkeypatch, f7):
+    monkeypatch.setattr(fl, "flag_has_minor", lambda fm, target: None)
+    with pytest.raises(rp.InternalError, match="decision routes disagree"):
+        rp.is_ternary_full(fl.basis_flag(f7))
+
+
+# --- the split walk of flag_has_minor ------------------------------------------------
+
+def surviving_splits(fm, target):
+    """Every (C, D) split that passes the layer-size screen, in (|C|, C, D)
+    order: for each target layer (w, size), exactly `size` feasible sets of
+    cardinality w + |C| contain C and miss D."""
+    total = fm.n - target.n
+    layers = [(w, sum(1 for f in target.feasible if f.bit_count() == w))
+              for w in target.cardinalities]
+    out = []
+    for k in range(total + 1):
+        for c in combinations(range(fm.n), k):
+            cmask = mask_of(c)
+            rest = [e for e in range(fm.n) if e not in c]
+            for d in combinations(rest, total - k):
+                removed = cmask | mask_of(d)
+                if all(
+                    sum(1 for f in fm.feasible
+                        if f.bit_count() == w + k and f & removed == cmask) == size
+                    for w, size in layers
+                ):
+                    out.append((c, d))
+    return out
+
+
+def walk_cases():
+    rng = random.Random(61)
+    fms = [fm for fm, _ in SEEDED if fm.n <= 7]
+    fms += [random_full_flag(rng, 7) for _ in range(20)]
+    return [(fm, t) for fm in fms for t in FLAG_TARGETS if t.n <= fm.n]
+
+
+def test_the_walk_builds_one_minor_per_split_up_to_the_hit(monkeypatch):
+    built, counted = [], []
+    real_minor, real_counts = fl.flag_minor, fl.meet_counts
+
+    def counting_minor(*args):
+        built.append(args[1:3])
+        return real_minor(*args)
+
+    def counting_counts(masks, within):
+        counted.append(within)
+        return real_counts(masks, within)
+
+    monkeypatch.setattr(fl, "flag_minor", counting_minor)
+    monkeypatch.setattr(fl, "meet_counts", counting_counts)
+    kinds = set()
+    for fm, target in walk_cases():
+        survivors = surviving_splits(fm, target)
+        expected = reference_flag_has_minor(fm, target)
+        built.clear()
+        counted.clear()
+        hit = fl.flag_has_minor(fm, target)
+        assert hit == expected
+        removed_sets = size_masks(fm.n, fm.n - target.n)
+        if hit is None:
+            assert len(built) == len(survivors)
+            assert len(counted) == len(removed_sets)
+            kinds.add("no")
+            continue
+        position = survivors.index(hit[:2])
+        assert built == survivors[: position + 1]
+        if hit[0]:
+            assert len(counted) == len(removed_sets)
+            if sum(1 for c, _ in survivors if c) >= 2:
+                kinds.add("contract, order matters")
+        else:
+            # a deletion-only hit ends the walk at its removed set
+            assert len(counted) == removed_sets.index(mask_of(hit[1])) + 1
+            kinds.add("delete")
+    assert kinds == {"no", "contract, order matters", "delete"}
+
+
+def test_split_keys_follow_the_plain_enumeration():
+    """On 20 elements, where C may hold the high elements whose bits a
+    narrower key would let D's key overwrite."""
+    rng = random.Random(67)
+    n = 20
+    for total in (4, 9, 16, 17):
+        splits = set()
+        while len(splits) < 3000:
+            removed = rng.sample(range(n), total)
+            k = rng.randint(1, total)
+            c = tuple(sorted(removed[:k]))
+            splits.add((c, tuple(sorted(removed[k:]))))
+        keyed = sorted(splits, key=lambda s: fl._split_key(mask_of(s[0]), mask_of(s[1])))
+        assert keyed == sorted(splits, key=lambda s: (len(s[0]), s[0], s[1]))
