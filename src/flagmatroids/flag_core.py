@@ -215,10 +215,13 @@ def _axiom1_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, 
 def _axiom2_witness(
     n: int, lower: tuple[int, ...], upper: tuple[int, ...]
 ) -> Optional[tuple[int, int]]:
-    """Witness (F, e) for which no lower-layer G works, or None.
+    """The first (F, e), F in upper and e outside F, for which no G in lower
+    inside F has its fundamental circuit of e inside F's, or None.
 
-    The removal candidate f ranges over G+e (resp. F+e): removing an absent
-    element is treated as a no-op and never compared.
+    This is axiom 2 between two layers and, unmemoized (`__wrapped__`), the
+    "bases" test of `lifts_majors.is_lift`, lower being the quotient's bases
+    and upper the lift's.  The removal candidate f ranges over G+e (resp.
+    F+e): removing an absent element is treated as a no-op and never compared.
     """
     lower_set = set(lower)
     upper_set = set(upper)
@@ -230,9 +233,8 @@ def _axiom2_witness(
             for x in iter_bits(fe):
                 if fe ^ (1 << x) in upper_set:
                     fset_upper |= 1 << x
-            ok = False
             for g in lower:
-                if g & ~f:  # G must be a proper subset of F
+                if g & ~f:  # G must lie inside F
                     continue
                 ge = g | (1 << e)
                 fset_lower = 0
@@ -240,9 +242,8 @@ def _axiom2_witness(
                     if ge ^ (1 << x) in lower_set:
                         fset_lower |= 1 << x
                 if fset_lower & ~fset_upper == 0:
-                    ok = True
                     break
-            if not ok:
+            else:
                 return (f, e)
     return None
 
@@ -319,7 +320,8 @@ def independent_flag(m: mc.Matroid) -> FlagMatroid:
 
 
 def basis_flag(m: mc.Matroid) -> FlagMatroid:
-    return flag_interval(m, m.rank, m.rank)
+    """The one-layer flag of m's bases, equal to flag_interval(m, r, r)."""
+    return FlagMatroid(m.n, _family_key(m.bases))
 
 
 def spanning_flag(m: mc.Matroid) -> FlagMatroid:

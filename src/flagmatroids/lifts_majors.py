@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from . import flag_core as fl
 from . import gf_linalg as gl
 from . import matroid_core as mc
-from .bitset import elements_of, iter_bits, mask_of, set_key, size_masks
+from .bitset import elements_of, mask_of, set_key, size_masks
 from .errors import (
     BudgetExhausted,
     ConstructionFailed,
@@ -48,35 +48,6 @@ def _lift_by_closures(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
     for mask, (up, down) in enumerate(zip(lift.closure_table, quot.closure_table)):
         if up & ~down:
             return ("subset", elements_of(mask))
-    return None
-
-
-def _fset(bases: frozenset[int], base: int, e: int) -> int:
-    """Mask of elements f in base+e whose removal lands back in `bases`."""
-    be = base | (1 << e)
-    out = 0
-    for f in iter_bits(be):
-        if be ^ (1 << f) in bases:
-            out |= 1 << f
-    return out
-
-
-def _lift_by_bases(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
-    full = lift.full_mask
-    lift_bases = lift.basis_set
-    quot_bases = quot.basis_set
-    for b in lift.bases:
-        for e in iter_bits(full & ~b):
-            upper = _fset(lift_bases, b, e)
-            found = False
-            for bq in quot.bases:
-                if bq & ~b:
-                    continue
-                if _fset(quot_bases, bq, e) & ~upper == 0:
-                    found = True
-                    break
-            if not found:
-                return ("basis", elements_of(b), e)
     return None
 
 
@@ -119,7 +90,9 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
     elif method == "closures":
         w = _lift_by_closures(lift, quot)
     elif method == "bases":
-        w = _lift_by_bases(lift, quot)
+        # unmemoized, so sweeping many pairs leaves the axiom memo alone
+        fe = fl._axiom2_witness.__wrapped__(lift.n, quot.bases, lift.bases)
+        w = None if fe is None else ("basis", elements_of(fe[0]), fe[1])
     else:
         raise ValueError(f"unknown method {method!r}")
     return LiftResult(w is None, method, w)

@@ -8,6 +8,11 @@ witness from `basis_exchange_witness` only when it fails;
 `matroid_from_independent_sets` checks the independence axioms as stated.
 Operations whose outputs are always matroids (duals, minors, linear and
 graphic constructions) trust themselves.
+
+Isomorphism and minor search treat a matroid as the flag matroid whose one
+layer is its basis family and run the `flag_core` search on it, so they
+accept matroids of at most MAX_GROUND = 20 elements, as flags do, and raise
+IndexOutOfRange above that.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .bitset import (
     elements_of,
     iter_bits,
     mask_of,
-    meet_counts,
     set_key,
     size_masks,
     squeeze,
@@ -267,11 +271,6 @@ class Matroid:
         out = [s for s, d in enumerate(digits) if d == "1"]
         return tuple(sorted(out, key=set_key))
 
-    @cached_property
-    def element_degrees(self) -> tuple[int, ...]:
-        """Number of bases through each element."""
-        return tuple(sum(1 for b in self.bases if b >> e & 1) for e in range(self.n))
-
     def is_independent(self, mask: int) -> bool:
         return bool(self.independent_table[mask])
 
@@ -451,7 +450,7 @@ def _contract_masks(m: Matroid, cmask: int) -> list[int]:
     return sorted(out)
 
 
-def _delete_masks(n: int, bases: list[int] | tuple[int, ...], dmask: int) -> list[int]:
+def _delete_masks(bases: list[int] | tuple[int, ...], dmask: int) -> list[int]:
     """Basis masks of the deletion, still in the original indexing."""
     best = max((b & ~dmask).bit_count() for b in bases)
     out = {b & ~dmask for b in bases if (b & ~dmask).bit_count() == best}
@@ -466,7 +465,7 @@ def minor(m: Matroid, contract: int | Iterable[int], delete: int | Iterable[int]
         raise OverlappingSets("contract and delete sets intersect")
     masks = _contract_masks(m, cmask) if cmask else list(m.bases)
     if dmask:
-        masks = _delete_masks(m.n, masks, dmask)
+        masks = _delete_masks(masks, dmask)
     removed = cmask | dmask
     squeezed = sorted({squeeze(b, removed) for b in masks}, key=set_key)
     return Matroid(m.n - removed.bit_count(), tuple(squeezed))
@@ -487,88 +486,33 @@ def minor_index_map(n: int, removed: int | Iterable[int]) -> tuple[int, ...]:
 
 
 # --- isomorphism and minor search --------------------------------------------
+# Both run the flag_core search on the one-layer basis flags; flag_core
+# imports this module, so they import it at call time.
 
 def is_isomorphic(m: Matroid, other: Matroid) -> Optional[tuple[int, ...]]:
     """Lexicographically least ground-set bijection mapping bases onto bases,
-    or None.  Backtracking with degree/rank pruning."""
-    if m.n != other.n or m.rank != other.rank or len(m.bases) != len(other.bases):
-        return None
-    if sorted(m.element_degrees) != sorted(other.element_degrees):
-        return None
-    n = m.n
-    deg_m, deg_o = m.element_degrees, other.element_degrees
-    rt_m, rt_o = m.rank_table, other.rank_table
-    assigned: list[int] = []
-    used = [False] * n
+    or None.  At most MAX_GROUND elements, as for flags (else IndexOutOfRange)."""
+    from .flag_core import basis_flag, flag_isomorphic
 
-    def extend(depth: int) -> bool:
-        if depth == n:
-            return True
-        for t in range(n):
-            if used[t] or deg_o[t] != deg_m[depth]:
-                continue
-            assigned.append(t)
-            used[t] = True
-            ok = True
-            # check every subset that includes the new element
-            for sub in range(1 << depth):
-                src = sub | (1 << depth)
-                img = (1 << t)
-                rest = sub
-                i = 0
-                while rest:
-                    if rest & 1:
-                        img |= 1 << assigned[i]
-                    rest >>= 1
-                    i += 1
-                if rt_m[src] != rt_o[img]:
-                    ok = False
-                    break
-            if ok and extend(depth + 1):
-                return True
-            assigned.pop()
-            used[t] = False
-        return False
-
-    if extend(0):
-        return tuple(assigned)
-    return None
+    return flag_isomorphic(basis_flag(m), basis_flag(other))
 
 
 def has_minor_isomorphic_to(
     m: Matroid, target: Matroid
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Exhaustive minor search, contracting exactly rank(m)-rank(target)
-    independent elements; returns the lexicographically least witness
-    (contract, delete, bijection) or None.
+    """The first (contract, delete, bijection) in (contract, delete) order
+    with m/C\\D isomorphic to target, or None.  At most MAX_GROUND elements,
+    as for flags (else IndexOutOfRange).
 
-    Splits are screened by counting before any minor is built.  When C is
-    independent, the bases of m/C\\D are the sets B - C for the bases B of m
-    with B & (C|D) == C, and there is no such B exactly when deleting D
-    lowers the rank.  So `meet_counts(m.bases, C|D)[C]` is 0 or the minor's
-    basis count, and a split whose count is not len(target.bases) fails the
-    rank or basis-count comparison `is_isomorphic` starts with.  The screen
-    drops only those splits; the rest are tried in the same order as the
-    plain (contract, delete) enumeration, so the witness is unchanged.
+    On basis flags the split (C, D) keeps the sets B - C for the bases B
+    with B & (C|D) == C: the bases of m/C\\D when C is independent and
+    deleting D keeps the rank, and no set otherwise.  A one-layer flag has
+    nothing to chop, so the chops `flag_has_minor` returns are empty.
     """
-    dr = m.rank - target.rank
-    extra = m.n - target.n
-    dd = extra - dr
-    if dr < 0 or dd < 0:
-        return None
-    if m.n - m.rank < target.n - target.rank:
-        return None
-    target_bases = len(target.bases)
-    splits = []
-    for removed in size_masks(m.n, extra):
-        for cmask, count in meet_counts(m.bases, removed).items():
-            if count == target_bases and cmask.bit_count() == dr:
-                splits.append((elements_of(cmask), elements_of(removed ^ cmask)))
-    for c, d in sorted(splits):
-        bij = is_isomorphic(minor(m, c, d), target)
-        if bij is not None:
-            return (c, d, bij)
-    return None
+    from .flag_core import basis_flag, flag_has_minor
+
+    hit = flag_has_minor(basis_flag(m), basis_flag(target))
+    return None if hit is None else (hit[0], hit[1], hit[3])
 
 
 # --- representability and graphicness ----------------------------------------

@@ -292,10 +292,11 @@ def random_full_flag(rng: random.Random, max_n: int = 5) -> fl.FlagMatroid:
 
 
 def random_flag(rng: random.Random, max_n: int = 6) -> fl.FlagMatroid:
-    """Random flag matroids, not necessarily full."""
+    """Random flag matroids, not necessarily full.  Chopping the bottom or
+    top layer keeps a full flag full, so only middle layers are chopped."""
     fm = random_full_flag(rng, max_n)
     cards = list(fm.cardinalities)
-    while len(cards) > 1 and rng.random() < 0.4:
-        fm = fl.chop(fm, rng.choice(cards))
+    while len(cards) > 2 and rng.random() < 0.4:
+        fm = fl.chop(fm, rng.choice(cards[1:-1]))
         cards = list(fm.cardinalities)
     return fm

@@ -1,12 +1,16 @@
-"""Differential tests for the flat bitsets cached on `Matroid`.
+"""Differential tests for the lift tests on `Matroid`.
 
 `is_lift` reads `flat_bits`, `coflat_bits` and `closure_table`, and
-`flag_core._lift_witness` reads `flat_bits`.  The references below are the
-loops they replaced: one closure per subset for the "flats" and "closures"
-methods, the "duals" method run on two freshly built dual matroids, the
-per-subset `_lift_witness`, and the flats comprehension.  The cached
-versions must return exactly what they return, witnesses included.
-Hypothesis settings come from the `tier1` profile in conftest.py.
+`flag_core._lift_witness` reads `flat_bits`.  The "bases" method runs the
+kernel of `flag_core._axiom2_witness` unmemoized, so one loop serves it and
+axiom 2 of `check_flag_axioms`.  The references below are the loops these
+replaced: one closure per subset for the "flats" and "closures" methods,
+the "duals" method run on two freshly built dual matroids, the per-subset
+`_lift_witness`, the flats comprehension, and the basis-exchange loop
+`is_lift` ran for "bases" before it shared the axiom-2 kernel, which checks
+both the lift test and the memoized `_axiom2_witness`.  The library must
+return exactly what they return, witnesses included.  Hypothesis settings
+come from the `tier1` profile in conftest.py.
 """
 
 import random
@@ -19,7 +23,7 @@ from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import elements_of, iter_bits, set_key
+from flagmatroids.bitset import elements_of, iter_bits, mask_of, set_key
 
 
 def reference_closure(m, mask):
@@ -100,6 +104,10 @@ def assert_pair_matches(lift, quot):
     n = lift.n
     assert fl._lift_witness(n, quot.bases, lift.bases) == reference_lift_witness(
         n, quot.bases, lift.bases
+    )
+    by_bases = reference_by_bases(n, lift, quot)
+    assert fl._axiom2_witness(n, quot.bases, lift.bases) == (
+        None if by_bases is None else (mask_of(by_bases[1]), by_bases[2])
     )
 
 

@@ -1,6 +1,6 @@
 import inspect
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -8,11 +8,13 @@ from conftest import (
     FANO_ROWS,
     oracle_independent_columns,
     oracle_matroid_rank,
+    random_flag,
     random_gf_matrix,
 )
+from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import elements_of, mask_of
+from flagmatroids.bitset import elements_of, mask_of, set_key
 from flagmatroids.errors import AxiomViolation, BadRank, ConstructionFailed, OverlappingSets
 
 
@@ -177,6 +179,40 @@ def test_is_isomorphic(f7, fano):
     # the found bijection maps bases onto bases
     for b in shuffled.bases:
         assert mask_of(bij[e] for e in elements_of(b)) in f7.basis_set
+
+
+def first_bijection(n, family, other):
+    """The first permutation in `permutations` order carrying the family of
+    masks onto the other, or None."""
+    target = set(other)
+    for perm in permutations(range(n)):
+        if {mask_of(perm[e] for e in elements_of(s)) for s in family} == target:
+            return perm
+    return None
+
+
+def test_isomorphisms_are_the_first_bijection_in_permutation_order():
+    rng = random.Random(8128)
+    for n in range(5):
+        pool = list(mc.enumerate_matroids(n))
+        for m in pool:
+            perm = rng.sample(range(n), n)
+            relabeled = mc.Matroid(n, tuple(sorted(
+                (mask_of(perm[e] for e in elements_of(b)) for b in m.bases), key=set_key
+            )))
+            for other in [relabeled] + [o for o in pool if o.rank == m.rank]:
+                assert mc.is_isomorphic(m, other) == first_bijection(n, m.bases, other.bases)
+    previous = None
+    for _ in range(300):
+        fm = random_flag(rng, 4)
+        others = [fl.relabel_flag(fm, rng.sample(range(fm.n), fm.n))]
+        if previous is not None and previous.n == fm.n:
+            others.append(previous)
+        for other in others:
+            assert fl.flag_isomorphic(fm, other) == first_bijection(
+                fm.n, fm.feasible, other.feasible
+            )
+        previous = fm
 
 
 def test_has_minor(f7):

@@ -1,11 +1,12 @@
-"""Differential tests for the minor searches.
+"""Differential tests for the minor search.
 
-`flag_has_minor` and `has_minor_isomorphic_to` screen each (contract,
-delete) split by counting before they build a minor.  The reference
-implementations below are the plain loops that build and compare every
-candidate minor; the screened searches must return exactly what they
-return, witness included.  Hypothesis settings come from the `tier1`
-profile in conftest.py.
+`flag_has_minor` screens each (contract, delete) split by counting before
+it builds a minor, and `has_minor_isomorphic_to` runs it on the one-layer
+basis flags of two matroids.  The reference implementations below are the
+plain loops that build and compare every candidate minor, flag minors for
+the one and matroid minors of independent contraction sets for the other;
+the searches must return exactly what they return, witness included.
+Hypothesis settings come from the `tier1` profile in conftest.py.
 """
 
 from itertools import combinations
