@@ -35,16 +35,6 @@ def size_masks(n: int, k: int) -> list[int]:
     return [mask_of(c) for c in combinations(range(n), k)]
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def meet_counts(masks: Iterable[int], within: int) -> dict[int, int]:
     """out[C] = how many masks f meet `within` in exactly C (f & within == C).
 
@@ -74,20 +64,5 @@ def squeeze(mask: int, removed: int) -> int:
             shift += 1
         elif mask & bit:
             out |= 1 << (pos - shift)
-        pos += 1
-    return out
-
-
-def unsqueeze(mask: int, removed: int) -> int:
-    """Inverse of squeeze: map re-indexed positions back to original ones."""
-    out = 0
-    orig = 0
-    pos = 0
-    while mask >> pos:
-        while removed & (1 << orig):
-            orig += 1
-        if mask & (1 << pos):
-            out |= 1 << orig
-        orig += 1
         pos += 1
     return out

@@ -9,10 +9,11 @@ witness from `basis_exchange_witness` only when it fails;
 Operations whose outputs are always matroids (duals, minors, linear and
 graphic constructions) trust themselves.
 
-Isomorphism and minor search treat a matroid as the flag matroid whose one
-layer is its basis family and run the `flag_core` search on it, so they
-accept matroids of at most MAX_GROUND = 20 elements, as flags do, and raise
-IndexOutOfRange above that.
+Isomorphism and minor search first compare sizes, ranks and basis counts,
+and answer None when those rule a match out.  Otherwise they treat a
+matroid as the flag matroid whose one layer is its basis family and run the
+`flag_core` search on it, so they accept matroids of at most MAX_GROUND = 20
+elements, as flags do, and raise IndexOutOfRange above that.
 """
 
 from __future__ import annotations
@@ -479,19 +480,17 @@ def contract(m: Matroid, e: int) -> Matroid:
     return minor(m, _as_mask(m, [e]), 0)
 
 
-def minor_index_map(n: int, removed: int | Iterable[int]) -> tuple[int, ...]:
-    """Surviving original indices, in re-indexed order."""
-    rmask = removed if isinstance(removed, int) else mask_of(removed)
-    return tuple(e for e in range(n) if not rmask >> e & 1)
-
-
 # --- isomorphism and minor search --------------------------------------------
 # Both run the flag_core search on the one-layer basis flags; flag_core
 # imports this module, so they import it at call time.
 
 def is_isomorphic(m: Matroid, other: Matroid) -> Optional[tuple[int, ...]]:
     """Lexicographically least ground-set bijection mapping bases onto bases,
-    or None.  At most MAX_GROUND elements, as for flags (else IndexOutOfRange)."""
+    or None.  Matroids that differ in size, rank or basis count are None at
+    once; others need at most MAX_GROUND elements, as for flags (else
+    IndexOutOfRange)."""
+    if (m.n, m.rank, len(m.bases)) != (other.n, other.rank, len(other.bases)):
+        return None
     from .flag_core import basis_flag, flag_isomorphic
 
     return flag_isomorphic(basis_flag(m), basis_flag(other))
@@ -501,14 +500,18 @@ def has_minor_isomorphic_to(
     m: Matroid, target: Matroid
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """The first (contract, delete, bijection) in (contract, delete) order
-    with m/C\\D isomorphic to target, or None.  At most MAX_GROUND elements,
-    as for flags (else IndexOutOfRange).
+    with m/C\\D isomorphic to target, or None.  A minor has no more elements,
+    rank or corank than m, so a target larger in any of them is None at
+    once; otherwise m needs at most MAX_GROUND elements, as for flags (else
+    IndexOutOfRange).
 
     On basis flags the split (C, D) keeps the sets B - C for the bases B
     with B & (C|D) == C: the bases of m/C\\D when C is independent and
     deleting D keeps the rank, and no set otherwise.  A one-layer flag has
     nothing to chop, so the chops `flag_has_minor` returns are empty.
     """
+    if target.n > m.n or target.rank > m.rank or target.n - target.rank > m.n - m.rank:
+        return None
     from .flag_core import basis_flag, flag_has_minor
 
     hit = flag_has_minor(basis_flag(m), basis_flag(target))

@@ -483,21 +483,45 @@ def _least_row_signs(entries: dict[tuple[int, int], int], r: int, c: int) -> Non
 
 # --- flag representation search ------------------------------------------------------
 
-def _rref_bands(p: int, positions: Sequence[int], g: int, n: int):
-    """All g-row RREF matrices over the given coordinate positions, embedded
-    as width-n rows (zero elsewhere), in a fixed deterministic order."""
-    m = len(positions)
-    if g == 0:
-        yield ()
-        return
-    for pivots in combinations(range(m), g):
-        free_cells = [
-            (i, j)
+def _rref_bands(p: int, pivot_mask: int, positions: Sequence[int], g: int, nxt: mc.Matroid):
+    """The g-row RREF bands over `positions`, the non-pivot columns of the
+    current matrix cur, that the bases of the next layer `nxt` allow.
+
+    A band is embedded as width-n rows, zero on cur's pivot columns P
+    (`pivot_mask`).  Bands come in a fixed order: band pivots Pb in
+    `combinations` order, then the free cells, row by row and left to right,
+    in `product` order.  The rule, with B = P | Pb and cur_P invertible:
+
+    - [cur; band] on the columns B is [[cur_P, *], [0, I]], so its
+      determinant is det(cur_P) != 0.  A pivot choice with B not in
+      `nxt.basis_set` is skipped.
+    - On the columns B - Pb_i + e the band block holds the unit columns of
+      Pb - Pb_i and the band's column e, so the determinant is
+      +-det(cur_P) * band[i][e].  The cell (i, e) is nonzero iff
+      B - Pb_i + e is in `nxt.basis_set`.  A pivot choice that needs a
+      nonzero left of a row's pivot is skipped; every other cell is fixed
+      to 0 or ranges over 1..p-1.
+
+    So the bands yielded are a subsequence of all RREF bands in the same
+    order, and every band left out has a column matroid other than `nxt`.
+    """
+    n = nxt.n
+    bases = nxt.basis_set
+    for pivots in combinations(range(len(positions)), g):
+        full = pivot_mask | mask_of(positions[j] for j in pivots)
+        if full not in bases:
+            continue
+        nonzero = {
+            (i, j): full ^ 1 << positions[pivots[i]] | 1 << positions[j] in bases
             for i in range(g)
-            for j in range(m)
-            if j > pivots[i] and j not in pivots
-        ]
-        for values in product(range(p), repeat=len(free_cells)):
+            for j in range(len(positions))
+            if j not in pivots
+        }
+        if any(nz for (i, j), nz in nonzero.items() if j < pivots[i]):
+            continue
+        free_cells = [(i, j) for i, j in nonzero if j > pivots[i]]
+        choices = [range(1, p) if nonzero[cell] else (0,) for cell in free_cells]
+        for values in product(*choices):
             rows = []
             for i in range(g):
                 row = [0] * n
@@ -515,6 +539,14 @@ def _search_levelwise(fm: fl.FlagMatroid, p: int) -> Optional[FlagRepresentation
     one already found, because representations of a binary/ternary top
     layer are unique up to row operations and column scaling; so a single
     representative per stage suffices and failure to extend is conclusive.
+
+    The rows that extend cur to the next layer form a band in RREF, zero on
+    cur's pivot columns, and the next layer's bases fix its pivots and the
+    support of every row (`_rref_bands`).  Over GF(2) that leaves at most one
+    band per pivot choice, over GF(3) only the signs of its support.  Every
+    band tried is still checked by `_level_matches`, and the guard below
+    still bounds all RREF bands by p^(g*m), so whether the search answers
+    `SearchSpaceTooLarge` does not depend on the rule.
     """
     layers = fm.layers
     ranks = [m.rank for m in layers]
@@ -530,7 +562,7 @@ def _search_levelwise(fm: fl.FlagMatroid, p: int) -> Optional[FlagRepresentation
         if p ** (g * len(positions)) > 1 << 22:
             raise SearchSpaceTooLarge(f"band space too large at rank {target}")
         found = None
-        for band in _rref_bands(p, positions, g, n):
+        for band in _rref_bands(p, mask_of(pivots), positions, g, nxt):
             cand = gl.vstack(cur, gl.matrix(p, [list(r) for r in band], cols=n))
             if _level_matches(cand, target, nxt):
                 found = cand

@@ -215,6 +215,48 @@ def test_isomorphisms_are_the_first_bijection_in_permutation_order():
         previous = fm
 
 
+def test_size_screens_answer_as_the_basis_flag_searches():
+    """`is_isomorphic` and `has_minor_isomorphic_to` answer None from sizes,
+    ranks and basis counts before they build any flag; every answer must be
+    what the flag searches give on the two basis flags."""
+    rng = random.Random(6174)
+
+    def random_matroid():
+        p, rows, cols = rng.choice((2, 3, 5)), rng.randint(1, 4), rng.randint(1, 7)
+        return mc.linear_matroid(random_gf_matrix(rng, p, rows, cols))
+
+    screened = {"isomorphic": 0, "minor": 0}
+    found = {"isomorphic": 0, "minor": 0}
+    for _ in range(250):
+        m = random_matroid()
+        removed = rng.sample(range(m.n), rng.randint(0, m.n - 1))
+        cut = rng.randint(0, len(removed))
+        sub = mc.minor(m, removed[:cut], removed[cut:])
+        uniform = mc.uniform(rng.randint(0, 3), rng.randint(3, 5))
+        others = [random_matroid(), sub, mc.dual(sub), uniform]
+        perm = rng.sample(range(m.n), m.n)
+        others.append(mc.Matroid(m.n, tuple(sorted(
+            (mask_of(perm[e] for e in elements_of(b)) for b in m.bases), key=set_key
+        ))))
+        fm = fl.basis_flag(m)
+        for other in others:
+            fo = fl.basis_flag(other)
+            want = fl.flag_isomorphic(fm, fo)
+            assert mc.is_isomorphic(m, other) == want
+            screened["isomorphic"] += (m.n, m.rank, len(m.bases)) != (
+                other.n, other.rank, len(other.bases)
+            )
+            found["isomorphic"] += want is not None
+            hit = fl.flag_has_minor(fm, fo)
+            want = None if hit is None else (hit[0], hit[1], hit[3])
+            assert mc.has_minor_isomorphic_to(m, other) == want
+            screened["minor"] += (
+                other.n > m.n or other.rank > m.rank or other.n - other.rank > m.n - m.rank
+            )
+            found["minor"] += want is not None
+    assert all(screened.values()) and all(found.values()), (screened, found)
+
+
 def test_has_minor(f7):
     assert mc.has_minor_isomorphic_to(f7, mc.uniform(2, 4)) is None
     hit = mc.has_minor_isomorphic_to(mc.uniform(2, 5), mc.uniform(2, 4))
