@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from . import flag_core as fl
 from . import gf_linalg as gl
 from . import matroid_core as mc
-from .bitset import elements_of, mask_of, set_key, size_masks
+from .bitset import elements_of, iter_bits, mask_of, set_key, size_masks
 from .errors import (
     BudgetExhausted,
     ConstructionFailed,
@@ -190,24 +190,69 @@ class FillingSearch:
     complete: bool
 
 
-def _gap_candidates(low: mc.Matroid, high: mc.Matroid) -> list[int]:
-    """Possible bases for a matroid one rank above `low`: independent in
-    `high` and spanning in `low`."""
-    r = low.rank + 1
-    return [
-        b
-        for b in size_masks(low.n, r)
-        if high.is_independent(b) and low.rank_table[b] == low.rank
-    ]
+def _gap_blocks(low: mc.Matroid, high: mc.Matroid) -> tuple[list[int], list[int]]:
+    """The candidate bases one rank above `low`, and their blocks.
+
+    The pool holds the (low.rank + 1)-sets independent in `high` and
+    spanning in `low`, in `combinations` order.  The candidates with one
+    `high`-closure (X plus every e with X + e dependent in `high`) form a
+    block, the mask of their pool indices; the blocks come sorted by their
+    highest pool index.
+    """
+    indep = high.independent_table
+    spanning = low.rank_table
+    bits = [1 << e for e in range(low.n)]
+    pool: list[int] = []
+    classes: dict[int, int] = {}
+    for b in size_masks(low.n, low.rank + 1):
+        if not indep[b] or spanning[b] != low.rank:
+            continue
+        key = b
+        for bit in bits:
+            if not indep[b | bit]:
+                key |= bit
+        classes[key] = classes.get(key, 0) | 1 << len(pool)
+        pool.append(b)
+    return pool, sorted(classes.values(), key=int.bit_length)
 
 
 def enumerate_fillings(fm: fl.FlagMatroid, budget: int = 10000) -> FillingSearch:
     """Bounded DFS over full flag matroids chopping down to `fm`.
 
-    Every rank gap >= 2 is bridged by intermediate matroids built from
-    subsets of the candidate bases; `budget` caps the number of candidate
-    families examined, and exhaustion is reported on the result rather than
-    silently returning a partial answer as a complete one.
+    Every rank gap >= 2 between layers `low` and `high` is bridged by the
+    matroids Q of rank low.rank + 1 that are quotients of `high` and have
+    `low` as a quotient, each followed by a bridge from Q to `high`.  Q's
+    basis family is a union of closure classes of `high`, where a class is
+    the set of `high`-independent (low.rank + 1)-sets with one
+    `high`-closure (Oxley, Matroid Theory, 7.3):
+
+    - Every flat of Q is a flat of `high`, so cl_Q(X) contains
+      cl_high(X) and r_Q(X) = r_Q(cl_high(X)).  Two sets of a class are
+      therefore both bases of Q or neither.
+    - `low` is a quotient of Q, so every basis of Q spans `low` and lies
+      in the pool of `_gap_blocks`.  `low` is a quotient of `high` as
+      well, so by the same argument the sets of a class all span `low` or
+      none does: every class lies wholly inside the pool or outside it.
+
+    So only unions of the classes met by the pool (the blocks) are tried.
+    With the pool numbered in `combinations` order, read a family as the
+    integer whose bit i is set iff pool[i] is in it; the 2^|pool| - 1
+    families in increasing order of that integer are the full search.
+    Two unions of blocks differ first at the highest pool index in their
+    symmetric difference, which is the top index of the highest block
+    where they differ.  With the blocks sorted by their highest pool
+    index, the selectors s = 1 .. 2^k - 1 over k blocks thus give the
+    unions in that same increasing order.  The unions tried are a
+    subsequence of the full search, and every family skipped fails the
+    checks below, so whenever the full search would complete within the
+    budget this search returns the same fillings in the same order.
+
+    Each union still goes through basis exchange and both lift checks.
+    `budget` caps the number of unions examined over all gaps, so a gap
+    with k blocks costs at most 2^k - 1 of it (plus the bridges above
+    each intermediate when the gap is 3 or more), and exhaustion is
+    reported on the result rather than silently returning a partial
+    answer as a complete one.
     """
     layers = fm.layers
     remaining = budget
@@ -217,14 +262,17 @@ def enumerate_fillings(fm: fl.FlagMatroid, budget: int = 10000) -> FillingSearch
         nonlocal remaining, truncated
         if high.rank - low.rank <= 1:
             return [()]
-        pool = _gap_candidates(low, high)
+        pool, blocks = _gap_blocks(low, high)
         out = []
-        for pick in range(1, 1 << len(pool)):
+        for select in range(1, 1 << len(blocks)):
             if remaining <= 0:
                 truncated = True
                 break
             remaining -= 1
-            fam = tuple(pool[i] for i in range(len(pool)) if pick >> i & 1)
+            pick = 0
+            for j in iter_bits(select):
+                pick |= blocks[j]
+            fam = tuple(pool[i] for i in iter_bits(pick))
             if mc.basis_exchange_witness(fam) is not None:
                 continue
             mid = mc.Matroid(fm.n, tuple(sorted(fam, key=set_key)))
