@@ -76,7 +76,7 @@ def _int_csv(text: Optional[str]) -> tuple[int, ...]:
 def _representation_problem(p: int, fm, rep) -> Optional[str]:
     if rep.p != p:
         return f"matrix is over GF({rep.p}), certificate declares p = {p}"
-    if rp.represented_flag(rep) != fm:
+    if not rp.represents(rep, fm):
         return "matrix and levels do not represent the flag"
     return None
 

@@ -4,18 +4,20 @@ Matrices are immutable, tiny (at most 32 x 32) and stored as flat row-major
 tuples of ints reduced mod p.  Everything is plain integer arithmetic:
 determinism and exactness matter more than speed at this scale.
 
-Column independence has its own elimination kernel, so that questions about
-many column subsets never build a matrix per subset.  Columns are read once
-as plain tuples, and an independent set of columns is kept as a list of
-normalised (pivot, vector) pairs: vector[pivot] == 1, and each stored vector
-is zero at every earlier pivot.  Reducing a new column against the stored
-vectors in order therefore leaves it zero at every pivot (a later step never
-refills an earlier pivot), so the column is independent of the stored ones
-iff the remainder is nonzero, and the remainder, normalised at its first
-nonzero entry, keeps the invariant.  `column_bases` walks the column subsets
-in `combinations` order as a DFS over this list, dropping a branch as soon
-as its prefix is dependent or too few columns remain; `independent_columns`
-tests one short list.
+Column independence has two elimination kernels, so that questions about
+many column subsets never build a matrix per subset.  `column_bases` walks
+the column subsets in `combinations` order as a DFS that carries a partially
+row-reduced copy of the matrix.  Taking column j picks the first remaining
+row that is nonzero at j as j's pivot row and clears column j from the other
+remaining rows, so every taken column is zero on the remaining rows; a later
+column is then independent of the taken ones iff some remaining row is
+nonzero at it.  A branch is dropped as soon as that fails or too few columns
+or rows remain.  `independent_columns` tests one short list by keeping an
+independent set as normalised (pivot, vector) pairs (`_absorb`):
+vector[pivot] == 1, and each stored vector is zero at every earlier pivot,
+so reducing a new column against them in order leaves it zero at every
+pivot, and it is independent iff the remainder is nonzero.  `rank` absorbs
+the rows the same way.
 """
 
 from __future__ import annotations
@@ -210,7 +212,8 @@ def rref(a: GFMatrix) -> tuple[GFMatrix, tuple[int, ...], GFMatrix]:
 
 
 def rank(a: GFMatrix) -> int:
-    return len(rref(a)[1])
+    basis: list[tuple[int, list[int]]] = []
+    return sum(_absorb(basis, a.row(i), a.p) for i in range(a.rows))
 
 
 def is_nonsingular(a: GFMatrix) -> bool:
@@ -243,22 +246,39 @@ def independent_columns(p: int, vectors: Iterable[Sequence[int]]) -> bool:
 def column_bases(a: GFMatrix, r: int) -> Iterator[int]:
     """Bit masks of the independent r-subsets of a's columns, lazily, in
     `combinations(range(a.cols), r)` order.  With r == rank(a) these are the
-    bases of the column matroid."""
-    p, n = a.p, a.cols
-    cols = [a.entries[j::n] for j in range(n)]
-    basis: list[tuple[int, list[int]]] = []
+    bases of the column matroid; r > rank(a) yields nothing and r == 0
+    yields the empty set.
 
-    def walk(start: int, mask: int) -> Iterator[int]:
-        need = r - len(basis)
+    Each DFS node holds the rows not yet used as pivots, with every taken
+    column eliminated from them: a push costs O(rows * n), and a candidate
+    column is tested by reading one entry per remaining row."""
+    p, n = a.p, a.cols
+
+    def walk(start: int, mask: int, need: int, rows: list[Sequence[int]]) -> Iterator[int]:
         if need == 0:
             yield mask
             return
+        if need > len(rows):
+            return
         for j in range(start, n - need + 1):
-            if _absorb(basis, cols[j], p):
-                yield from walk(j + 1, mask | 1 << j)
-                basis.pop()
+            for pivot in rows:
+                if pivot[j]:
+                    break
+            else:
+                continue  # column j lies in the span of the taken columns
+            inv = pow(pivot[j], p - 2, p)
+            rest = []
+            for row in rows:
+                if row is pivot:
+                    continue
+                f = row[j]
+                if f:
+                    f = f * inv % p
+                    row = [(x - f * y) % p for x, y in zip(row, pivot)]
+                rest.append(row)
+            yield from walk(j + 1, mask | 1 << j, need - 1, rest)
 
-    return walk(0, 0)
+    return walk(0, 0, r, [a.row(i) for i in range(a.rows)])
 
 
 def row_space_echelon(a: GFMatrix) -> tuple[tuple[int, ...], ...]:

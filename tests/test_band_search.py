@@ -129,7 +129,8 @@ def test_binary_full_flags_check_one_band_per_layer(monkeypatch):
     """A GF(2) band is fixed by its pivots, and the first pivot choice that
     the rule keeps is the RREF pivot set of the next layer's band, so each
     later layer is checked once.  The first check is `matroid_representation`
-    testing the bottom layer's candidate."""
+    testing the bottom layer's candidate.  The search's final check,
+    `represents`, then checks the result once per level."""
     calls = []
     level_matches = rp._level_matches
 
@@ -149,4 +150,4 @@ def test_binary_full_flags_check_one_band_per_layer(monkeypatch):
         calls.clear()
         rep = rp.search_representation(rp.flag_from_matrix(a, levels), 2)
         assert rep is not None and rep.levels == tuple(levels)
-        assert calls == levels
+        assert calls == levels + levels
