@@ -14,7 +14,21 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+# _BYTE_ELEMENTS[k][b]: the elements of the byte b placed at bits 8k..8k+7
+_BYTE_ELEMENTS = tuple(
+    tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+    for k in range(3)
+)
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
+    """The elements of mask in ascending order; a mask below 2^24 is read
+    one byte at a time from `_BYTE_ELEMENTS`."""
+    if not mask >> 24:  # mask >> 24 is nonzero for a negative mask too
+        low, mid, high = _BYTE_ELEMENTS
+        return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -24,10 +38,7 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return iter(elements_of(mask))
 
 
 def size_masks(n: int, k: int) -> list[int]:

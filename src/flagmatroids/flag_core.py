@@ -13,10 +13,10 @@ holds at most MEMO_SIZE entries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import matroid_core as mc
 from .bitset import (
@@ -39,9 +39,12 @@ from .errors import (
 )
 
 
-# Each byte's bits reversed and complemented, so that reading the translated
-# little-endian bytes of S as a big-endian int gives 2^24 - 1 - bitreverse24(S).
-_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+# _ORDER_BYTES[k][b]: the share of byte k of S (bits 8k..8k+7) in its
+# `_order_key`, (|b| << 24) + ((255 - bitreverse8(b)) << 8 * (2 - k)).
+_ORDER_BYTES = tuple(
+    [b.bit_count() << 24 | (255 - int(f"{b:08b}"[::-1], 2)) << 8 * (2 - k) for b in range(256)]
+    for k in range(3)
+)
 
 
 def _order_key(mask: int) -> int:
@@ -50,9 +53,12 @@ def _order_key(mask: int) -> int:
     Element e is bit 23 - e of the reversed mask, so among sets of equal
     size the one holding the least element of their symmetric difference
     is the larger reversed mask and the lexicographically smaller element
-    list: these keys ascend in (cardinality, lex) order."""
-    low = mask.to_bytes(3, "little").translate(_REVERSED_COMPLEMENT)
-    return mask.bit_count() << 24 | int.from_bytes(low, "big")
+    list: these keys ascend in (cardinality, lex) order.  The key is the
+    sum of the shares of the three bytes of S."""
+    if mask >> 24:  # past element 23, or negative
+        raise IndexOutOfRange("feasible set outside the ground set")
+    low, mid, high = _ORDER_BYTES
+    return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
 
 
 def _split_key(cmask: int, dmask: int) -> int:
@@ -63,20 +69,19 @@ def _split_key(cmask: int, dmask: int) -> int:
 
 
 def _family_key(masks: Iterable[int]) -> tuple[int, ...]:
-    """The canonical order of a family: by cardinality, then lexicographic."""
-    try:
-        return tuple(sorted(set(masks), key=_order_key))
-    except OverflowError:  # a set reaching past element 23 is outside every flag
-        raise IndexOutOfRange("feasible set outside the ground set") from None
+    """The canonical order of a family: by cardinality, then lexicographic.
+    A set reaching past element 23 is outside every flag: IndexOutOfRange."""
+    return tuple(sorted(set(masks), key=_order_key))
 
 
 def _group_by_size(masks: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     """The layers of a canonical family.  masks must already be in
     `_family_key` order, so each layer is a slice of equal cardinality,
     sorted lexicographically."""
-    out, start = [], 0
-    for size, run in groupby(masks, int.bit_count):
-        stop = start + sum(1 for _ in run)
+    out, start, end = [], 0, len(masks)
+    while start < end:
+        size = masks[start].bit_count()
+        stop = bisect_right(masks, size, start, key=int.bit_count)
         out.append((size, tuple(masks[start:stop])))
         start = stop
     return out
@@ -189,8 +194,7 @@ def flag_matroid(n: int, family: Iterable[Iterable[int]]) -> FlagMatroid:
 
 # --- the axiom system ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     axiom: Optional[int] = None
     witness: Optional[dict] = None
@@ -211,41 +215,35 @@ def _axiom1_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, 
     return None
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _axiom2_witness(
-    n: int, lower: tuple[int, ...], upper: tuple[int, ...]
+def _unlifted_basis(
+    lower: Sequence[int], lower_rows: Sequence[tuple[int, ...]],
+    upper: Sequence[int], upper_rows: Sequence[tuple[int, ...]],
 ) -> Optional[tuple[int, int]]:
     """The first (F, e), F in upper and e outside F, for which no G in lower
     inside F has its fundamental circuit of e inside F's, or None.
 
-    This is axiom 2 between two layers and, unmemoized (`__wrapped__`), the
-    "bases" test of `lifts_majors.is_lift`, lower being the quotient's bases
-    and upper the lift's.  The removal candidate f ranges over G+e (resp.
-    F+e): removing an absent element is treated as a no-op and never compared.
+    The rows are `mc.fundamental_circuits` of each family, so each G is
+    tested with one AND.  This is axiom 2 between two layers
+    (`_axiom2_witness`) and the "bases" test of `lifts_majors.is_lift`,
+    lower being the quotient's bases and upper the lift's.
     """
-    lower_set = set(lower)
-    upper_set = set(upper)
-    full = (1 << n) - 1
-    for f in upper:
-        for e in iter_bits(full & ~f):
-            fe = f | (1 << e)
-            fset_upper = 0
-            for x in iter_bits(fe):
-                if fe ^ (1 << x) in upper_set:
-                    fset_upper |= 1 << x
-            for g in lower:
-                if g & ~f:  # G must lie inside F
-                    continue
-                ge = g | (1 << e)
-                fset_lower = 0
-                for x in iter_bits(ge):
-                    if ge ^ (1 << x) in lower_set:
-                        fset_lower |= 1 << x
-                if fset_lower & ~fset_upper == 0:
-                    break
-            else:
+    for f, row in zip(upper, upper_rows):
+        inside = [low for g, low in zip(lower, lower_rows) if not g & ~f]
+        for e, up in enumerate(row):
+            # up is empty exactly for e in F
+            if up and all(low[e] & ~up for low in inside):
                 return (f, e)
     return None
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _axiom2_witness(
+    n: int, lower: tuple[int, ...], upper: tuple[int, ...]
+) -> Optional[tuple[int, int]]:
+    """`_unlifted_basis` of two layers."""
+    return _unlifted_basis(
+        lower, mc.fundamental_circuits(n, lower), upper, mc.fundamental_circuits(n, upper)
+    )
 
 
 def check_flag_axioms(n: int, family: Iterable[Iterable[int] | int]) -> AxiomReport:
@@ -377,6 +375,8 @@ def flag_minor(
 
     Element lists are checked against the ground set before their masks are
     built, so an element such as 10^8 costs no 10^8-bit int."""
+    if any(isinstance(s, int) and s < 0 for s in (contract, delete)):
+        raise IndexOutOfRange("negative element mask")
     c = set(elements_of(contract) if isinstance(contract, int) else contract)
     d = set(elements_of(delete) if isinstance(delete, int) else delete)
     if c & d:

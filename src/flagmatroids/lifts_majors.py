@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import flag_core as fl
 from . import gf_linalg as gl
@@ -29,11 +29,7 @@ from .errors import (
     NotFull,
 )
 
-LIFT_METHODS = ("flats", "duals", "closures", "bases")
-
-
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     ok: bool
     method: str
     witness: Optional[tuple] = None
@@ -49,6 +45,23 @@ def _lift_by_closures(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
         if up & ~down:
             return ("subset", elements_of(mask))
     return None
+
+
+def _lift_by_bases(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
+    fe = fl._unlifted_basis(
+        quot.bases, quot.fundamental_circuits, lift.bases, lift.fundamental_circuits
+    )
+    return None if fe is None else ("basis", elements_of(fe[0]), fe[1])
+
+
+# method -> the witness that `lift` is not a lift of `quot`, or None
+_LIFT_TESTS = {
+    "flats": lambda lift, quot: _flat_witness(quot.flat_bits, lift.flat_bits),
+    "duals": lambda lift, quot: _flat_witness(lift.coflat_bits, quot.coflat_bits),
+    "closures": _lift_by_closures,
+    "bases": _lift_by_bases,
+}
+LIFT_METHODS = tuple(_LIFT_TESTS)
 
 
 def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftResult:
@@ -68,12 +81,16 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
     - "bases": for every basis B of lift and e outside B there is a basis
       B' of quot inside B whose fundamental circuit of e lies inside the
       fundamental circuit of e in B; the witness is the first (B, e)
-      without one.
+      without one.  The circuits are read from `fundamental_circuits`.
 
     "all" evaluates the four and raises if they ever disagree.
     """
     if lift.n != quot.n:
         raise GroundSetMismatch("lift check needs a common ground set")
+    test = _LIFT_TESTS.get(method)
+    if test is not None:
+        w = test(lift, quot)
+        return LiftResult(w is None, method, w)
     if method == "all":
         results = {m: is_lift(lift, quot, m) for m in LIFT_METHODS}
         verdicts = {m: r.ok for m, r in results.items()}
@@ -83,19 +100,7 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
             )
         first = results["flats"]
         return LiftResult(first.ok, "all", first.witness)
-    if method == "flats":
-        w = _flat_witness(quot.flat_bits, lift.flat_bits)
-    elif method == "duals":
-        w = _flat_witness(lift.coflat_bits, quot.coflat_bits)
-    elif method == "closures":
-        w = _lift_by_closures(lift, quot)
-    elif method == "bases":
-        # unmemoized, so sweeping many pairs leaves the axiom memo alone
-        fe = fl._axiom2_witness.__wrapped__(lift.n, quot.bases, lift.bases)
-        w = None if fe is None else ("basis", elements_of(fe[0]), fe[1])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return LiftResult(w is None, method, w)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def verify_quotient_pair(q: mc.Matroid, x: Iterable[int], quot: mc.Matroid, lift: mc.Matroid) -> bool:

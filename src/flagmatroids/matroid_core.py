@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gf_linalg as gl
 from .bitset import (
@@ -97,7 +97,8 @@ class Matroid:
     dual matroid is built to test duals.  `is_matroid` (whether the bases
     satisfy basis exchange) comes from the same per-element step as
     `flat_bits`.  `closure_table` (the closure of every subset) is read off
-    the rank table one subset at a time.
+    the rank table one subset at a time, and `fundamental_circuits` off the
+    basis family.
     """
 
     n: int
@@ -272,8 +273,29 @@ class Matroid:
         out = [s for s, d in enumerate(digits) if d == "1"]
         return tuple(sorted(out, key=set_key))
 
+    @cached_property
+    def fundamental_circuits(self) -> tuple[tuple[int, ...], ...]:
+        """`fundamental_circuits(n, bases)`, per basis in `bases` order."""
+        return fundamental_circuits(self.n, self.bases)
+
     def is_independent(self, mask: int) -> bool:
         return bool(self.independent_table[mask])
+
+
+def fundamental_circuits(n: int, bases: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Per basis B, the row over e in {0..n-1} of the masks {x : B + e - x
+    is a basis}: the fundamental circuit C(B, e) for e outside B, empty for
+    e in B.  x ranges over B + e, so no x outside it is ever tested."""
+    family = set(bases)
+    out = []
+    for b in bases:
+        row = [0] * n
+        for e in range(n):
+            be = b | 1 << e
+            if be != b:
+                row[e] = sum(1 << x for x in elements_of(be) if be ^ 1 << x in family)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def basis_exchange_witness(masks: Iterable[int]) -> Optional[tuple[int, int, int]]:

@@ -1,16 +1,21 @@
 """Differential tests for the lift tests on `Matroid`.
 
-`is_lift` reads `flat_bits`, `coflat_bits` and `closure_table`, and
-`flag_core._lift_witness` reads `flat_bits`.  The "bases" method runs the
-kernel of `flag_core._axiom2_witness` unmemoized, so one loop serves it and
-axiom 2 of `check_flag_axioms`.  The references below are the loops these
-replaced: one closure per subset for the "flats" and "closures" methods,
-the "duals" method run on two freshly built dual matroids, the per-subset
-`_lift_witness`, the flats comprehension, and the basis-exchange loop
-`is_lift` ran for "bases" before it shared the axiom-2 kernel, which checks
-both the lift test and the memoized `_axiom2_witness`.  The library must
-return exactly what they return, witnesses included.  Hypothesis settings
-come from the `tier1` profile in conftest.py.
+`is_lift` reads `flat_bits`, `coflat_bits`, `closure_table` and
+`fundamental_circuits`, and `flag_core._lift_witness` reads `flat_bits`.
+The "bases" method runs `flag_core._unlifted_basis` on the fundamental
+circuit rows cached on both matroids; the memoized `_axiom2_witness` runs
+the same kernel on rows built for its raw layers by
+`matroid_core.fundamental_circuits`, so one kernel serves the lift test and
+axiom 2 of `check_flag_axioms`, and each G inside F costs one AND.  The
+references below are the loops these replaced: one closure per subset for
+the "flats" and "closures" methods, the "duals" method run on two freshly
+built dual matroids, the per-subset `_lift_witness`, the flats
+comprehension, and the basis-exchange loop that rebuilds both fundamental
+circuits for every (F, e, G), which checks both the lift test and the
+memoized `_axiom2_witness`.  The rows themselves are checked against the
+unique circuit of `matroid_core.circuits` inside B + e.  The library must
+return exactly what the references return, witnesses included.
+Hypothesis settings come from the `tier1` profile in conftest.py.
 """
 
 import random
@@ -138,6 +143,20 @@ def test_cached_tables_match_references_on_5_elements():
         assert m.flats == reference_flats(m)
         assert m.coflat_bits == mc.dual(m).flat_bits
         assert m.closure_table == [reference_closure(m, s) for s in range(1 << m.n)]
+        assert m.fundamental_circuits == reference_fundamental_circuits(m)
+
+
+def reference_fundamental_circuits(m):
+    """Per basis B, C(B, e) as the one circuit inside B + e; empty for e in B."""
+    circuits = mc.circuits(m)
+    rows = []
+    for b in m.bases:
+        row = [0] * m.n
+        for e in range(m.n):
+            if not b >> e & 1:
+                (row[e],) = [c for c in circuits if not c & ~(b | 1 << e)]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @st.composite

@@ -1,0 +1,106 @@
+"""Differential tests for the table-driven mask kernels.
+
+`bitset.elements_of` reads masks below 2^24 one byte at a time from a table,
+`flag_core._order_key` sums one table entry per byte, and
+`flag_core._group_by_size` cuts a canonical family at its cardinality
+boundaries by bisection.  The references below are the implementations
+these replaced: the lowest-bit loop, the `to_bytes`/`translate` formula and
+the `groupby` walk.  The library must return exactly what they return.
+Negative masks raise instead of looping forever.
+"""
+
+import random
+from itertools import groupby
+
+import pytest
+
+from conftest import random_flag
+from flagmatroids import flag_core as fl
+from flagmatroids.bitset import elements_of, iter_bits, set_key
+from flagmatroids.errors import IndexOutOfRange
+
+
+def reference_elements_of(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def reference_order_key(mask):
+    low = mask.to_bytes(3, "little").translate(_REVERSED_COMPLEMENT)
+    return mask.bit_count() << 24 | int.from_bytes(low, "big")
+
+
+def reference_group_by_size(masks):
+    out, start = [], 0
+    for size, run in groupby(masks, int.bit_count):
+        stop = start + sum(1 for _ in run)
+        out.append((size, tuple(masks[start:stop])))
+        start = stop
+    return out
+
+
+def seeded_masks(bits, count, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(bits) for _ in range(count)]
+
+
+def test_elements_of_matches_bit_loop():
+    narrow = list(range(1 << 16)) + seeded_masks(24, 20000, 1)
+    wide = [(1 << 24) + m for m in seeded_masks(24, 200, 2)] + seeded_masks(64, 200, 3)
+    wide += [1 << 24, (1 << 25) - 1, 1 << 100, (1 << 100) | 5]
+    for mask in narrow + wide:
+        want = reference_elements_of(mask)
+        assert elements_of(mask) == want, mask
+        assert tuple(iter_bits(mask)) == want, mask
+        assert set_key(mask) == want, mask
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 24), -(1 << 24) - 1, -(1 << 40)])
+def test_negative_masks_raise(mask):
+    with pytest.raises(ValueError):
+        elements_of(mask)
+    with pytest.raises(ValueError):
+        iter_bits(mask)
+    with pytest.raises(IndexOutOfRange):
+        fl._order_key(mask)
+
+
+def test_flag_minor_rejects_negative_masks():
+    fm = fl.flag_matroid(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    with pytest.raises(IndexOutOfRange):
+        fl.flag_minor(fm, -2, ())
+    with pytest.raises(IndexOutOfRange):
+        fl.flag_minor(fm, (), -1)
+
+
+def test_order_key_matches_to_bytes_formula():
+    for mask in list(range(1 << 16)) + seeded_masks(24, 20000, 4) + [(1 << 24) - 1]:
+        assert fl._order_key(mask) == reference_order_key(mask), mask
+
+
+@pytest.mark.parametrize("outside", [1 << 24, (1 << 24) | 3, 1 << 30, -1])
+def test_family_key_rejects_sets_outside_every_flag(outside):
+    with pytest.raises(IndexOutOfRange):
+        fl._family_key([1, 2, outside])
+    with pytest.raises(IndexOutOfRange):
+        fl.check_flag_axioms(3, [1, outside])
+
+
+def test_group_by_size_matches_groupby():
+    rng = random.Random(5)
+    families = [(), (0,), tuple(range(1 << 4)), tuple(range(1 << 12))]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        families.append(fl._family_key(s for s in range(1 << n) if rng.random() < 0.3))
+    for _ in range(40):
+        families.append(random_flag(rng, rng.randint(3, 6)).feasible)
+    for masks in families:
+        masks = fl._family_key(masks)
+        assert fl._group_by_size(masks) == reference_group_by_size(masks)
