@@ -30,7 +30,6 @@ from .errors import (
     FieldMismatch,
     IndexOutOfRange,
     MatrixTooLarge,
-    NoTransform,
     NotPrime,
     RankDeficient,
 )
@@ -71,6 +70,12 @@ def field(p: int) -> FieldPrime:
     return FieldPrime(p)
 
 
+def check_shape(rows: int, cols: int) -> None:
+    """Raise MatrixTooLarge for a shape past MAX_DIM, before any entry is built."""
+    if rows < 0 or cols < 0 or rows > MAX_DIM or cols > MAX_DIM:
+        raise MatrixTooLarge(f"{rows}x{cols} exceeds {MAX_DIM}x{MAX_DIM}")
+
+
 @dataclass(frozen=True)
 class GFMatrix:
     """Immutable rows x cols matrix over GF(p), entries row-major in [0, p)."""
@@ -81,8 +86,7 @@ class GFMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or self.rows > MAX_DIM or self.cols > MAX_DIM:
-            raise MatrixTooLarge(f"{self.rows}x{self.cols} exceeds {MAX_DIM}x{MAX_DIM}")
+        check_shape(self.rows, self.cols)
         if len(self.entries) != self.rows * self.cols:
             raise IndexOutOfRange("entry count does not match shape")
         if any(not (0 <= e < self.field.p) for e in self.entries):
@@ -336,25 +340,3 @@ def nested_kernel_chain(a: GFMatrix, levels: Sequence[int]) -> list[tuple[int, .
         if len(chain) != target:
             raise RankDeficient(f"kernel extension failed at prefix {d}")
     return chain
-
-
-def solve_left_transform(a: GFMatrix, b: GFMatrix) -> GFMatrix:
-    """Invertible T with T @ b == a, for full-row-rank a, b of equal row space."""
-    if a.p != b.p:
-        raise FieldMismatch("operands over different fields")
-    if a.rows != b.rows or a.cols != b.cols:
-        raise NoTransform("shapes differ")
-    if a.rows == 0:
-        return identity(a.p, 0)
-    rb, pivots, eb = rref(b)
-    if len(pivots) != b.rows:
-        raise NoTransform("rank deficient")
-    # Express each row of a in the echelon basis: coefficients sit at the
-    # pivot columns because rb has unit pivots.
-    coeff = select_cols(a, pivots)
-    if matmul(coeff, rb) != a:
-        raise NoTransform("row spaces differ")
-    t = matmul(coeff, eb)
-    if not is_nonsingular(t):
-        raise NoTransform("transform not invertible")
-    return t

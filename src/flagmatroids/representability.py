@@ -11,8 +11,9 @@ routes: forbidden flag minors; the lift-witness route, which builds the
 unique candidate representation of each witness matroid
 (`matroid_representation`; binary and ternary matroids are uniquely
 representable), decides by checking it once, and stitches the pair
-representations into an explicit certificate; and a level-by-level search
-for a representing matrix.  Matroid-level excluded minors
+representations into an explicit certificate (one linear-time solve per
+shared layer finds the column scaling that aligns its two matrices); and a
+level-by-level search for a representing matrix.  Matroid-level excluded minors
 (`matroid_core.is_binary`/`is_ternary`) are not used here; they remain an
 independent cross-check of `matroid_representation`.
 
@@ -125,13 +126,14 @@ def uniform_flag_representation(r: int, n: int, p: int) -> FlagRepresentation:
     """
     if not (0 <= r <= n):
         raise BadRank(f"rank {r} outside 0..{n}")
-    f = gl.field(p)
+    gl.field(p)
+    if r >= 2 and p < n:
+        raise FieldTooSmall(f"GF({p}) has fewer than {n} elements", p=p, n=n)
+    gl.check_shape(r, n)
     if r == 0:
         return FlagRepresentation(gl.matrix(p, [], cols=n), (0,))
     if r == 1:
         return FlagRepresentation(gl.matrix(p, [[1] * n]), (1,))
-    if p < n:
-        raise FieldTooSmall(f"GF({p}) has fewer than {n} elements", p=p, n=n)
     rows = [[pow(j, i, p) for j in range(n)] for i in range(r)]
     return FlagRepresentation(gl.matrix(p, rows), tuple(range(1, r + 1)))
 
@@ -172,13 +174,28 @@ def delete_representation(rep: FlagRepresentation, e: int) -> FlagRepresentation
 
 
 def contract_representation(rep: FlagRepresentation, e: int) -> FlagRepresentation:
-    """Representation of the contraction, via dual + delete + dual."""
-    before = represented_flag(rep)
+    """Representation of the contraction, by one elimination step.
+
+    Row t, the first row nonzero at e, clears e from the rows below it;
+    dropping row t and column e then leaves, in the top d - 1 rows, layer d
+    contracted by e, for each level d > t.  In a level d <= t, e is a loop:
+    no feasible set of that layer contains e, so the level vanishes.
+    """
     try:
-        expected = fl.flag_contract(before, e)
+        expected = fl.flag_contract(represented_flag(rep), e)
     except fl.EmptyResult as exc:
         raise LevelCollapse("contraction empties the flag") from exc
-    out = dual_representation(delete_representation(dual_representation(rep), e))
+    p, rows = rep.p, rep.matrix.row_lists()
+    t = next(i for i, row in enumerate(rows) if row[e])
+    pivot = rows.pop(t)
+    inv = pow(pivot[e], p - 2, p)
+    # rows above t are zero at e, so clearing e from every row changes none of them
+    rows = [
+        [(x - row[e] * inv * y) % p for j, (x, y) in enumerate(zip(row, pivot)) if j != e]
+        for row in rows
+    ]
+    levels = tuple(d - 1 for d in rep.levels if d > t)
+    out = FlagRepresentation(gl.matrix(p, rows, cols=rep.n - 1), levels)
     if not represents(out, expected):
         raise LevelCollapse("contraction repair mismatch")  # pragma: no cover
     return out
@@ -240,10 +257,12 @@ def stitch_representations(
 ) -> FlagRepresentation:
     """Extend rep_a of (M_1..M_k) by rep_b of (M_k, M_{k+1}).
 
-    Solves T with T @ (rep_b prefix) == rep_a matrix and applies the block
-    transform diag(T, I); raises NoTransform when the two bottom row spaces
-    differ (a column-scaling mismatch between otherwise compatible
-    representations also lands here; see match_column_scaling).
+    Over GF(2)/GF(3) the two matrices of the shared layer M_k differ only by
+    row operations and column scaling (Brylawski and Lucas 1976).  With the
+    column units s of `_column_scaling`, some T maps rep_b's top rows times
+    diag(s) onto rep_a's matrix, so diag(T, I) @ rep_b @ diag(s) is rep_a's
+    rows followed by rep_b's further rows times diag(s); that is returned,
+    with no T built.  NoTransform when no scaling aligns the shared layer.
     """
     if rep_a.p != rep_b.p:
         raise FieldMismatch("different fields")
@@ -251,115 +270,54 @@ def stitch_representations(
         raise GroundSetMismatch("different ground sets")
     if len(rep_b.levels) != 2 or rep_b.levels[0] != rep_a.levels[-1]:
         raise NoTransform("second representation must cover (top of first, one more)")
-    r1 = rep_a.levels[-1]
-    r2 = rep_b.levels[-1]
-    t = gl.solve_left_transform(rep_a.matrix, gl.prefix_rows(rep_b.matrix, r1))
-    p = rep_a.p
-    that_rows = []
-    for i in range(r2):
-        if i < r1:
-            that_rows.append(list(t.row(i)) + [0] * (r2 - r1))
-        else:
-            that_rows.append([0] * r1 + [1 if j == i - r1 else 0 for j in range(r2 - r1)])
-    that = gl.matrix(p, that_rows)
-    stitched = gl.matmul(that, rep_b.matrix)
-    return FlagRepresentation(stitched, rep_a.levels + (r2,))
-
-
-def match_column_scaling(a: gl.GFMatrix, b: gl.GFMatrix) -> Optional[gl.GFMatrix]:
-    """Diagonal column rescaling of b whose row space matches a's, or None.
-
-    a and b must be full-row-rank matrices representing the same matroid.
-    Over GF(3) two representations may differ by a column scaling that row
-    operations cannot absorb; this searches the scalings of a reference
-    basis and checks the remaining columns by proportionality.
-    """
-    if a.p != b.p or a.cols != b.cols or a.rows != b.rows:
-        return None
-    p = a.p
-    r, n = a.rows, a.cols
-    if r == 0:
-        return b
-    ma = mc.linear_matroid(a)
-    if ma != mc.linear_matroid(b):
-        return None
-    base = elements_of(ma.bases[0])
-    a_f = gl.select_cols(a, base)
-    b_f = gl.select_cols(b, base)
-    _, _, b_f_inv = gl.rref(b_f)
-    units = [x for x in range(1, p)]
-    for delta in product(units, repeat=r):
-        # T = a_f @ diag(delta) @ b_f^{-1}; require T b_j parallel to a_j
-        scaled = gl.matmul(
-            a_f, gl.matrix(p, [[delta[i] if i == j else 0 for j in range(r)] for i in range(r)])
-        )
-        t = gl.matmul(scaled, b_f_inv)
-        scaling = [0] * n
-        for pos, col in enumerate(base):
-            scaling[col] = pow(delta[pos], p - 2, p)
-        ok = True
-        for j in range(n):
-            if j in base:
-                continue
-            tb = gl.matmul(t, gl.select_cols(b, [j]))
-            aj = a.col(j)
-            tbv = tb.col(0)
-            if all(x == 0 for x in tbv) and all(x == 0 for x in aj):
-                scaling[j] = 1
-                continue
-            ratio = None
-            for x, y in zip(tbv, aj):
-                if (x == 0) != (y == 0):
-                    ratio = None
-                    break
-                if x:
-                    rr = (y * pow(x, p - 2, p)) % p
-                    if ratio is None:
-                        ratio = rr
-                    elif ratio != rr:
-                        ratio = None
-                        break
-            if not ratio:
-                ok = False
-                break
-            scaling[j] = ratio
-        if ok:
-            rows = [
-                [(b.at(i, j) * scaling[j]) % p for j in range(n)] for i in range(b.rows)
-            ]
-            return gl.matrix(p, rows, cols=n)
-    return None
-
-
-def _stitch_with_scaling(
-    rep_a: FlagRepresentation, rep_b: FlagRepresentation
-) -> FlagRepresentation:
-    try:
-        return stitch_representations(rep_a, rep_b)
-    except NoTransform:
-        pass
-    r1 = rep_a.levels[-1]
-    scaled = match_column_scaling(rep_a.matrix, gl.prefix_rows(rep_b.matrix, r1))
-    if scaled is None:
+    r1, p = rep_a.levels[-1], rep_a.p
+    s = _column_scaling(rep_a.matrix, gl.prefix_rows(rep_b.matrix, r1))
+    if s is None:
         raise NoTransform("no column scaling aligns the shared layer")
-    # apply the same scaling to the whole of rep_b
-    p = rep_b.p
-    factors = []
-    for j in range(rep_b.n):
-        col_old = gl.prefix_rows(rep_b.matrix, r1).col(j)
-        col_new = scaled.col(j)
-        factor = 1
-        for x, y in zip(col_old, col_new):
-            if x:
-                factor = (y * pow(x, p - 2, p)) % p
-                break
-        factors.append(factor)
-    rows = [
-        [(rep_b.matrix.at(i, j) * factors[j]) % p for j in range(rep_b.n)]
-        for i in range(rep_b.matrix.rows)
+    rows = rep_a.matrix.row_lists() + [
+        [x * f % p for x, f in zip(rep_b.matrix.row(i), s)] for i in range(r1, rep_b.matrix.rows)
     ]
-    rep_b2 = FlagRepresentation(gl.matrix(p, rows, cols=rep_b.n), rep_b.levels)
-    return stitch_representations(rep_a, rep_b2)
+    return FlagRepresentation(gl.matrix(p, rows, cols=rep_a.n), rep_a.levels + (rep_b.levels[-1],))
+
+
+def _column_scaling(a: gl.GFMatrix, b: gl.GFMatrix) -> Optional[list[int]]:
+    """Column units s with b @ diag(s) of a's row space, or None; a and b
+    are full-row-rank matrices of the same shape.
+
+    Scaling keeps b's pivot columns B_0 < B_1 < ..., and with Xa, Xb the
+    RREFs of a and b, entry (i, e) of the RREF of b @ diag(s) is
+    Xb[i][e] s[e] / s[B_i].  So s must solve Xa[i][e] s[B_i] = Xb[i][e] s[e]
+    for every entry.  A nonzero entry ties B_i to e, and s is fixed up to
+    one unit per component of that support graph: the least row of each
+    component gets s = 1, as do zero columns, which makes s's inverse on
+    the pivot columns lexicographically least.  Every entry is then checked.
+    """
+    (xa, lead, _), (xb, lead_b, _) = gl.rref(a), gl.rref(b)
+    if lead != lead_b or len(lead) != a.rows:
+        return None
+    if any(bool(x) != bool(y) for x, y in zip(xa.entries, xb.entries)):
+        return None  # so every division below is by a nonzero entry
+    p, r, n = a.p, a.rows, a.cols
+    s = [0] * n
+    for top, col in enumerate(lead):
+        if s[col]:
+            continue
+        s[col], todo = 1, [top]
+        while todo:
+            i = todo.pop()
+            for e in range(n):
+                if xa.at(i, e) and not s[e]:
+                    s[e] = xa.at(i, e) * s[lead[i]] * pow(xb.at(i, e), p - 2, p) % p
+                    for j in range(r):
+                        if xa.at(j, e) and not s[lead[j]]:
+                            s[lead[j]] = xb.at(j, e) * s[e] * pow(xa.at(j, e), p - 2, p) % p
+                            todo.append(j)
+    s = [f or 1 for f in s]
+    if any(
+        (xa.at(i, e) * s[lead[i]] - xb.at(i, e) * s[e]) % p for i in range(r) for e in range(n)
+    ):
+        return None
+    return s
 
 
 # --- matroid representations over GF(2) and GF(3) -------------------------------------
@@ -791,7 +749,7 @@ def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecisi
         pairs.append(_pair_representation(rmat, x))
     rep = pairs[0]
     for pair in pairs[1:]:
-        rep = _stitch_with_scaling(rep, pair)
+        rep = stitch_representations(rep, pair)
     if not represents(rep, fm):
         raise NoTransform("stitched certificate mismatch")  # pragma: no cover
     return RepresentabilityDecision(p, True, certificate=rep)

@@ -56,6 +56,64 @@ def test_from_matrix_and_uniform_rep(capture, corpus):
     assert json.loads(out)["error"] == "FieldTooSmall"
 
 
+def test_uniform_rep_bounds_the_shape_before_building_rows(capture):
+    """A shape past 32 columns is refused before any row list is built;
+    a field too small for the Vandermonde rows is still a "no"."""
+    import tracemalloc
+
+    cases = [
+        (("1", "100000000", "2"), 2, "MatrixTooLarge", "1x100000000 exceeds 32x32"),
+        (("1", "40", "2"), 2, "MatrixTooLarge", "1x40 exceeds 32x32"),
+        (("0", "40", "2"), 2, "MatrixTooLarge", "0x40 exceeds 32x32"),
+        (("1500", "1500", "1511"), 2, "MatrixTooLarge", "1500x1500 exceeds 32x32"),
+        (("2", "40", "5"), 1, "FieldTooSmall", "GF(5) has fewer than 40 elements"),
+    ]
+    cli._build_parser()
+    for (r, n, p), want_code, error, detail in cases:
+        tracemalloc.start()
+        try:
+            code, out, _ = capture("uniform-rep", "--r", r, "--n", n, "--p", p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, json.loads(out)) == (want_code, {"error": error, "detail": detail})
+        assert peak < 2 << 20, f"uniform-rep {r} {n} {p}: peak {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "rows, certificate",
+    [
+        (
+            [[1, 0, 0, 0, 2, 1], [0, 1, 0, 2, 0, 2], [0, 0, 1, 1, 1, 1]],
+            [[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1], [0, 0, 1, 2, 1, 2]],
+        ),
+        (
+            [[1, 0, 0, 0, 2, 0, 1], [0, 1, 0, 0, 0, 2, 2],
+             [0, 0, 1, 0, 2, 2, 1], [0, 0, 0, 1, 1, 0, 1]],
+            [[1, 0, 0, 0, 1, 0, 1], [0, 1, 0, 0, 0, 1, 1],
+             [0, 0, 1, 0, 1, 2, 1], [0, 0, 0, 1, 1, 0, 2]],
+        ),
+    ],
+)
+def test_witness_route_certificates_are_pinned(capture, corpus, rows, certificate):
+    """The stitched certificates of two GF(3) flags, levels 1..r, exactly."""
+    r, n = len(rows), len(rows[0])
+    doc = {"schema": "gf-matrix/1", "p": 3, "rows": r, "cols": n, "entries": rows}
+    path = corpus["write"]("pinned-matrix.json", json.dumps(doc))
+    levels = ",".join(str(d) for d in range(1, r + 1))
+    code, out, _ = capture("from-matrix", path, "--levels", levels)
+    assert code == 0
+    flag = corpus["write"]("pinned-flag.json", out)
+    code, out, _ = capture("is-representable", flag, "--p", "3")
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["matrix"] == {
+        "cols": n, "entries": certificate, "p": 3, "rows": r, "schema": "gf-matrix/1"
+    }
+    assert cert["levels"] == list(range(1, r + 1))
+    assert capture("validate", corpus["write"]("pinned-cert.json", out))[0] == 0
+
+
 def test_is_representable_negative_with_witness(capture, corpus):
     code, out, _ = capture("is-representable", corpus["iu23.json"], "--p", "2")
     assert code == 1

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import FANO_ROWS, oracle_rank_mod_p, random_gf_matrix
 from flagmatroids import gf_linalg as gl
-from flagmatroids.errors import MatrixTooLarge, NoTransform, NotPrime, RankDeficient
+from flagmatroids.errors import MatrixTooLarge, NotPrime, RankDeficient
 
 
 def test_field_rejects_non_primes():
@@ -99,39 +99,6 @@ def test_nested_kernel_chain_rank_deficient():
     a = gl.matrix(2, [[1, 1], [1, 1]])
     with pytest.raises(RankDeficient):
         gl.nested_kernel_chain(a, [1, 2])
-
-
-def test_solve_left_transform_identity_and_swap():
-    b = gl.matrix(3, [[1, 0, 2], [0, 1, 1]])
-    assert gl.solve_left_transform(b, b) == gl.identity(3, 2)
-    swapped = gl.matrix(3, [[0, 1, 1], [1, 0, 2]])
-    t = gl.solve_left_transform(swapped, b)
-    assert gl.matmul(t, b) == swapped
-    assert t.entries == (0, 1, 1, 0)
-
-
-def test_solve_left_transform_round_trip():
-    rng = random.Random(3)
-    for _ in range(40):
-        p = rng.choice([2, 3, 5])
-        r, n = rng.randint(1, 4), rng.randint(4, 6)
-        b = random_gf_matrix(rng, p, r, n)
-        if gl.rank(b) != r:
-            continue
-        while True:
-            m = random_gf_matrix(rng, p, r, r)
-            if gl.is_nonsingular(m):
-                break
-        a = gl.matmul(m, b)
-        t = gl.solve_left_transform(a, b)
-        assert gl.matmul(t, b) == a
-
-
-def test_solve_left_transform_rejects_different_row_spaces():
-    b = gl.matrix(2, [[1, 0, 0], [0, 1, 0]])
-    a = gl.matrix(2, [[1, 0, 0], [0, 0, 1]])
-    with pytest.raises(NoTransform):
-        gl.solve_left_transform(a, b)
 
 
 def test_submatrix_helpers(fano):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from flagmatroids.errors import (
     FieldTooSmall,
     LastLayer,
     LevelCollapse,
+    NoTransform,
     NotFull,
     SingleLevel,
 )
@@ -213,19 +214,137 @@ def test_stitch_representations_gf3_chain():
     # stitch two independently found GF(3) representations of uniform pairs
     pair_a = rp.search_representation(fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3)]), 3)
     pair_b = rp.search_representation(fl.from_sequence([mc.uniform(2, 3), mc.uniform(3, 3)]), 3)
-    out = rp._stitch_with_scaling(pair_a, pair_b)
+    out = rp.stitch_representations(pair_a, pair_b)
     assert rp.represented_flag(out) == fl.from_sequence(
         [mc.uniform(1, 3), mc.uniform(2, 3), mc.uniform(3, 3)]
     )
 
 
 def test_match_column_scaling_gf3():
+    # a shared layer whose column 2 is doubled has another row space, and
+    # still stitches: the scaling is absorbed into rep_b's new row
     a = gl.matrix(3, [[0, 1, 1, 1], [1, 0, 1, 2]])
-    scaled = gl.matrix(3, [[0, 1, 2, 1], [1, 0, 2, 2]])  # column 2 doubled
-    assert not rp.projectively_equivalent(a, scaled)
-    fixed = rp.match_column_scaling(a, scaled)
-    assert fixed is not None
-    assert rp.projectively_equivalent(a, fixed)
+    scaled = gl.matrix(3, [[0, 1, 2, 1], [1, 0, 2, 2], [0, 0, 1, 1]])
+    assert not rp.projectively_equivalent(a, gl.prefix_rows(scaled, 2))
+    out = rp.stitch_representations(
+        rp.FlagRepresentation(a, (2,)), rp.FlagRepresentation(scaled, (2, 3))
+    )
+    assert out.matrix.row_lists() == a.row_lists() + [[0, 0, 2, 1]]
+    assert out.levels == (2, 3)
+
+
+def _reference_scaling(a, b):
+    """Every column scaling s with b @ diag(s) of a's row space, found by
+    trying all of them, and the least one by its inverse on a's pivot
+    columns, then by s."""
+    p = a.p
+    pivots = gl.rref(a)[1]
+    valid = []
+    for s in product(range(1, p), repeat=a.cols):
+        bs = gl.matrix(p, [[x * f for x, f in zip(b.row(i), s)] for i in range(b.rows)])
+        if rp.projectively_equivalent(bs, a):
+            valid.append(s)
+    return valid, min(valid, key=lambda s: ([pow(s[c], p - 2, p) for c in pivots], s))
+
+
+def _sparse_full_rank(rng, p, r, n):
+    """A random r x n matrix of rank r over GF(p), mostly zeros, with a
+    zero column; its support graph often splits into components."""
+    while True:
+        rows = [[rng.randrange(1, p) if rng.random() < 0.35 else 0 for _ in range(n)]
+                for _ in range(r)]
+        zero = rng.randrange(n)
+        for row in rows:
+            row[zero] = 0
+        a = gl.matrix(p, rows)
+        if gl.rank(a) == r:
+            return a
+
+
+@pytest.mark.parametrize("p, n, tries", [(3, 7, 30), (5, 5, 12)])
+def test_stitch_matches_brute_force_scaling(p, n, tries):
+    rng = random.Random(1500 + p)
+    split = 0
+    for _ in range(tries):
+        r = rng.randint(1, 3)
+        a = _sparse_full_rank(rng, p, r, n)
+        while True:
+            t = random_gf_matrix(rng, p, r, r)
+            if gl.is_nonsingular(t):
+                break
+        units = [rng.randrange(1, p) for _ in range(n)]
+        moved = gl.matmul(t, a)
+        top = [[x * f for x, f in zip(moved.row(i), units)] for i in range(r)]
+        extra = [rng.randrange(p) for _ in range(n)]
+        b = gl.matrix(p, top + [extra])
+        if gl.rank(b) != r + 1:
+            continue
+        valid, s = _reference_scaling(a, gl.prefix_rows(b, r))
+        loops = sum(not any(a.col(e)) for e in range(n))
+        split += len(valid) > (p - 1) ** (1 + loops)  # several components
+        out = rp.stitch_representations(
+            rp.FlagRepresentation(a, (r,)), rp.FlagRepresentation(b, (r, r + 1))
+        )
+        assert out.levels == (r, r + 1)
+        assert out.matrix.row_lists() == a.row_lists() + [
+            [x * f % p for x, f in zip(extra, s)]
+        ]
+    assert split >= 5
+
+
+def test_stitch_rejects_different_shared_layers():
+    # rep_b's bottom layer is U(1,3), rep_a's top layer has a loop at 2
+    rep_a = rp.FlagRepresentation(gl.matrix(3, [[1, 1, 0]]), (1,))
+    rep_b = rp.FlagRepresentation(gl.matrix(3, [[1, 1, 1], [0, 1, 2]]), (1, 2))
+    with pytest.raises(NoTransform):
+        rp.stitch_representations(rep_a, rep_b)
+    # a has columns 0 and 1 parallel, b has a loop at 2
+    rep_a = rp.FlagRepresentation(gl.matrix(3, [[1, 1, 0], [0, 0, 1]]), (2,))
+    rep_b = rp.FlagRepresentation(gl.identity(3, 3), (2, 3))
+    with pytest.raises(NoTransform):
+        rp.stitch_representations(rep_a, rep_b)
+    # same pivots and support, but a's columns 2 and 3 are parallel and b's are not
+    rep_a = rp.FlagRepresentation(gl.matrix(3, [[1, 0, 1, 1], [0, 1, 1, 1]]), (2,))
+    b = gl.matrix(3, [[1, 0, 1, 1], [0, 1, 1, 2], [0, 0, 1, 0]])
+    rep_b = rp.FlagRepresentation(b, (2, 3))
+    with pytest.raises(NoTransform):
+        rp.stitch_representations(rep_a, rep_b)
+
+
+def _contract_case(rng, p):
+    """A random representation with sparse entries, so that loops, level
+    0 and collapsing levels all occur."""
+    while True:
+        n = rng.randint(1, 6)
+        r = rng.randint(1, min(n, 4))
+        rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(r)]
+        a = gl.matrix(p, rows)
+        if all(gl.rank(gl.prefix_rows(a, d)) == d for d in range(1, r + 1)):
+            levels = tuple(sorted(rng.sample(range(r), rng.randint(0, r)))) + (r,)
+            return rp.FlagRepresentation(a, levels)
+
+
+def test_contract_representation_matches_flag_contract():
+    rng = random.Random(1515)
+    cases = collapses = vanished = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            rep = _contract_case(rng, p)
+            before = rp.represented_flag(rep)
+            for e in range(rep.n):
+                cases += 1
+                try:
+                    want = fl.flag_contract(before, e)
+                except fl.EmptyResult:
+                    collapses += 1
+                    with pytest.raises(LevelCollapse):
+                        rp.contract_representation(rep, e)
+                    continue
+                out = rp.contract_representation(rep, e)
+                vanished += len(out.levels) < len(rep.levels)
+                assert rp.represented_flag(out) == want
+    assert cases > 2000 and collapses > 500 and vanished > 800
 
 
 def test_matroid_representation_oracle_equivalence():
