@@ -63,17 +63,9 @@ def squeeze(mask: int, removed: int) -> int:
     """Re-index mask after deleting the positions in `removed`.
 
     mask must be disjoint from removed; surviving elements keep their
-    relative order.
+    relative order.  Each removed position, highest first, is shifted out
+    with one step on the whole mask, so the cost is O(|removed|).
     """
-    out = 0
-    shift = 0
-    pos = 0
-    rest = mask | removed
-    while rest >> pos:
-        bit = 1 << pos
-        if removed & bit:
-            shift += 1
-        elif mask & bit:
-            out |= 1 << (pos - shift)
-        pos += 1
-    return out
+    for pos in reversed(elements_of(removed)):
+        mask = mask & ((1 << pos) - 1) | (mask >> (pos + 1)) << pos
+    return mask

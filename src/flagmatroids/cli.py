@@ -70,6 +70,14 @@ def _int_csv(text: Optional[str]) -> tuple[int, ...]:
         raise InvalidInput(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _budget(args) -> int:
+    """The --budget of a verb that takes one; a negative budget is an input
+    error, not an exhausted one."""
+    if args.budget < 0:
+        raise InvalidInput(f"--budget must be at least 0, got {args.budget}")
+    return args.budget
+
+
 # --- verbs ------------------------------------------------------------------------
 
 
@@ -188,6 +196,7 @@ def _cmd_uniform_rep(args) -> int:
 
 
 def _cmd_is_representable(args) -> int:
+    budget = _budget(args)
     fm = io.load_flag(_read(args.file))
     p = args.p
     method = args.method
@@ -202,7 +211,7 @@ def _cmd_is_representable(args) -> int:
     if not full:
         # the minor and witness characterizations need consecutive ranks;
         # general flags go through the filling route
-        decision = rp.is_representable_via_fillings(fm, p, args.budget)
+        decision = rp.is_representable_via_fillings(fm, p, budget)
         if decision.status == "yes":
             doc = io.representation_certificate(fm, decision.certificate)
             _emit(doc, f"representable over GF({p}) via a filling")
@@ -272,6 +281,7 @@ def _cmd_graphic_major(args) -> int:
 
 
 def _cmd_major(args) -> int:
+    budget = _budget(args)
     doc = _read(args.file)
     if args.action == "verify":
         if not isinstance(doc, dict) or "major" not in doc or "flag" not in doc:
@@ -288,7 +298,7 @@ def _cmd_major(args) -> int:
         return EXIT_YES
     fm = io.load_flag(doc)
     try:
-        major = lm.search_major(fm, budget=args.budget)
+        major = lm.search_major(fm, budget=budget)
     except BudgetExhausted as exc:
         _emit({"error": exc.code, "detail": str(exc)}, "budget exhausted")
         return EXIT_UNKNOWN
@@ -307,8 +317,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_fillings(args) -> int:
+    budget = _budget(args)
     fm = io.load_flag(_read(args.file))
-    search = lm.enumerate_fillings(fm, args.budget)
+    search = lm.enumerate_fillings(fm, budget)
     doc = {
         "schema": "fillings/1",
         "complete": search.complete,

@@ -113,9 +113,25 @@ def verify_quotient_pair(q: mc.Matroid, x: Iterable[int], quot: mc.Matroid, lift
 
 # --- elementary witnesses ---------------------------------------------------
 
+def _coextension(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
+    """The family Q on {0..n} of lift's bases and quot's bases plus n.
+
+    Q/n == quot and Q\\n == lift by construction, for quot and lift of
+    ranks r and r + 1: Q's bases avoiding n are lift's, and those through n,
+    less n, are quot's.  Whether Q satisfies basis exchange is not checked.
+    """
+    xbit = 1 << quot.n
+    bases = list(lift.bases) + [b | xbit for b in quot.bases]
+    return mc.Matroid(quot.n + 1, tuple(sorted(bases, key=set_key)))
+
+
 def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
     """The unique matroid Q on {0..n} with Q/n == quot and Q\\n == lift,
-    for an elementary nontrivial lift pair."""
+    for an elementary nontrivial lift pair.
+
+    Every step is checked: the pair by the flats lift test, the family
+    built by `_coextension` by basis exchange, and its two minors against
+    the pair (`verify_quotient_pair`)."""
     if quot.n != lift.n:
         raise GroundSetMismatch("witness needs a common ground set")
     if lift.rank != quot.rank + 1:
@@ -125,9 +141,7 @@ def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
         raise NotElementaryLift("second matroid is not a lift of the first",
                                 witness=check.witness)
     n = quot.n
-    xbit = 1 << n
-    bases = list(lift.bases) + [b | xbit for b in quot.bases]
-    q = mc.Matroid(n + 1, tuple(sorted(bases, key=set_key)))
+    q = _coextension(quot, lift)
     if not q.is_matroid:
         raise ConstructionFailed("witness family fails basis exchange")
     if not verify_quotient_pair(q, [n], quot, lift):

@@ -11,9 +11,13 @@ routes: forbidden flag minors; the lift-witness route, which builds the
 unique candidate representation of each witness matroid
 (`matroid_representation`; binary and ternary matroids are uniquely
 representable), decides by checking it once, and stitches the pair
-representations into an explicit certificate (one linear-time solve per
-shared layer finds the column scaling that aligns its two matrices); and a
-level-by-level search for a representing matrix.  Matroid-level excluded minors
+matrices into an explicit certificate (one linear-time solve per shared
+layer finds the column scaling that aligns its two matrices); and a
+level-by-level search for a representing matrix.  In the witness route
+that one check is all a layer pair gets on a "yes"; the fully checked
+`lifts_majors.elementary_witness` runs only on a failing pair, before a
+"no", and only the final certificate is validated and compared with the
+flag.  Matroid-level excluded minors
 (`matroid_core.is_binary`/`is_ternary`) are not used here; they remain an
 independent cross-check of `matroid_representation`.
 
@@ -34,6 +38,7 @@ from typing import Callable, Optional, Sequence
 
 from . import flag_core as fl
 from . import gf_linalg as gl
+from . import lifts_majors as lm
 from . import matroid_core as mc
 from .bitset import elements_of, mask_of
 from .errors import (
@@ -51,7 +56,7 @@ from .errors import (
     SearchSpaceTooLarge,
     SingleLevel,
 )
-from .lifts_majors import MajorStructure, is_full, lift_witness_sequence, verify_major
+from .lifts_majors import MajorStructure, is_full, verify_major
 
 SEARCH_FIELDS = (2, 3, 5, 7)
 
@@ -270,14 +275,21 @@ def stitch_representations(
         raise GroundSetMismatch("different ground sets")
     if len(rep_b.levels) != 2 or rep_b.levels[0] != rep_a.levels[-1]:
         raise NoTransform("second representation must cover (top of first, one more)")
-    r1, p = rep_a.levels[-1], rep_a.p
-    s = _column_scaling(rep_a.matrix, gl.prefix_rows(rep_b.matrix, r1))
+    return FlagRepresentation(
+        _stitch(rep_a.matrix, rep_b.matrix), rep_a.levels + (rep_b.levels[-1],)
+    )
+
+
+def _stitch(a: gl.GFMatrix, b: gl.GFMatrix) -> gl.GFMatrix:
+    """a's rows followed by b's rows past a.rows, times the column scaling
+    that aligns b's top a.rows rows with a (NoTransform when none does).
+    Nothing is validated: prefix ranks are the caller's to check."""
+    r1, p = a.rows, a.p
+    s = _column_scaling(a, gl.prefix_rows(b, r1))
     if s is None:
         raise NoTransform("no column scaling aligns the shared layer")
-    rows = rep_a.matrix.row_lists() + [
-        [x * f % p for x, f in zip(rep_b.matrix.row(i), s)] for i in range(r1, rep_b.matrix.rows)
-    ]
-    return FlagRepresentation(gl.matrix(p, rows, cols=rep_a.n), rep_a.levels + (rep_b.levels[-1],))
+    rows = a.row_lists() + [[x * f % p for x, f in zip(b.row(i), s)] for i in range(r1, b.rows)]
+    return gl.matrix(p, rows, cols=a.cols)
 
 
 def _column_scaling(a: gl.GFMatrix, b: gl.GFMatrix) -> Optional[list[int]]:
@@ -378,40 +390,80 @@ def _ternary_signs(
     The support graph has row nodes 0..r-1 and column nodes r..r+c-1, with
     an edge i - r + j for each entry (i, j).  Entries are fixed one at a
     time, always one whose ends are nearest in the graph of the entries
-    fixed so far.  An entry whose ends are not yet connected joins a
-    spanning forest; rows and columns can be scaled so that the forest
-    carries 1s, so it keeps its 1.  Any other entry closes a cycle with a
-    shortest path between its ends, and the cycle has no chord in the
-    whole support: a chord would be a shorter path, or an unfixed entry
-    with nearer ends.  So the cycle's square submatrix has determinant
-    ±1 ± 1, nonsingular for exactly one sign of the new entry, and
-    `is_basis` says which.
+    fixed so far (the first in sorted order among those).  An entry whose
+    ends are not yet connected joins a spanning forest; rows and columns can
+    be scaled so that the forest carries 1s, so it keeps its 1.  Any other
+    entry closes a cycle with a shortest path between its ends, and the
+    cycle has no chord in the whole support: a chord would be a shorter
+    path, or an unfixed entry with nearer ends.  So the cycle's square
+    submatrix has determinant ±1 ± 1, nonsingular for exactly one sign of
+    the new entry, and `is_basis` says which.
+
+    A pending entry is not an edge yet, so its ends are at distance 3 or
+    more, and at 3 exactly when it closes a 4-cycle: when a row sharing a
+    fixed column with row i (`near[i]`, a bitset) has a fixed entry in
+    column j (`rows_at[j]`).  That is one AND per candidate.  Only when no
+    pending entry is at distance 3 are breadth-first distances computed,
+    from the column ends of the entries whose ends are already connected.
     """
     size = r + c
-    far = 2 * size
-    dist = [[0 if u == v else far for v in range(size)] for u in range(size)]
     fixed: list[list[int]] = [[] for _ in range(size)]
+    rows_at, near = [0] * c, [0] * r
+    root = list(range(size))
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            u = root[u]
+        return u
+
     pending = sorted(entries)
     while pending:
-        i, j = min(pending, key=lambda edge: dist[edge[0]][r + edge[1]])
-        pending.remove((i, j))
-        end = r + j
-        if dist[i][end] < far:
-            path = [i]
-            while path[-1] != end:
-                u = path[-1]
-                path.append(next(v for v in fixed[u] if dist[v][end] == dist[u][end] - 1))
+        path = None
+        pick = next((k for k, (i, j) in enumerate(pending) if near[i] & rows_at[j]), None)
+        if pick is not None:
+            i, j = pending.pop(pick)
+            col = next(v for v in fixed[i] if rows_at[v - r] & rows_at[j])
+            path = [i, col, next(u for u in fixed[col] if rows_at[j] >> u & 1)]
+        else:
+            close = [k for k, (i, j) in enumerate(pending) if find(i) == find(r + j)]
+            if close:
+                dist = {j: _bfs(fixed, r + j) for _, j in (pending[k] for k in close)}
+                i, j = pending.pop(min(close, key=lambda k: dist[pending[k][1]][pending[k][0]]))
+                path = [i]
+                while dist[j][path[-1]] > 1:
+                    u = path[-1]
+                    path.append(next(v for v in fixed[u] if dist[j][v] == dist[j][u] - 1))
+            else:
+                i, j = pending.pop(0)
+        if path is not None:
             rows = sorted(u for u in path if u < r)
-            cols = sorted(u - r for u in path if u >= r)
+            cols = sorted([u - r for u in path if u >= r] + [j])
             square = [[entries.get((a, b), 0) for a in rows] for b in cols]
             if gl.independent_columns(3, square) != is_basis(rows, cols):
                 entries[i, j] = 2
-        from_i, from_end = dist[i][:], dist[end][:]
-        for u in range(size):
-            via_i, via_end = dist[u][i] + 1, dist[u][end] + 1
-            dist[u] = [min(d, via_i + e, via_end + f) for d, e, f in zip(dist[u], from_end, from_i)]
+        end = r + j
         fixed[i].append(end)
         fixed[end].append(i)
+        rows_at[j] |= 1 << i
+        for u in elements_of(rows_at[j]):
+            near[u] |= rows_at[j]
+        root[find(i)] = find(end)
+
+
+def _bfs(adjacent: list[list[int]], start: int) -> list[int]:
+    """Breadth-first distances from `start`; unreached nodes get len(adjacent)."""
+    far = len(adjacent)
+    dist = [far] * far
+    dist[start], frontier = 0, [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adjacent[u]:
+                if dist[v] == far:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
 
 
 def _least_row_signs(entries: dict[tuple[int, int], int], r: int, c: int) -> None:
@@ -699,12 +751,12 @@ def forbidden_minor_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDeci
     return RepresentabilityDecision(p, True)
 
 
-def _pair_representation(rmat: gl.GFMatrix, x: int) -> FlagRepresentation:
-    """Representation of (Q/x, Q\\x) extracted from a representation of Q.
+def _pair_matrix(rmat: gl.GFMatrix, x: int) -> gl.GFMatrix:
+    """Matrix of (Q/x, Q\\x), levels (r - 1, r), from a representation of Q.
 
     Row-reduces so that column x becomes the last unit vector; dropping that
     column gives the pair's matrix, whose top rows represent the
-    contraction.
+    contraction.  Its prefix ranks are not checked here.
     """
     p, r = rmat.p, rmat.rows
     rows = [list(rmat.row(i)) for i in range(r)]
@@ -717,17 +769,24 @@ def _pair_representation(rmat: gl.GFMatrix, x: int) -> FlagRepresentation:
             f = rows[i][x]
             rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r - 1])]
     pair_rows = [row[:x] + row[x + 1 :] for row in rows]
-    return FlagRepresentation(gl.matrix(p, pair_rows, cols=rmat.cols - 1), (r - 1, r))
+    return gl.matrix(p, pair_rows, cols=rmat.cols - 1)
 
 
 def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecision:
-    """Decide representability of a full flag via its lift witness sequence:
+    """Decide representability of a full flag via its lift witnesses:
     representable iff every witness matroid is, in which case stitching the
     per-pair representations yields an explicit certificate.
 
-    Each witness matroid is decided by building its unique candidate
-    representation (`matroid_representation`), and the same matrix then
-    gives the pair's representation.
+    Each consecutive pair (low, high) gets its witness family Q from
+    `lifts_majors._coextension`, and `matroid_representation` builds and
+    checks Q's unique candidate matrix; that one check is all a pair needs.
+    When it passes, Q is a column matroid, hence a matroid; Q/x == low and
+    Q\\x == high hold by construction; and a matroid's contraction is a
+    quotient of its deletion, so high is a lift of low.  The same matrix
+    then gives the pair's matrix.  Before a "no", the checked
+    `elementary_witness` runs on the failing pair, so a faulty construction
+    raises instead of answering.  The stitched matrices are validated once,
+    as the final certificate, which `represents` checks against fm.
     """
     if p not in (2, 3):
         raise InvalidInput("witness route supports p in (2, 3)")
@@ -741,15 +800,15 @@ def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecisi
         return RepresentabilityDecision(
             p, True, certificate=FlagRepresentation(a, (layers[0].rank,))
         )
-    pairs = []
-    for q, x in lift_witness_sequence(fm).witnesses:
-        rmat = matroid_representation(q, p)
+    mat = None
+    for low, high in zip(layers, layers[1:]):
+        rmat = matroid_representation(lm._coextension(low, high), p)
         if rmat is None:
+            lm.elementary_witness(low, high)
             return RepresentabilityDecision(p, False)
-        pairs.append(_pair_representation(rmat, x))
-    rep = pairs[0]
-    for pair in pairs[1:]:
-        rep = stitch_representations(rep, pair)
+        pair = _pair_matrix(rmat, fm.n)
+        mat = pair if mat is None else _stitch(mat, pair)
+    rep = FlagRepresentation(mat, fm.cardinalities)
     if not represents(rep, fm):
         raise NoTransform("stitched certificate mismatch")  # pragma: no cover
     return RepresentabilityDecision(p, True, certificate=rep)

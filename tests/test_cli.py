@@ -317,6 +317,27 @@ def test_witness_and_major(capture, corpus, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["is-representable", "gap.json", "--p", "2"],
+        ["is-representable", "chain3.json", "--p", "2"],
+        ["fillings", "gap.json"],
+        ["major", "search", "gap.json"],
+    ],
+)
+def test_a_negative_budget_is_an_input_error(capture, corpus, argv):
+    # a negative budget used to read as one already spent (exit 3, "budget
+    # exhausted"); a zero budget still is one
+    argv = [corpus.get(arg, arg) for arg in argv]
+    code, out, _ = capture(*argv, "--budget", "-1")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "InvalidInput" and "--budget" in doc["detail"]
+    if corpus["gap.json"] in argv:
+        assert capture(*argv, "--budget", "0")[0] == 3
+
+
 def test_witness_documents_validate(capture, corpus):
     # at n = 20 the witness matroid has 21 elements, one more than a matroid document
     a = random_prefix_chain_matrix(random.Random(20), 2, 2, 20)

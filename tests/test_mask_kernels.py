@@ -3,9 +3,10 @@
 `bitset.elements_of` reads masks below 2^24 one byte at a time from a table,
 `flag_core._order_key` sums one table entry per byte, and
 `flag_core._group_by_size` cuts a canonical family at its cardinality
-boundaries by bisection.  The references below are the implementations
-these replaced: the lowest-bit loop, the `to_bytes`/`translate` formula and
-the `groupby` walk.  The library must return exactly what they return.
+boundaries by bisection, and `bitset.squeeze` shifts out one removed
+position per step.  The references below are the implementations these
+replaced: the lowest-bit loop, the `to_bytes`/`translate` formula, the
+`groupby` walk and the per-bit re-indexing loop.  The library must return exactly what they return.
 Negative masks raise instead of looping forever.
 """
 
@@ -16,7 +17,7 @@ import pytest
 
 from conftest import random_flag
 from flagmatroids import flag_core as fl
-from flagmatroids.bitset import elements_of, iter_bits, set_key
+from flagmatroids.bitset import elements_of, iter_bits, set_key, squeeze
 from flagmatroids.errors import IndexOutOfRange
 
 
@@ -35,6 +36,21 @@ _REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 def reference_order_key(mask):
     low = mask.to_bytes(3, "little").translate(_REVERSED_COMPLEMENT)
     return mask.bit_count() << 24 | int.from_bytes(low, "big")
+
+
+def reference_squeeze(mask, removed):
+    out = 0
+    shift = 0
+    pos = 0
+    rest = mask | removed
+    while rest >> pos:
+        bit = 1 << pos
+        if removed & bit:
+            shift += 1
+        elif mask & bit:
+            out |= 1 << (pos - shift)
+        pos += 1
+    return out
 
 
 def reference_group_by_size(masks):
@@ -104,3 +120,23 @@ def test_group_by_size_matches_groupby():
     for masks in families:
         masks = fl._family_key(masks)
         assert fl._group_by_size(masks) == reference_group_by_size(masks)
+
+
+def test_squeeze_matches_bit_loop():
+    rng = random.Random(24)
+    where = set()
+    for _ in range(3000):
+        n = rng.randint(1, 24)
+        removed = rng.getrandbits(n) & rng.getrandbits(n)
+        mask = rng.getrandbits(n) & ~removed
+        assert squeeze(mask, removed) == reference_squeeze(mask, removed)
+        if mask and removed:
+            low, high = mask & -mask, 1 << mask.bit_length() - 1
+            where |= {
+                "below" if removed & (low - 1) else None,
+                "between" if removed & (high - 1) & ~(low - 1) else None,
+                "above" if removed & ~(2 * high - 1) else None,
+            }
+    assert where >= {"below", "between", "above"}
+    assert squeeze(0b1011, 0) == 0b1011
+    assert squeeze(0, 0b1111) == 0
