@@ -5,6 +5,11 @@ summary to stderr.  Exit codes: 0 = yes/success, 1 = no/negative verdict,
 2 = input error, 3 = budget exhausted / unknown, 4 = internal error (a fault
 in the program, never a verdict; stdout holds an
 {"error": "InternalError", ...} document).
+
+Each verb is one row of `_VERBS`: its name, help text, argument specs and a
+function from the parsed arguments to (exit code, document, summary).  The
+verb functions only compute; `run` writes what they return, and turns an
+exception into an error document and its exit code.
 """
 
 from __future__ import annotations
@@ -37,20 +42,6 @@ EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(doc, summary: str) -> None:
-    sys.stdout.write(io.dumps(doc))
-    print(summary, file=sys.stderr)
-
-
-def emit_certificate(fm, decision) -> dict:
-    """Self-contained certificate document for a representability decision:
-    matrix + levels on yes, minor script + bijection on no.  Re-running
-    `validate` on the document re-verifies it independently."""
-    if decision.representable:
-        return io.representation_certificate(fm, decision.certificate)
-    return io.forbidden_minor_certificate(decision.p, fm, decision.witness)
-
-
 def _read(path: str):
     try:
         with open(path) as fh:
@@ -59,6 +50,10 @@ def _read(path: str):
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _flag(args) -> fl.FlagMatroid:
+    return io.load_flag(_read(args.file))
 
 
 def _int_csv(text: Optional[str]) -> tuple[int, ...]:
@@ -78,7 +73,15 @@ def _budget(args) -> int:
     return args.budget
 
 
-# --- verbs ------------------------------------------------------------------------
+def _json_lists(fields: dict) -> dict:
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in fields.items()}
+
+
+def _ranks(fm: fl.FlagMatroid) -> list[int]:
+    return [m.rank for m in fm.layers]
+
+
+# --- verbs: each returns (exit code, document, summary) -------------------------
 
 
 def _representation_problem(p: int, fm, rep) -> Optional[str]:
@@ -113,7 +116,7 @@ def _forbidden_minor_problem(p: int, fm, witness) -> Optional[str]:
     return None
 
 
-def _cmd_validate(args) -> int:
+def _validate(args):
     doc = _read(args.file)
     kind = io.detect_kind(doc)
     if kind == "certificate-representation":
@@ -124,212 +127,169 @@ def _cmd_validate(args) -> int:
         raise InvalidInput("a partition chain validates only inside a graphic bundle")
     else:
         io.load_by_kind(kind, doc)
-        _emit({"kind": kind, "valid": True}, f"valid {kind}")
-        return EXIT_YES
+        return EXIT_YES, {"kind": kind, "valid": True}, f"valid {kind}"
     if problem is None:
-        _emit({"kind": kind, "valid": True}, "certificate verifies")
-        return EXIT_YES
-    _emit(
+        return EXIT_YES, {"kind": kind, "valid": True}, "certificate verifies"
+    return (
+        EXIT_NO,
         {"kind": kind, "valid": False, "reason": problem},
         f"certificate does NOT verify: {problem}",
     )
-    return EXIT_NO
 
 
-def _cmd_axioms(args) -> int:
-    n, fam = io.load_raw_family(_read(args.file))
-    report = fl.check_flag_axioms(n, fam)
+def _axioms(args):
+    report = fl.check_flag_axioms(*io.load_raw_family(_read(args.file)))
     if report.ok:
-        _emit({"ok": True}, "both feasible-set axioms hold")
-        return EXIT_YES
-    witness = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in report.witness.items()
-    }
-    _emit(
-        {"ok": False, "axiom": report.axiom, "witness": witness},
-        f"axiom {report.axiom} fails",
-    )
-    return EXIT_NO
+        return EXIT_YES, {"ok": True}, "both feasible-set axioms hold"
+    doc = {"ok": False, "axiom": report.axiom, "witness": _json_lists(report.witness)}
+    return EXIT_NO, doc, f"axiom {report.axiom} fails"
 
 
-def _cmd_seqrep(args) -> int:
-    fm = io.load_flag(_read(args.file))
+def _seqrep(args):
+    fm = _flag(args)
     doc = {
         "schema": "sequential-representation/1",
         "layers": [io.matroid_json(m) for m in fm.layers],
     }
-    _emit(doc, f"{len(fm.layers)} layers, ranks {[m.rank for m in fm.layers]}")
-    return EXIT_YES
+    return EXIT_YES, doc, f"{len(fm.layers)} layers, ranks {_ranks(fm)}"
 
 
-def _cmd_minor(args) -> int:
-    fm = io.load_flag(_read(args.file))
+def _minor(args):
     out = fl.flag_minor(
-        fm, _int_csv(args.contract), _int_csv(args.delete), _int_csv(args.chop)
+        _flag(args), _int_csv(args.contract), _int_csv(args.delete), _int_csv(args.chop)
     )
-    _emit(io.flag_json(out), f"minor on {out.n} elements, {len(out.feasible)} feasible sets")
-    return EXIT_YES
+    return EXIT_YES, io.flag_json(out), f"minor on {out.n} elements, {len(out.feasible)} feasible sets"
 
 
-def _cmd_dual(args) -> int:
-    fm = io.load_flag(_read(args.file))
-    out = fl.flag_dual(fm)
-    _emit(io.flag_json(out), f"dual with layer ranks {[m.rank for m in out.layers]}")
-    return EXIT_YES
+def _dual(args):
+    out = fl.flag_dual(_flag(args))
+    return EXIT_YES, io.flag_json(out), f"dual with layer ranks {_ranks(out)}"
 
 
-def _cmd_from_matrix(args) -> int:
-    a = io.load_matrix(_read(args.file))
-    fm = rp.flag_from_matrix(a, _int_csv(args.levels))
-    _emit(io.flag_json(fm), f"flag matroid with {len(fm.feasible)} feasible sets")
-    return EXIT_YES
+def _from_matrix(args):
+    fm = rp.flag_from_matrix(io.load_matrix(_read(args.file)), _int_csv(args.levels))
+    return EXIT_YES, io.flag_json(fm), f"flag matroid with {len(fm.feasible)} feasible sets"
 
 
-def _cmd_uniform_rep(args) -> int:
+def _uniform_rep(args):
     try:
         rep = rp.uniform_flag_representation(args.r, args.n, args.p)
     except FieldTooSmall as exc:
-        _emit({"error": exc.code, "detail": str(exc)}, "no representation: field too small")
-        return EXIT_NO
-    _emit(io.representation_json(rep), f"{rep.matrix.rows}x{rep.matrix.cols} matrix over GF({rep.p})")
-    return EXIT_YES
+        # a verdict on the field, not an input error
+        doc = {"error": exc.code, "detail": str(exc)}
+        return EXIT_NO, doc, "no representation: field too small"
+    summary = f"{rep.matrix.rows}x{rep.matrix.cols} matrix over GF({rep.p})"
+    return EXIT_YES, io.representation_json(rep), summary
 
 
-def _cmd_is_representable(args) -> int:
+def _full_decision(fm, p: int, method: str) -> rp.RepresentabilityDecision:
+    """The decision on a full flag: the witness route, or (`minors`, `all`)
+    the forbidden-minor search first, as an independent cross-check of the
+    witness route; routes that disagree raise InternalError."""
+    if method == "witness":
+        return rp.full_flag_decision(fm, p)
+    minors = rp.forbidden_minor_decision(fm, p)
+    decisions = {"minors": minors}
+    if minors.representable or method == "all":
+        decisions["witness"] = rp.witness_route_decision(fm, p)
+    if method == "all":
+        decisions["search"] = rp.RepresentabilityDecision(
+            p, rp.search_representation(fm, p) is not None
+        )
+    verdicts = {k: d.representable for k, d in decisions.items()}
+    if len(set(verdicts.values())) != 1:
+        raise InternalError(f"decision routes disagree: {verdicts}")
+    return decisions["witness"] if minors.representable else minors
+
+
+def _is_representable(args):
+    """A "yes" carries a representation certificate; a "no" on a full flag
+    carries a forbidden-minor certificate, other "no" answers none.  Re-running
+    `validate` on a certificate re-verifies it independently."""
     budget = _budget(args)
-    fm = io.load_flag(_read(args.file))
+    fm = _flag(args)
     p = args.p
-    method = args.method
-    full = lm.is_full(fm)
-    if method == "search":
+    route = ""
+    if args.method == "search":
         rep = rp.search_representation(fm, p)
-        if rep is None:
-            _emit({"representable": False, "p": p}, f"not representable over GF({p})")
-            return EXIT_NO
-        _emit(io.representation_certificate(fm, rep), f"representable over GF({p})")
-        return EXIT_YES
-    if not full:
+    elif not lm.is_full(fm):
         # the minor and witness characterizations need consecutive ranks;
         # general flags go through the filling route
         decision = rp.is_representable_via_fillings(fm, p, budget)
-        if decision.status == "yes":
-            doc = io.representation_certificate(fm, decision.certificate)
-            _emit(doc, f"representable over GF({p}) via a filling")
-            return EXIT_YES
-        if decision.status == "no":
-            _emit({"representable": False, "p": p}, f"not representable over GF({p})")
-            return EXIT_NO
-        _emit({"representable": None, "p": p}, "filling budget exhausted")
-        return EXIT_UNKNOWN
-    if method == "witness":
-        decision = rp.full_flag_decision(fm, p)
+        if decision.status == "unknown":
+            return EXIT_UNKNOWN, {"representable": None, "p": p}, "filling budget exhausted"
+        rep, route = decision.certificate, " via a filling"
     else:
-        # minors first, as an independent cross-check of the witness route
-        minors = rp.forbidden_minor_decision(fm, p)
-        decisions = {"minors": minors}
-        if minors.representable or method == "all":
-            decisions["witness"] = rp.witness_route_decision(fm, p)
-        if method == "all":
-            decisions["search"] = rp.RepresentabilityDecision(
-                p, rp.search_representation(fm, p) is not None
-            )
-        verdicts = {k: d.representable for k, d in decisions.items()}
-        if len(set(verdicts.values())) != 1:
-            raise InternalError(f"decision routes disagree: {verdicts}")
-        decision = decisions["witness"] if minors.representable else minors
-    if decision.representable:
-        _emit(emit_certificate(fm, decision), f"representable over GF({p})")
-        return EXIT_YES
-    _emit(
-        emit_certificate(fm, decision),
-        f"not representable over GF({p}): {decision.witness.target_name} minor",
-    )
-    return EXIT_NO
-
-
-def _cmd_represent(args) -> int:
-    fm = io.load_flag(_read(args.file))
-    try:
-        rep = rp.search_representation(fm, args.p)
-    except SearchSpaceTooLarge as exc:
-        _emit({"error": exc.code, "detail": str(exc)}, "search space too large")
-        return EXIT_UNKNOWN
+        decision = _full_decision(fm, p, args.method)
+        if not decision.representable:
+            doc = io.forbidden_minor_certificate(decision.p, fm, decision.witness)
+            return EXIT_NO, doc, f"not representable over GF({p}): {decision.witness.target_name} minor"
+        rep = decision.certificate
     if rep is None:
-        _emit({"representable": False, "p": args.p}, f"no GF({args.p}) representation")
-        return EXIT_NO
-    _emit(io.representation_certificate(fm, rep), f"found a GF({args.p}) representation")
-    return EXIT_YES
+        return EXIT_NO, {"representable": False, "p": p}, f"not representable over GF({p})"
+    return EXIT_YES, io.representation_certificate(fm, rep), f"representable over GF({p}){route}"
 
 
-def _cmd_graphic_flag(args) -> int:
-    g, chain = io.load_graphic_bundle(_read(args.file))
-    fm = gr.graphic_flag(g, chain)
-    _emit(io.flag_json(fm), f"graphic flag with layer ranks {[m.rank for m in fm.layers]}")
-    return EXIT_YES
+def _represent(args):
+    fm = _flag(args)
+    rep = rp.search_representation(fm, args.p)
+    if rep is None:
+        return EXIT_NO, {"representable": False, "p": args.p}, f"no GF({args.p}) representation"
+    return EXIT_YES, io.representation_certificate(fm, rep), f"found a GF({args.p}) representation"
 
 
-def _cmd_graphic_major(args) -> int:
-    g, chain = io.load_graphic_bundle(_read(args.file))
-    h, major = gr.graphic_major(g, chain)
+def _graphic_flag(args):
+    fm = gr.graphic_flag(*io.load_graphic_bundle(_read(args.file)))
+    return EXIT_YES, io.flag_json(fm), f"graphic flag with layer ranks {_ranks(fm)}"
+
+
+def _graphic_major(args):
+    h, major = gr.graphic_major(*io.load_graphic_bundle(_read(args.file)))
     doc = {
         "schema": "graphic-major/1",
         "graph": io.graph_json(h),
         "major": io.major_json(major),
     }
-    _emit(doc, f"major graph with {len(h.edges)} edges, blocks {list(map(list, major.blocks))}")
-    return EXIT_YES
+    return EXIT_YES, doc, f"major graph with {len(h.edges)} edges, blocks {list(map(list, major.blocks))}"
 
 
-def _cmd_major(args) -> int:
+def _major(args):
     budget = _budget(args)
     doc = _read(args.file)
     if args.action == "verify":
         if not isinstance(doc, dict) or "major" not in doc or "flag" not in doc:
             raise InvalidInput("major verify needs {\"major\": ..., \"flag\": ...}")
         major = io.load_major(doc["major"])
-        fm = io.load_flag(doc["flag"])
-        ok = lm.verify_major(major.matroid, major.blocks, fm)
-        _emit({"valid": ok}, "major verifies" if ok else "not a major")
-        return EXIT_YES if ok else EXIT_NO
+        if lm.verify_major(major.matroid, major.blocks, io.load_flag(doc["flag"])):
+            return EXIT_YES, {"valid": True}, "major verifies"
+        return EXIT_NO, {"valid": False}, "not a major"
     if args.action == "from-rep":
-        rep = io.load_representation(doc)
-        major = rp.major_from_representation(rep)
-        _emit(io.major_json(major), f"major on {major.matroid.n} elements")
-        return EXIT_YES
-    fm = io.load_flag(doc)
-    try:
-        major = lm.search_major(fm, budget=budget)
-    except BudgetExhausted as exc:
-        _emit({"error": exc.code, "detail": str(exc)}, "budget exhausted")
-        return EXIT_UNKNOWN
-    if major is None:
-        _emit({"found": False}, "no major in the searched space")
-        return EXIT_NO
-    _emit(io.major_json(major), f"major on {major.matroid.n} elements")
-    return EXIT_YES
+        major = rp.major_from_representation(io.load_representation(doc))
+    else:
+        major = lm.search_major(io.load_flag(doc), budget=budget)
+        if major is None:
+            return EXIT_NO, {"found": False}, "no major in the searched space"
+    return EXIT_YES, io.major_json(major), f"major on {major.matroid.n} elements"
 
 
-def _cmd_witness(args) -> int:
-    fm = io.load_flag(_read(args.file))
-    seq = lm.lift_witness_sequence(fm)
-    _emit(io.witnesses_json(seq), f"{len(seq.witnesses)} lift witnesses")
-    return EXIT_YES
+def _witness(args):
+    seq = lm.lift_witness_sequence(_flag(args))
+    return EXIT_YES, io.witnesses_json(seq), f"{len(seq.witnesses)} lift witnesses"
 
 
-def _cmd_fillings(args) -> int:
+def _fillings(args):
     budget = _budget(args)
-    fm = io.load_flag(_read(args.file))
-    search = lm.enumerate_fillings(fm, budget)
+    search = lm.enumerate_fillings(_flag(args), budget)
     doc = {
         "schema": "fillings/1",
         "complete": search.complete,
         "fillings": [io.flag_json(f) for f in search.fillings],
     }
-    _emit(doc, f"{len(search.fillings)} fillings ({'complete' if search.complete else 'truncated'})")
-    return EXIT_YES if search.complete else EXIT_UNKNOWN
+    status = EXIT_YES if search.complete else EXIT_UNKNOWN
+    return status, doc, f"{len(search.fillings)} fillings ({'complete' if search.complete else 'truncated'})"
 
 
-def _cmd_isomorphic(args) -> int:
+def _isomorphic(args):
     doc_a, doc_b = _read(args.file_a), _read(args.file_b)
     kind_a, kind_b = io.detect_kind(doc_a), io.detect_kind(doc_b)
     if kind_a != kind_b or kind_a not in ("matroid", "flag"):
@@ -339,13 +299,11 @@ def _cmd_isomorphic(args) -> int:
     else:
         bij = fl.flag_isomorphic(io.load_flag(doc_a), io.load_flag(doc_b))
     if bij is None:
-        _emit({"isomorphic": False}, "not isomorphic")
-        return EXIT_NO
-    _emit({"isomorphic": True, "bijection": list(bij)}, "isomorphic")
-    return EXIT_YES
+        return EXIT_NO, {"isomorphic": False}, "not isomorphic"
+    return EXIT_YES, {"isomorphic": True, "bijection": list(bij)}, "isomorphic"
 
 
-def _cmd_counterexample(args) -> int:
+def _counterexample(args):
     if args.config:
         cfg = io.load_config(_read(args.config))
     else:
@@ -358,13 +316,67 @@ def _cmd_counterexample(args) -> int:
             {"name": s.name, "ok": s.ok, "detail": s.detail} for s in report.steps
         ],
     }
-    _emit(doc, f"verdict: {report.verdict}")
-    return EXIT_YES if report.ok else EXIT_NO
+    return (EXIT_YES if report.ok else EXIT_NO), doc, f"verdict: {report.verdict}"
+
+
+# --- the verb table ---------------------------------------------------------------
+
+_FILE = ("file", {})
+
+
+def _int_option(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, {"type": int, **kwargs}
+
+
+# (name, help, arguments as (name or flag, add_argument keywords), verb)
+_VERBS = (
+    ("validate", "validate a JSON document (or certificate)", (_FILE,), _validate),
+    ("axioms", "check the two feasible-set axioms", (_FILE,), _axioms),
+    ("seqrep", "sequential representation of a flag matroid", (_FILE,), _seqrep),
+    ("minor", "contract/delete/chop a flag matroid", (
+        _FILE,
+        ("--contract", {"default": ""}),
+        ("--delete", {"default": ""}),
+        ("--chop", {"default": ""}),
+    ), _minor),
+    ("dual", "dual flag matroid", (_FILE,), _dual),
+    ("from-matrix", "flag matroid of a matrix and levels", (
+        _FILE, ("--levels", {"required": True}),
+    ), _from_matrix),
+    ("uniform-rep", "representation of a uniform flag matroid", (
+        _int_option("--r", required=True),
+        _int_option("--n", required=True),
+        _int_option("--p", required=True),
+    ), _uniform_rep),
+    ("is-representable", "decide GF(2)/GF(3) representability", (
+        _FILE,
+        _int_option("--p", choices=(2, 3), required=True),
+        ("--method", {"choices": ("minors", "witness", "search", "all"), "default": "witness"}),
+        _int_option("--budget", default=10000),
+    ), _is_representable),
+    ("represent", "search for a representation", (
+        _FILE, _int_option("--p", choices=(2, 3, 5, 7), required=True),
+    ), _represent),
+    ("graphic-flag", "flag matroid of a graph and chain", (_FILE,), _graphic_flag),
+    ("graphic-major", "graphic major of a graph and chain", (_FILE,), _graphic_major),
+    ("major", "verify / construct / search majors", (
+        ("action", {"choices": ("verify", "from-rep", "search")}),
+        _FILE,
+        _int_option("--budget", default=20000),
+    ), _major),
+    ("witness", "lift witness sequence of a full flag", (_FILE,), _witness),
+    ("fillings", "enumerate fillings", (_FILE, _int_option("--budget", default=10000)), _fillings),
+    ("isomorphic", "matroid or flag isomorphism", (("file_a", {}), ("file_b", {})), _isomorphic),
+    ("counterexample", "run the non-graphic harness", (
+        ("config", {"nargs": "?", "default": None}),
+    ), _counterexample),
+)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, built on the first `run` and then reused.
+    """The parser of every verb in `_VERBS`, built on the first `run` and
+    then reused.
 
     Reuse is safe because parsing leaves the parser unchanged: each call
     fills a fresh namespace, every option default is an immutable str, int
@@ -375,104 +387,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computation with matroids and flag matroids.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="validate a JSON document (or certificate)")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("axioms", help="check the two feasible-set axioms")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_axioms)
-
-    p = sub.add_parser("seqrep", help="sequential representation of a flag matroid")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_seqrep)
-
-    p = sub.add_parser("minor", help="contract/delete/chop a flag matroid")
-    p.add_argument("file")
-    p.add_argument("--contract", default="")
-    p.add_argument("--delete", default="")
-    p.add_argument("--chop", default="")
-    p.set_defaults(fn=_cmd_minor)
-
-    p = sub.add_parser("dual", help="dual flag matroid")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_dual)
-
-    p = sub.add_parser("from-matrix", help="flag matroid of a matrix and levels")
-    p.add_argument("file")
-    p.add_argument("--levels", required=True)
-    p.set_defaults(fn=_cmd_from_matrix)
-
-    p = sub.add_parser("uniform-rep", help="representation of a uniform flag matroid")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(fn=_cmd_uniform_rep)
-
-    p = sub.add_parser("is-representable", help="decide GF(2)/GF(3) representability")
-    p.add_argument("file")
-    p.add_argument("--p", type=int, choices=(2, 3), required=True)
-    p.add_argument("--method", choices=("minors", "witness", "search", "all"), default="witness")
-    p.add_argument("--budget", type=int, default=10000)
-    p.set_defaults(fn=_cmd_is_representable)
-
-    p = sub.add_parser("represent", help="search for a representation")
-    p.add_argument("file")
-    p.add_argument("--p", type=int, choices=(2, 3, 5, 7), required=True)
-    p.set_defaults(fn=_cmd_represent)
-
-    p = sub.add_parser("graphic-flag", help="flag matroid of a graph and chain")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_graphic_flag)
-
-    p = sub.add_parser("graphic-major", help="graphic major of a graph and chain")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_graphic_major)
-
-    p = sub.add_parser("major", help="verify / construct / search majors")
-    p.add_argument("action", choices=("verify", "from-rep", "search"))
-    p.add_argument("file")
-    p.add_argument("--budget", type=int, default=20000)
-    p.set_defaults(fn=_cmd_major)
-
-    p = sub.add_parser("witness", help="lift witness sequence of a full flag")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_witness)
-
-    p = sub.add_parser("fillings", help="enumerate fillings")
-    p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10000)
-    p.set_defaults(fn=_cmd_fillings)
-
-    p = sub.add_parser("isomorphic", help="matroid or flag isomorphism")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(fn=_cmd_isomorphic)
-
-    p = sub.add_parser("counterexample", help="run the non-graphic harness")
-    p.add_argument("config", nargs="?", default=None)
-    p.set_defaults(fn=_cmd_counterexample)
-
+    for name, help_text, arguments, fn in _VERBS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _error_answer(exc: Exception) -> tuple[int, dict]:
+    """The exit code and error document of an exception out of a verb: 3 for
+    a search that ran out of budget or refused an over-large space, 4 for a
+    fault in the program (an InternalError, or any exception that is not a
+    library Error: exit 1 would read as "no"), 2 for any other Error."""
+    if not isinstance(exc, Error):
+        return EXIT_INTERNAL, {
+            "error": InternalError.__name__, "detail": f"{type(exc).__name__}: {exc}"
+        }
+    payload = _json_lists(exc.payload)
+    doc = {"error": exc.code, "detail": str(exc), **({"witness": payload} if payload else {})}
+    if isinstance(exc, (BudgetExhausted, SearchSpaceTooLarge)):
+        return EXIT_UNKNOWN, doc
+    return (EXIT_INTERNAL if isinstance(exc, InternalError) else EXIT_INPUT), doc
+
+
 def run(argv: Optional[list[str]] = None) -> int:
+    """Run one verb: write its document to stdout and its summary to stderr,
+    and return its exit code.  The only place that writes either stream."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except Error as exc:
-        payload = {k: (list(v) if isinstance(v, tuple) else v) for k, v in exc.payload.items()}
-        doc = {"error": exc.code, "detail": str(exc), **({"witness": payload} if payload else {})}
-        status = EXIT_INTERNAL if isinstance(exc, InternalError) else EXIT_INPUT
-    except Exception as exc:  # a fault in the program; exit 1 would read as "no"
-        import traceback  # here, not at the top: only a fault needs it
+        status, doc, summary = args.fn(args)
+        text = io.dumps(doc)
+    except Exception as exc:
+        if not isinstance(exc, Error):
+            import traceback  # here, not at the top: only a fault needs it
 
-        traceback.print_exc()
-        doc = {"error": InternalError.__name__, "detail": f"{type(exc).__name__}: {exc}"}
-        status = EXIT_INTERNAL
-    sys.stdout.write(io.dumps(doc))
-    print(f"error: {doc['detail']}", file=sys.stderr)
+            traceback.print_exc()
+        status, doc = _error_answer(exc)
+        text, summary = io.dumps(doc), f"error: {doc['detail']}"
+    sys.stdout.write(text)
+    print(summary, file=sys.stderr)
     return status
 
 

@@ -150,32 +150,24 @@ def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
 
 
 def enumerate_elementary_coextensions(quot: mc.Matroid, lift: mc.Matroid) -> list[mc.Matroid]:
-    """All matroids Q on {0..n} with Q/n == quot and Q\\n == lift, by
-    exhausting the candidate families.
+    """All matroids Q on {0..n} with Q/n == quot and Q\\n == lift: none, or
+    the one family the pair forces.
 
     Any such Q has rank(lift): its bases avoiding n are exactly lift's bases
     and its bases through n are T + {n} for a family T of (rank-1)-subsets,
-    which the contraction forces to be quot's bases.  Candidates where n
-    would be a loop or coloop cannot produce a pair of distinct minors.
+    which the contraction forces to be quot's bases.  So only that family is
+    built, and it is kept if it passes the pairwise basis-exchange test
+    (`basis_exchange_witness`, not the rank-axiom test of
+    `elementary_witness`) and its two minors are the pair.
     """
     if quot.n != lift.n or lift.rank != quot.rank + 1:
         return []
     n = quot.n
-    xbit = 1 << n
-    pool = size_masks(n, quot.rank)
-    want = set(quot.bases)
-    hits = []
-    for pick in range(1 << len(pool)):
-        t = {pool[i] for i in range(len(pool)) if pick >> i & 1}
-        if t != want:
-            continue  # the contraction by n would not equal quot
-        bases = list(lift.bases) + [b | xbit for b in sorted(t)]
-        if mc.basis_exchange_witness(bases) is not None:
-            continue
-        q = mc.Matroid(n + 1, tuple(sorted(bases, key=set_key)))
-        if verify_quotient_pair(q, [n], quot, lift):
-            hits.append(q)
-    return hits
+    bases = list(lift.bases) + [b | 1 << n for b in quot.bases]
+    if mc.basis_exchange_witness(bases) is not None:
+        return []
+    q = mc.Matroid(n + 1, tuple(sorted(bases, key=set_key)))
+    return [q] if verify_quotient_pair(q, [n], quot, lift) else []
 
 
 @dataclass(frozen=True)

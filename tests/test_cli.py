@@ -627,3 +627,54 @@ def test_overlapping_major_blocks_are_rejected(capture, corpus):
     code, out, _ = capture("validate", corpus["write"]("overlap.json", json.dumps(doc)))
     assert code == 2
     assert json.loads(out)["error"] == "OverlappingSets"
+
+
+def test_a_refused_search_exits_3_on_every_verb(capture, corpus):
+    """Over GF(3) the band guard refuses (U_{1,15}, U_{2,15}): 3^14 > 2^22.
+    That is an unknown answer, not an input error, from either verb."""
+    flag = corpus["write"]("u15.json", io.flag_json(
+        fl.from_sequence([mc.uniform(1, 15), mc.uniform(2, 15)])
+    ))
+    search = capture("is-representable", flag, "--p", "3", "--method", "search")
+    represent = capture("represent", flag, "--p", "3")
+    assert search[0] == represent[0] == cli.EXIT_UNKNOWN == 3
+    assert search[1] == represent[1]
+    assert json.loads(search[1])["error"] == "SearchSpaceTooLarge"
+
+
+def _verbs_that_read_files():
+    """An argv for each verb of the parser with a path argument, with "FILE"
+    for each path: every choice of a positional with choices, and the first
+    choice (or "1") for each required option."""
+    import argparse
+    from itertools import product
+
+    parser = cli._build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    argvs = []
+    for name, sub in verbs.choices.items():
+        positionals = [a for a in sub._actions if not a.option_strings]
+        if all(a.choices for a in positionals):
+            continue
+        required = []
+        for a in sub._actions:
+            if a.option_strings and a.required:
+                required += [a.option_strings[0], str(a.choices[0]) if a.choices else "1"]
+        for picks in product(*(a.choices or ["FILE"] for a in positionals)):
+            argvs.append([name, *picks, *required])
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _verbs_that_read_files(), ids=" ".join)
+@pytest.mark.parametrize(
+    "text, detail", [(None, "cannot read"), ("{not json", "not valid JSON")],
+    ids=["missing", "not-json"],
+)
+def test_every_verb_reports_an_unreadable_file(capture, tmp_path, argv, text, detail):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, _ = capture(*(str(path) if a == "FILE" else a for a in argv))
+    doc = json.loads(out)
+    assert (code, doc["error"]) == (2, "InvalidInput")
+    assert str(path) in doc["detail"] and detail in doc["detail"]

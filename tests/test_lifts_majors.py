@@ -90,6 +90,50 @@ def test_coextension_uniqueness_pair():
     assert hits[0] == lm.elementary_witness(mc.uniform(1, 3), mc.uniform(2, 3))
 
 
+def _coextensions_by_exhaustion(quot, lift):
+    """Reference: try every family of (rank - 1)-subsets as the bases
+    through the new element, 2^C(n, rank - 1) picks."""
+    from flagmatroids.bitset import set_key, size_masks
+
+    if quot.n != lift.n or lift.rank != quot.rank + 1:
+        return []
+    n = quot.n
+    pool = size_masks(n, quot.rank)
+    hits = []
+    for pick in range(1 << len(pool)):
+        through = [pool[i] | 1 << n for i in range(len(pool)) if pick >> i & 1]
+        bases = list(lift.bases) + through
+        if mc.basis_exchange_witness(bases) is not None:
+            continue
+        q = mc.Matroid(n + 1, tuple(sorted(bases, key=set_key)))
+        if lm.verify_quotient_pair(q, [n], quot, lift):
+            hits.append(q)
+    return hits
+
+
+def test_coextensions_match_exhaustion_on_four_elements():
+    # every ordered pair of matroids on 4 elements, lifts or not
+    pool = list(mc.enumerate_matroids(4))
+    found = 0
+    for quot in pool:
+        for lift in pool:
+            hits = lm.enumerate_elementary_coextensions(quot, lift)
+            assert hits == _coextensions_by_exhaustion(quot, lift), (quot, lift)
+            found += len(hits)
+    assert found > 0
+
+
+def test_coextension_at_seven_elements_builds_one_family():
+    # the candidate pool has C(7, 3) = 35 sets, 2^35 families to exhaust
+    quot, lift = mc.uniform(3, 7), mc.uniform(4, 7)
+    assert lm.enumerate_elementary_coextensions(quot, lift) == [lm.elementary_witness(quot, lift)]
+    # one basis {0, 1, 2}, the rest loops: rank 3, but {3..6} is a flat
+    # of it and not of U_{4,7}
+    loops = mc.Matroid(7, (mask_of([0, 1, 2]),))
+    assert loops.rank == 3 and not lm.is_lift(lift, loops).ok
+    assert lm.enumerate_elementary_coextensions(loops, lift) == []
+
+
 def test_lift_witness_sequence():
     chain = fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3), mc.uniform(3, 3)])
     seq = lm.lift_witness_sequence(chain)
