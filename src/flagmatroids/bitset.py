@@ -6,6 +6,8 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from .errors import IndexOutOfRange
+
 
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
@@ -54,9 +56,33 @@ def meet_counts(masks: Iterable[int], within: int) -> dict[int, int]:
     return Counter(map(within.__and__, masks))
 
 
-def set_key(mask: int) -> tuple[int, ...]:
-    """Sort key putting masks in lexicographic order of their element lists."""
-    return elements_of(mask)
+# _ORDER_BYTES[k][b]: the share of byte k of S (bits 8k..8k+7) in its
+# `order_key`, (|b| << 24) + ((255 - bitreverse8(b)) << 8 * (2 - k)).
+_ORDER_BYTES = tuple(
+    [b.bit_count() << 24 | (255 - int(f"{b:08b}"[::-1], 2)) << 8 * (2 - k) for b in range(256)]
+    for k in range(3)
+)
+
+
+def order_key(mask: int) -> int:
+    """(|S| << 24) | (2^24 - 1 - bitreverse24(S)), for S inside {0..23}.
+
+    Element e is bit 23 - e of the reversed mask, so among sets of equal
+    size the one holding the least element of their symmetric difference
+    is the larger reversed mask and the lexicographically smaller element
+    list: these keys ascend in (cardinality, lex) order.  The key is the
+    sum of the shares of the three bytes of S."""
+    if mask >> 24:  # past element 23, or negative
+        raise IndexOutOfRange("set outside the ground set")
+    low, mid, high = _ORDER_BYTES
+    return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
+
+
+def canonical(masks: Iterable[int]) -> tuple[int, ...]:
+    """Each set of the family once, by cardinality, then lexicographic: the
+    form `Matroid` and `FlagMatroid` store.  A set reaching past element 23
+    is outside every ground set: IndexOutOfRange."""
+    return tuple(sorted(set(masks), key=order_key))
 
 
 def squeeze(mask: int, removed: int) -> int:

@@ -20,10 +20,12 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import matroid_core as mc
 from .bitset import (
+    canonical,
     elements_of,
     iter_bits,
     mask_of,
     meet_counts,
+    order_key,
     size_masks,
     squeeze,
 )
@@ -39,45 +41,16 @@ from .errors import (
 )
 
 
-# _ORDER_BYTES[k][b]: the share of byte k of S (bits 8k..8k+7) in its
-# `_order_key`, (|b| << 24) + ((255 - bitreverse8(b)) << 8 * (2 - k)).
-_ORDER_BYTES = tuple(
-    [b.bit_count() << 24 | (255 - int(f"{b:08b}"[::-1], 2)) << 8 * (2 - k) for b in range(256)]
-    for k in range(3)
-)
-
-
-def _order_key(mask: int) -> int:
-    """(|S| << 24) | (2^24 - 1 - bitreverse24(S)), for S inside {0..23}.
-
-    Element e is bit 23 - e of the reversed mask, so among sets of equal
-    size the one holding the least element of their symmetric difference
-    is the larger reversed mask and the lexicographically smaller element
-    list: these keys ascend in (cardinality, lex) order.  The key is the
-    sum of the shares of the three bytes of S."""
-    if mask >> 24:  # past element 23, or negative
-        raise IndexOutOfRange("feasible set outside the ground set")
-    low, mid, high = _ORDER_BYTES
-    return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
-
-
 def _split_key(cmask: int, dmask: int) -> int:
     """Sorts the (C, D) splits of one total size |C| + |D| in (|C|, C, D)
     order, C and D compared as element lists.  On at most 20 elements an
-    `_order_key` is below 21 << 24 < 2^29, so D's key never reaches C's."""
-    return _order_key(cmask) << 29 | _order_key(dmask)
-
-
-def _family_key(masks: Iterable[int]) -> tuple[int, ...]:
-    """The canonical order of a family: by cardinality, then lexicographic.
-    A set reaching past element 23 is outside every flag: IndexOutOfRange."""
-    return tuple(sorted(set(masks), key=_order_key))
+    `order_key` is below 21 << 24 < 2^29, so D's key never reaches C's."""
+    return order_key(cmask) << 29 | order_key(dmask)
 
 
 def _group_by_size(masks: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """The layers of a canonical family.  masks must already be in
-    `_family_key` order, so each layer is a slice of equal cardinality,
-    sorted lexicographically."""
+    """The layers of a family in `canonical` order: each layer is a slice
+    of equal cardinality, sorted lexicographically."""
     out, start, end = [], 0, len(masks)
     while start < end:
         size = masks[start].bit_count()
@@ -109,11 +82,11 @@ def _lift_witness(n: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> Opt
 def layered_witness(n: int, family: Iterable[int]) -> Optional[tuple[str, object]]:
     """None if the family's layers are matroids chained by lifts, else the
     first failure: ("layer", (size, exchange witness)) or ("lift", (sizes, flat))."""
-    return _canonical_layered_witness(n, _family_key(family))
+    return _canonical_layered_witness(n, canonical(family))
 
 
 def _canonical_layered_witness(n: int, masks: tuple[int, ...]) -> Optional[tuple[str, object]]:
-    """`layered_witness` of a family already in `_family_key` order."""
+    """`layered_witness` of a family already in `canonical` form."""
     if not masks:
         return ("layer", (0, None))
     groups = _group_by_size(masks)
@@ -130,7 +103,8 @@ def _canonical_layered_witness(n: int, masks: tuple[int, ...]) -> Optional[tuple
 
 @dataclass(frozen=True)
 class FlagMatroid:
-    """Ground-set size plus feasible masks sorted by (cardinality, lex)."""
+    """Ground-set size plus the feasible masks, stored in `canonical` form
+    whatever iterable is given, so equal families make equal flags."""
 
     n: int
     feasible: tuple[int, ...]
@@ -138,15 +112,13 @@ class FlagMatroid:
     def __post_init__(self):
         if not (0 <= self.n <= mc.MAX_GROUND):
             raise IndexOutOfRange(f"ground set size {self.n} outside 0..{mc.MAX_GROUND}")
-        if not self.feasible:
+        feasible = canonical(self.feasible)
+        object.__setattr__(self, "feasible", feasible)
+        if not feasible:
             raise EmptyResult("a flag matroid needs at least one feasible set")
-        full = (1 << self.n) - 1
-        if any(f & ~full for f in self.feasible):
+        if any(f >> self.n for f in feasible):
             raise IndexOutOfRange("feasible set outside the ground set")
-        keys = list(map(_order_key, self.feasible))
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise IndexOutOfRange("feasible family not in canonical order")
-        bad = _canonical_layered_witness(self.n, self.feasible)
+        bad = _canonical_layered_witness(self.n, feasible)
         if bad is None:
             return
         kind, payload = bad
@@ -189,7 +161,7 @@ class FlagMatroid:
 
 def flag_matroid(n: int, family: Iterable[Iterable[int]]) -> FlagMatroid:
     """Validated construction from explicit feasible sets."""
-    return FlagMatroid(n, _family_key(mask_of(s) for s in family))
+    return FlagMatroid(n, map(mask_of, family))
 
 
 # --- the axiom system ---------------------------------------------------------
@@ -248,9 +220,7 @@ def _axiom2_witness(
 
 def check_flag_axioms(n: int, family: Iterable[Iterable[int] | int]) -> AxiomReport:
     """Brute-force check of the two feasible-set axioms, exactly as stated."""
-    masks = _family_key(
-        s if isinstance(s, int) else mask_of(s) for s in family
-    )
+    masks = canonical(s if isinstance(s, int) else mask_of(s) for s in family)
     if not masks:
         return AxiomReport(False, axiom=0, witness={"reason": "empty family"})
     groups = _group_by_size(masks)
@@ -276,9 +246,7 @@ def from_feasible_sets(
     n: int, family: Iterable[Iterable[int] | int]
 ) -> tuple[FlagMatroid, tuple[mc.Matroid, ...]]:
     """Validate the layered conditions and return both views."""
-    fm = FlagMatroid(
-        n, _family_key(s if isinstance(s, int) else mask_of(s) for s in family)
-    )
+    fm = FlagMatroid(n, (s if isinstance(s, int) else mask_of(s) for s in family))
     return fm, fm.layers
 
 
@@ -292,8 +260,7 @@ def from_sequence(matroids: Sequence[mc.Matroid]) -> FlagMatroid:
     ranks = [m.rank for m in matroids]
     if any(r2 <= r1 for r1, r2 in zip(ranks, ranks[1:])):
         raise RankCollision(f"ranks not strictly increasing: {ranks}")
-    masks = [b for m in matroids for b in m.bases]
-    return FlagMatroid(n, _family_key(masks))
+    return FlagMatroid(n, (b for m in matroids for b in m.bases))
 
 
 def flag_interval(m: mc.Matroid, s: int, r: int) -> FlagMatroid:
@@ -310,7 +277,7 @@ def flag_interval(m: mc.Matroid, s: int, r: int) -> FlagMatroid:
     ]
     if not fam:
         raise EmptyInterval(f"no independent or spanning set of size in [{s}, {r}]")
-    return FlagMatroid(m.n, _family_key(fam))
+    return FlagMatroid(m.n, fam)
 
 
 def independent_flag(m: mc.Matroid) -> FlagMatroid:
@@ -319,7 +286,7 @@ def independent_flag(m: mc.Matroid) -> FlagMatroid:
 
 def basis_flag(m: mc.Matroid) -> FlagMatroid:
     """The one-layer flag of m's bases, equal to flag_interval(m, r, r)."""
-    return FlagMatroid(m.n, _family_key(m.bases))
+    return FlagMatroid(m.n, m.bases)
 
 
 def spanning_flag(m: mc.Matroid) -> FlagMatroid:
@@ -330,7 +297,7 @@ def spanning_flag(m: mc.Matroid) -> FlagMatroid:
 
 def flag_dual(fm: FlagMatroid) -> FlagMatroid:
     full = (1 << fm.n) - 1
-    return FlagMatroid(fm.n, _family_key(full ^ f for f in fm.feasible))
+    return FlagMatroid(fm.n, (full ^ f for f in fm.feasible))
 
 
 def flag_delete(fm: FlagMatroid, e: int) -> FlagMatroid:
@@ -340,7 +307,7 @@ def flag_delete(fm: FlagMatroid, e: int) -> FlagMatroid:
     kept = [squeeze(f, bit) for f in fm.feasible if not f & bit]
     if not kept:
         raise EmptyResult(f"deleting {e} empties the feasible family")
-    return FlagMatroid(fm.n - 1, _family_key(kept))
+    return FlagMatroid(fm.n - 1, kept)
 
 
 def flag_contract(fm: FlagMatroid, e: int) -> FlagMatroid:
@@ -351,7 +318,7 @@ def flag_contract(fm: FlagMatroid, e: int) -> FlagMatroid:
     kept = [squeeze(f ^ bit, bit) for f in fm.feasible if f & bit]
     if not kept:
         raise EmptyResult(f"contracting {e} empties the feasible family")
-    return FlagMatroid(fm.n - 1, _family_key(kept))
+    return FlagMatroid(fm.n - 1, kept)
 
 
 def chop(fm: FlagMatroid, size: int) -> FlagMatroid:
@@ -392,7 +359,7 @@ def flag_minor(
     ]
     if not kept:
         raise EmptyResult("minor empties the feasible family")
-    out = FlagMatroid(fm.n - removed.bit_count(), _family_key(kept))
+    out = FlagMatroid(fm.n - removed.bit_count(), kept)
     for size in chops:
         out = chop(out, size)
     return out
@@ -483,7 +450,7 @@ def relabel_flag(fm: FlagMatroid, perm: Sequence[int]) -> FlagMatroid:
         for e in iter_bits(f):
             m |= 1 << perm[e]
         out.append(m)
-    return FlagMatroid(fm.n, _family_key(out))
+    return FlagMatroid(fm.n, out)
 
 
 def flag_has_minor(

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import flag_core as fl
 from . import matroid_core as mc
-from .bitset import iter_bits, mask_of, set_key
+from .bitset import iter_bits, mask_of
 from .errors import (
     BadPartition,
     ChainNotGrounded,
@@ -147,7 +147,7 @@ def cycle_matroid(g: MultiGraph) -> mc.Matroid:
         for m in (mask_of(c) for c in combinations(range(len(g.edges)), r))
         if _is_forest(g, m)
     ]
-    return mc.Matroid(len(g.edges), tuple(sorted(bases, key=set_key)))
+    return mc.Matroid(len(g.edges), bases)
 
 
 def quotient_graph(g: MultiGraph, partition: Iterable[Iterable[int]]) -> MultiGraph:

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import flag_core as fl
 from . import gf_linalg as gl
 from . import matroid_core as mc
-from .bitset import elements_of, iter_bits, mask_of, set_key, size_masks
+from .bitset import elements_of, iter_bits, mask_of, size_masks
 from .errors import (
     BudgetExhausted,
     ConstructionFailed,
@@ -121,8 +121,7 @@ def _coextension(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
     less n, are quot's.  Whether Q satisfies basis exchange is not checked.
     """
     xbit = 1 << quot.n
-    bases = list(lift.bases) + [b | xbit for b in quot.bases]
-    return mc.Matroid(quot.n + 1, tuple(sorted(bases, key=set_key)))
+    return mc.Matroid(quot.n + 1, lift.bases + tuple(b | xbit for b in quot.bases))
 
 
 def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
@@ -156,18 +155,16 @@ def enumerate_elementary_coextensions(quot: mc.Matroid, lift: mc.Matroid) -> lis
     Any such Q has rank(lift): its bases avoiding n are exactly lift's bases
     and its bases through n are T + {n} for a family T of (rank-1)-subsets,
     which the contraction forces to be quot's bases.  So only that family is
-    built, and it is kept if it passes the pairwise basis-exchange test
+    built (`_coextension`), and it is kept if it passes the pairwise basis-exchange test
     (`basis_exchange_witness`, not the rank-axiom test of
     `elementary_witness`) and its two minors are the pair.
     """
     if quot.n != lift.n or lift.rank != quot.rank + 1:
         return []
-    n = quot.n
-    bases = list(lift.bases) + [b | 1 << n for b in quot.bases]
-    if mc.basis_exchange_witness(bases) is not None:
+    q = _coextension(quot, lift)
+    if mc.basis_exchange_witness(q.bases) is not None:
         return []
-    q = mc.Matroid(n + 1, tuple(sorted(bases, key=set_key)))
-    return [q] if verify_quotient_pair(q, [n], quot, lift) else []
+    return [q] if verify_quotient_pair(q, [quot.n], quot, lift) else []
 
 
 @dataclass(frozen=True)
@@ -283,10 +280,9 @@ def enumerate_fillings(fm: fl.FlagMatroid, budget: int = 10000) -> FillingSearch
             pick = 0
             for j in iter_bits(select):
                 pick |= blocks[j]
-            fam = tuple(pool[i] for i in iter_bits(pick))
-            if mc.basis_exchange_witness(fam) is not None:
+            mid = mc.Matroid(fm.n, (pool[i] for i in iter_bits(pick)))
+            if not mid.is_matroid:
                 continue
-            mid = mc.Matroid(fm.n, tuple(sorted(fam, key=set_key)))
             if not is_lift(mid, low, "flats").ok or not is_lift(high, mid, "flats").ok:
                 continue
             for tail in bridge(mid, high):
@@ -353,6 +349,9 @@ def search_major(
     through the extra elements; families are enumerated in a fixed order and
     the first verified major is returned.  Raises BudgetExhausted when the
     budget runs out before the space is covered.
+
+    With one extra element the family that can verify is forced, so only
+    the coextension of the two layers is built; it counts against the budget.
     """
     layers = fm.layers
     ranks = [m.rank for m in layers]
@@ -364,6 +363,11 @@ def search_major(
     if extra == 0:
         return MajorStructure(layers[0], ())
     n = fm.n
+    if extra == 1:
+        if budget <= 0:
+            raise BudgetExhausted(f"{budget} candidate families examined")
+        found = enumerate_elementary_coextensions(*layers)
+        return MajorStructure(found[0], ((n,),)) if found else None
     nq = n + extra
     xmask = ((1 << nq) - 1) ^ ((1 << n) - 1)
     top = ranks[-1]
@@ -378,7 +382,7 @@ def search_major(
         bases = list(layers[-1].bases) + fam
         if mc.basis_exchange_witness(bases) is not None:
             continue
-        q = mc.Matroid(nq, tuple(sorted(bases, key=set_key)))
+        q = mc.Matroid(nq, bases)
         if not q.is_independent(xmask):
             continue
         for blocks in _ordered_partitions(elements_of(xmask), block_sizes):

@@ -1,7 +1,8 @@
 """Matroids on ground sets {0..n-1}, stored by their basis family.
 
-Subsets are int bit masks throughout.  Construction from a basis family is
-cheap-checked only (shape, equal cardinality); `Matroid.is_matroid` decides
+Subsets are int bit masks throughout.  Construction stores the basis family
+in `bitset.canonical` form, so equal families make equal matroids, and
+checks only its shape and equal cardinality; `Matroid.is_matroid` decides
 basis exchange by the local rank axiom on the rank levels.  The public
 constructors (`matroid_from_bases`, JSON loading) run that test and take a
 witness from `basis_exchange_witness` only when it fails;
@@ -20,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from . import gf_linalg as gl
 from .bitset import (
+    canonical,
     elements_of,
     iter_bits,
     mask_of,
-    set_key,
     size_masks,
     squeeze,
 )
@@ -85,7 +86,8 @@ def _bit_bytes(bits: int, n: int) -> bytes:
 
 @dataclass(frozen=True)
 class Matroid:
-    """Ground-set size plus the canonical sorted tuple of basis masks.
+    """Ground-set size plus the basis masks, stored in `canonical` form
+    whatever iterable is given, so equal families make equal matroids.
 
     Derived data is computed on first use and cached on the instance.  The
     rank function is held as 2^n-bit ints: `independent_bits` (bit S set
@@ -107,15 +109,14 @@ class Matroid:
     def __post_init__(self):
         if not (0 <= self.n <= MAX_MATROID_GROUND):
             raise IndexOutOfRange(f"ground set size {self.n} outside 0..{MAX_MATROID_GROUND}")
-        if not self.bases:
+        bases = canonical(self.bases)
+        object.__setattr__(self, "bases", bases)
+        if not bases:
             raise ConstructionFailed("a matroid has at least one basis")
-        full = (1 << self.n) - 1
-        size = self.bases[0].bit_count()
-        for b in self.bases:
-            if b & ~full:
-                raise IndexOutOfRange("basis element outside the ground set")
-            if b.bit_count() != size:
-                raise ConstructionFailed("bases of unequal cardinality")
+        if any(b >> self.n for b in bases):
+            raise IndexOutOfRange("basis element outside the ground set")
+        if bases[0].bit_count() != bases[-1].bit_count():
+            raise ConstructionFailed("bases of unequal cardinality")
 
     @property
     def rank(self) -> int:
@@ -271,7 +272,7 @@ class Matroid:
     def flats(self) -> tuple[int, ...]:
         digits = format(self.flat_bits, "b")[::-1]
         out = [s for s, d in enumerate(digits) if d == "1"]
-        return tuple(sorted(out, key=set_key))
+        return tuple(sorted(out, key=elements_of))
 
     @cached_property
     def fundamental_circuits(self) -> tuple[tuple[int, ...], ...]:
@@ -329,10 +330,9 @@ def basis_exchange_witness(masks: Iterable[int]) -> Optional[tuple[int, int, int
 
 def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Validated construction from explicit basis sets."""
-    masks = sorted({mask_of(b) for b in bases}, key=set_key)
-    m = Matroid(n, tuple(masks))
+    m = Matroid(n, map(mask_of, bases))
     if not m.is_matroid:
-        witness = basis_exchange_witness(masks)
+        witness = basis_exchange_witness(m.bases)
         raise ConstructionFailed(
             "basis exchange fails",
             bases=tuple(elements_of(w) for w in witness[:2]),
@@ -359,9 +359,6 @@ def matroid_from_independent_sets(n: int, family: Iterable[Iterable[int]]) -> Ma
                     2, "family not downward closed",
                     superset=elements_of(s), subset=elements_of(s ^ (1 << e)),
                 )
-    by_size: dict[int, list[int]] = {}
-    for s in fam:
-        by_size.setdefault(s.bit_count(), []).append(s)
     for small in fam:
         for big in fam:
             if big.bit_count() <= small.bit_count():
@@ -372,14 +369,14 @@ def matroid_from_independent_sets(n: int, family: Iterable[Iterable[int]]) -> Ma
                     smaller=elements_of(small), larger=elements_of(big),
                 )
     top = max(s.bit_count() for s in fam)
-    return Matroid(n, tuple(sorted(by_size[top], key=set_key)))
+    return Matroid(n, (s for s in fam if s.bit_count() == top))
 
 
 def uniform(r: int, n: int) -> Matroid:
     """The uniform matroid with all r-subsets of an n-set as bases."""
     if not (0 <= r <= n):
         raise BadRank(f"rank {r} outside 0..{n}")
-    return Matroid(n, tuple(size_masks(n, r)))
+    return Matroid(n, size_masks(n, r))
 
 
 def linear_matroid(a: gl.GFMatrix) -> Matroid:
@@ -387,8 +384,7 @@ def linear_matroid(a: gl.GFMatrix) -> Matroid:
     n = a.cols
     if n > MAX_GROUND:
         raise IndexOutOfRange(f"too many columns ({n})")
-    # column_bases yields in combinations order, which is set_key order
-    return Matroid(n, tuple(gl.column_bases(a, gl.rank(a))))
+    return Matroid(n, gl.column_bases(a, gl.rank(a)))
 
 
 # --- derived quantities -----------------------------------------------------
@@ -431,7 +427,7 @@ def circuits(m: Matroid) -> tuple[int, ...]:
             continue
         if all(ind[mask ^ (1 << e)] for e in iter_bits(mask)):
             out.append(mask)
-    return tuple(sorted(out, key=lambda s: (s.bit_count(), set_key(s))))
+    return canonical(out)
 
 
 def loops(m: Matroid) -> tuple[int, ...]:
@@ -457,10 +453,10 @@ def parallel_classes(m: Matroid) -> tuple[tuple[int, ...], ...]:
 
 def dual(m: Matroid) -> Matroid:
     full = m.full_mask
-    return Matroid(m.n, tuple(sorted((full ^ b for b in m.bases), key=set_key)))
+    return Matroid(m.n, (full ^ b for b in m.bases))
 
 
-def _contract_masks(m: Matroid, cmask: int) -> list[int]:
+def _contract_masks(m: Matroid, cmask: int) -> set[int]:
     """Basis masks of m / cmask, still in the original indexing.
 
     r(C) is the largest |B & C| over the bases B, so contracting builds no
@@ -469,15 +465,13 @@ def _contract_masks(m: Matroid, cmask: int) -> list[int]:
     """
     meets = [(b & cmask).bit_count() for b in m.bases]
     rc = max(meets)
-    out = {b & ~cmask for b, k in zip(m.bases, meets) if k == rc}
-    return sorted(out)
+    return {b & ~cmask for b, k in zip(m.bases, meets) if k == rc}
 
 
-def _delete_masks(bases: list[int] | tuple[int, ...], dmask: int) -> list[int]:
+def _delete_masks(bases: Collection[int], dmask: int) -> set[int]:
     """Basis masks of the deletion, still in the original indexing."""
     best = max((b & ~dmask).bit_count() for b in bases)
-    out = {b & ~dmask for b in bases if (b & ~dmask).bit_count() == best}
-    return sorted(out)
+    return {b & ~dmask for b in bases if (b & ~dmask).bit_count() == best}
 
 
 def minor(m: Matroid, contract: int | Iterable[int], delete: int | Iterable[int]) -> Matroid:
@@ -486,12 +480,11 @@ def minor(m: Matroid, contract: int | Iterable[int], delete: int | Iterable[int]
     dmask = _as_mask(m, delete)
     if cmask & dmask:
         raise OverlappingSets("contract and delete sets intersect")
-    masks = _contract_masks(m, cmask) if cmask else list(m.bases)
+    masks = _contract_masks(m, cmask) if cmask else m.bases
     if dmask:
         masks = _delete_masks(masks, dmask)
     removed = cmask | dmask
-    squeezed = sorted({squeeze(b, removed) for b in masks}, key=set_key)
-    return Matroid(m.n - removed.bit_count(), tuple(squeezed))
+    return Matroid(m.n - removed.bit_count(), (squeeze(b, removed) for b in masks))
 
 
 def delete(m: Matroid, e: int) -> Matroid:
@@ -610,7 +603,7 @@ def enumerate_basis_families(n: int, r: int) -> Iterator[tuple[int, ...]]:
     for pick in range(1, 1 << len(pool)):
         fam = tuple(pool[i] for i in range(len(pool)) if pick >> i & 1)
         if basis_exchange_witness(fam) is None:
-            yield tuple(sorted(fam, key=set_key))
+            yield fam
 
 
 def enumerate_matroids(n: int) -> Iterator[Matroid]:

@@ -642,6 +642,20 @@ def test_a_refused_search_exits_3_on_every_verb(capture, corpus):
     assert json.loads(search[1])["error"] == "SearchSpaceTooLarge"
 
 
+def test_major_search_on_a_one_element_major_answers_and_verifies(capture, corpus):
+    """(U_{1,15}, U_{2,15}) has a forced one-element major, U_{2,16}; it is
+    built directly instead of after 2^15 - 1 other candidate families."""
+    fm = fl.from_sequence([mc.uniform(1, 15), mc.uniform(2, 15)])
+    flag = corpus["write"]("u15.json", io.flag_json(fm))
+    code, out, _ = capture("major", "search", flag)
+    assert code == 0
+    major = json.loads(out)
+    assert major["matroid"] == io.matroid_json(mc.uniform(2, 16))
+    bundle = corpus["write"]("bundle.json", {"major": major, "flag": io.flag_json(fm)})
+    assert capture("major", "verify", bundle)[:2] == (0, '{"valid":true}\n')
+    assert capture("major", "search", flag, "--budget", "0")[0] == 3
+
+
 def _verbs_that_read_files():
     """An argv for each verb of the parser with a path argument, with "FILE"
     for each path: every choice of a positional with choices, and the first

@@ -25,7 +25,7 @@ from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
-from flagmatroids.bitset import iter_bits, mask_of, set_key, size_masks
+from flagmatroids.bitset import elements_of, iter_bits, mask_of, size_masks
 from flagmatroids.errors import RankDeficientPrefix
 
 
@@ -36,7 +36,7 @@ def reference_linear_matroid(a):
         for cols in combinations(range(a.cols), r)
         if gl.rank(gl.select_cols(a, cols)) == r
     ]
-    return mc.Matroid(a.cols, tuple(sorted(bases, key=set_key)))
+    return mc.Matroid(a.cols, tuple(sorted(bases, key=elements_of)))
 
 
 def reference_column_bases(a, r):
@@ -147,7 +147,7 @@ def _near_families(layer):
         fams += [bases[:-1], bases[1:]]
     if others:
         fams += [bases + others[:1], bases[1:] + others[-1:]]
-    return [mc.Matroid(n, tuple(sorted(f, key=set_key))) for f in fams]
+    return [mc.Matroid(n, tuple(sorted(f, key=elements_of))) for f in fams]
 
 
 @settings(max_examples=150)

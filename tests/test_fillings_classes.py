@@ -18,7 +18,7 @@ from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import set_key, size_masks
+from flagmatroids.bitset import elements_of, size_masks
 
 BUDGETS = (3, 50, 10_000)
 
@@ -54,7 +54,7 @@ def reference_enumerate_fillings(fm, budget):
             fam = tuple(pool[i] for i in range(len(pool)) if pick >> i & 1)
             if mc.basis_exchange_witness(fam) is not None:
                 continue
-            mid = mc.Matroid(fm.n, tuple(sorted(fam, key=set_key)))
+            mid = mc.Matroid(fm.n, tuple(sorted(fam, key=elements_of)))
             if not lm.is_lift(mid, low, "flats").ok or not lm.is_lift(high, mid, "flats").ok:
                 continue
             for tail in bridge(mid, high):

@@ -28,7 +28,7 @@ from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import elements_of, iter_bits, mask_of, set_key
+from flagmatroids.bitset import elements_of, iter_bits, mask_of
 
 
 def reference_closure(m, mask):
@@ -44,7 +44,7 @@ def reference_closure(m, mask):
 
 def reference_flats(m):
     out = [s for s in range(1 << m.n) if reference_closure(m, s) == s]
-    return tuple(sorted(out, key=set_key))
+    return tuple(sorted(out, key=elements_of))
 
 
 def reference_by_flats(n, lift, quot):

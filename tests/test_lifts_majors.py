@@ -93,7 +93,7 @@ def test_coextension_uniqueness_pair():
 def _coextensions_by_exhaustion(quot, lift):
     """Reference: try every family of (rank - 1)-subsets as the bases
     through the new element, 2^C(n, rank - 1) picks."""
-    from flagmatroids.bitset import set_key, size_masks
+    from flagmatroids.bitset import elements_of, size_masks
 
     if quot.n != lift.n or lift.rank != quot.rank + 1:
         return []
@@ -105,7 +105,7 @@ def _coextensions_by_exhaustion(quot, lift):
         bases = list(lift.bases) + through
         if mc.basis_exchange_witness(bases) is not None:
             continue
-        q = mc.Matroid(n + 1, tuple(sorted(bases, key=set_key)))
+        q = mc.Matroid(n + 1, tuple(sorted(bases, key=elements_of)))
         if lm.verify_quotient_pair(q, [n], quot, lift):
             hits.append(q)
     return hits
@@ -251,6 +251,51 @@ def test_search_major_budget():
     g = fl.from_sequence([mc.uniform(1, 4), mc.uniform(4, 4)])
     with pytest.raises(BudgetExhausted):
         lm.search_major(g, budget=2)
+
+
+def _one_element_major_by_brute_force(fm):
+    """Reference: the search loop over every family of top-rank sets through
+    the new element n, in pick order, for a flag of two layers a rank apart."""
+    from flagmatroids.bitset import elements_of, size_masks
+
+    quot, lift = fm.layers
+    n = fm.n
+    pool = [b for b in size_masks(n + 1, lift.rank) if b >> n & 1]
+    for pick in range(1, 1 << len(pool)):
+        bases = list(lift.bases) + [pool[i] for i in range(len(pool)) if pick >> i & 1]
+        if mc.basis_exchange_witness(bases) is not None:
+            continue
+        q = mc.Matroid(n + 1, tuple(sorted(bases, key=elements_of)))
+        if q.is_independent(1 << n) and lm.verify_major(q, [(n,)], fm):
+            return lm.MajorStructure(q, ((n,),))
+    return None
+
+
+def test_one_element_majors_match_brute_force_on_four_elements():
+    checked = 0
+    for n in range(1, 5):
+        pool = list(mc.enumerate_matroids(n))
+        for quot in pool:
+            for lift in pool:
+                if lift.rank != quot.rank + 1:
+                    continue
+                if fl.layered_witness(n, quot.bases + lift.bases) is not None:
+                    continue
+                fm = fl.from_sequence([quot, lift])
+                major = lm.search_major(fm)
+                assert major is not None
+                assert major == _one_element_major_by_brute_force(fm), fm
+                checked += 1
+    assert checked == 313
+
+
+def test_one_element_major_counts_against_the_budget():
+    fm = fl.from_sequence([mc.uniform(1, 15), mc.uniform(2, 15)])
+    with pytest.raises(BudgetExhausted):
+        lm.search_major(fm, budget=0)
+    major = lm.search_major(fm, budget=1)
+    assert major.matroid == mc.uniform(2, 16) and major.blocks == ((15,),)
+    assert lm.verify_major(major.matroid, major.blocks, fm)
 
 
 def test_search_major_trivial():
