@@ -64,12 +64,10 @@ from .matroid_core import (
 )
 from .representability import (
     FlagRepresentation,
+    decide,
     dual_representation,
     flag_from_matrix,
-    full_flag_decision,
-    is_binary_full,
     is_representable_via_fillings,
-    is_ternary_full,
     major_from_representation,
     projectively_equivalent,
     search_representation,

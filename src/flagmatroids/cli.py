@@ -9,7 +9,9 @@ in the program, never a verdict; stdout holds an
 Each verb is one row of `_VERBS`: its name, help text, argument specs and a
 function from the parsed arguments to (exit code, document, summary).  The
 verb functions only compute; `run` writes what they return, and turns an
-exception into an error document and its exit code.
+exception into an error document and its exit code.  `is-representable`
+and `represent` make one `representability.decide` call each, which
+composes the decision routes, and share one renderer of its decision.
 """
 
 from __future__ import annotations
@@ -182,60 +184,34 @@ def _uniform_rep(args):
     return EXIT_YES, io.representation_json(rep), summary
 
 
-def _full_decision(fm, p: int, method: str) -> rp.RepresentabilityDecision:
-    """The decision on a full flag: the witness route, or (`minors`, `all`)
-    the forbidden-minor search first, as an independent cross-check of the
-    witness route; routes that disagree raise InternalError."""
-    if method == "witness":
-        return rp.full_flag_decision(fm, p)
-    minors = rp.forbidden_minor_decision(fm, p)
-    decisions = {"minors": minors}
-    if minors.representable or method == "all":
-        decisions["witness"] = rp.witness_route_decision(fm, p)
-    if method == "all":
-        decisions["search"] = rp.RepresentabilityDecision(
-            p, rp.search_representation(fm, p) is not None
-        )
-    verdicts = {k: d.representable for k, d in decisions.items()}
-    if len(set(verdicts.values())) != 1:
-        raise InternalError(f"decision routes disagree: {verdicts}")
-    return decisions["witness"] if minors.representable else minors
+def _decision_answer(fm, decision: rp.RepresentabilityDecision):
+    """(exit code, document, summary) of a decision on fm.  A "yes" carries
+    a representation certificate and a "no" of the minor search a
+    forbidden-minor certificate; `validate` re-verifies either independently.
+    Any other "no" carries none, and an unknown answer (the filling budget
+    ran out) exits 3."""
+    p = decision.p
+    if decision.representable is None:
+        return EXIT_UNKNOWN, {"representable": None, "p": p}, "filling budget exhausted"
+    if decision.representable:
+        doc = io.representation_certificate(fm, decision.certificate)
+        return EXIT_YES, doc, f"representable over GF({p})"
+    if decision.witness is None:
+        return EXIT_NO, {"representable": False, "p": p}, f"not representable over GF({p})"
+    doc = io.forbidden_minor_certificate(p, fm, decision.witness)
+    return EXIT_NO, doc, f"not representable over GF({p}): {decision.witness.target_name} minor"
 
 
 def _is_representable(args):
-    """A "yes" carries a representation certificate; a "no" on a full flag
-    carries a forbidden-minor certificate, other "no" answers none.  Re-running
-    `validate` on a certificate re-verifies it independently."""
     budget = _budget(args)
     fm = _flag(args)
-    p = args.p
-    route = ""
-    if args.method == "search":
-        rep = rp.search_representation(fm, p)
-    elif not lm.is_full(fm):
-        # the minor and witness characterizations need consecutive ranks;
-        # general flags go through the filling route
-        decision = rp.is_representable_via_fillings(fm, p, budget)
-        if decision.status == "unknown":
-            return EXIT_UNKNOWN, {"representable": None, "p": p}, "filling budget exhausted"
-        rep, route = decision.certificate, " via a filling"
-    else:
-        decision = _full_decision(fm, p, args.method)
-        if not decision.representable:
-            doc = io.forbidden_minor_certificate(decision.p, fm, decision.witness)
-            return EXIT_NO, doc, f"not representable over GF({p}): {decision.witness.target_name} minor"
-        rep = decision.certificate
-    if rep is None:
-        return EXIT_NO, {"representable": False, "p": p}, f"not representable over GF({p})"
-    return EXIT_YES, io.representation_certificate(fm, rep), f"representable over GF({p}){route}"
+    return _decision_answer(fm, rp.decide(fm, args.p, args.method, budget))
 
 
 def _represent(args):
+    """`is-representable --method search`, for p in {2, 3, 5, 7}."""
     fm = _flag(args)
-    rep = rp.search_representation(fm, args.p)
-    if rep is None:
-        return EXIT_NO, {"representable": False, "p": args.p}, f"no GF({args.p}) representation"
-    return EXIT_YES, io.representation_certificate(fm, rep), f"found a GF({args.p}) representation"
+    return _decision_answer(fm, rp.decide(fm, args.p, "search"))
 
 
 def _graphic_flag(args):

@@ -115,10 +115,6 @@ class BudgetExhausted(Error):
     """Search budget ran out before the search space was exhausted."""
 
 
-class LiftCharacterizationMismatch(Error):
-    """The lift characterizations disagreed; indicates an internal bug."""
-
-
 # --- representability -------------------------------------------------------
 
 class RankDeficientPrefix(Error):

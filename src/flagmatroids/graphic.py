@@ -21,6 +21,7 @@ from .errors import (
     EmptyResult,
     GraphNotConnected,
     IndexOutOfRange,
+    InternalError,
     TrivialLiftLayer,
 )
 
@@ -235,7 +236,7 @@ def connectify(g: MultiGraph, chain: PartitionChain) -> tuple[MultiGraph, Partit
         reps = sorted({uf.find(v) for v in range(g.vertices)})
     after = [quotient_graph_matroid(g, p) for p in chain.partitions]
     if before != after:
-        raise BadPartition("connectify changed a quotient matroid")  # pragma: no cover
+        raise InternalError("connectify changed a quotient matroid")  # pragma: no cover
     return g, chain
 
 
@@ -277,7 +278,7 @@ def graphic_minor(
         )
         expected = fl.flag_contract(before, e)
     if graphic_flag(*out) != expected:
-        raise EmptyResult("graph minor does not match the flag minor")  # pragma: no cover
+        raise InternalError("graph minor does not match the flag minor")  # pragma: no cover
     return out
 
 
@@ -317,7 +318,7 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
     h = MultiGraph(g.vertices, tuple(edges))
     major = MajorStructure(cycle_matroid(h), tuple(blocks))
     if not verify_major(major.matroid, major.blocks, fm):
-        raise ChainNotGrounded("constructed graph is not a major")  # pragma: no cover
+        raise InternalError("constructed graph is not a major")  # pragma: no cover
     return h, major
 
 

@@ -22,9 +22,8 @@ from . import matroid_core as mc
 from .bitset import elements_of, iter_bits, mask_of, size_masks
 from .errors import (
     BudgetExhausted,
-    ConstructionFailed,
     GroundSetMismatch,
-    LiftCharacterizationMismatch,
+    InternalError,
     NotElementaryLift,
     NotFull,
 )
@@ -41,10 +40,14 @@ def _flat_witness(quot_bits: int, lift_bits: int) -> Optional[tuple]:
 
 
 def _lift_by_closures(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
-    for mask, (up, down) in enumerate(zip(lift.closure_table, quot.closure_table)):
-        if up & ~down:
-            return ("subset", elements_of(mask))
-    return None
+    """cl_lift(X) holds some e that cl_quot(X) lacks iff e is outside X,
+    r_lift(X + e) == r_lift(X) and r_quot(X + e) > r_quot(X): iff bit X is
+    set in quot's moved bits of e and clear in lift's.  The least such X is
+    the lowest set bit of their union over e."""
+    bad = 0
+    for up, down in zip(lift.moved_bits, quot.moved_bits):
+        bad |= down & ~up
+    return None if not bad else ("subset", elements_of((bad & -bad).bit_length() - 1))
 
 
 def _lift_by_bases(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
@@ -83,7 +86,8 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
       fundamental circuit of e in B; the witness is the first (B, e)
       without one.  The circuits are read from `fundamental_circuits`.
 
-    "all" evaluates the four and raises if they ever disagree.
+    "all" evaluates the four; if they disagree that is a fault in the
+    program, and InternalError is raised.
     """
     if lift.n != quot.n:
         raise GroundSetMismatch("lift check needs a common ground set")
@@ -95,9 +99,7 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
         results = {m: is_lift(lift, quot, m) for m in LIFT_METHODS}
         verdicts = {m: r.ok for m, r in results.items()}
         if len(set(verdicts.values())) != 1:
-            raise LiftCharacterizationMismatch(
-                f"characterizations disagree: {verdicts}", verdicts=verdicts
-            )
+            raise InternalError(f"characterizations disagree: {verdicts}", verdicts=verdicts)
         first = results["flats"]
         return LiftResult(first.ok, "all", first.witness)
     raise ValueError(f"unknown method {method!r}")
@@ -130,7 +132,8 @@ def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
 
     Every step is checked: the pair by the flats lift test, the family
     built by `_coextension` by basis exchange, and its two minors against
-    the pair (`verify_quotient_pair`)."""
+    the pair (`verify_quotient_pair`).  Once the pair has passed the lift
+    test, a failed check is a fault in the program (InternalError)."""
     if quot.n != lift.n:
         raise GroundSetMismatch("witness needs a common ground set")
     if lift.rank != quot.rank + 1:
@@ -142,9 +145,9 @@ def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
     n = quot.n
     q = _coextension(quot, lift)
     if not q.is_matroid:
-        raise ConstructionFailed("witness family fails basis exchange")
+        raise InternalError("witness family fails basis exchange")
     if not verify_quotient_pair(q, [n], quot, lift):
-        raise ConstructionFailed("witness minors do not reproduce the pair")
+        raise InternalError("witness minors do not reproduce the pair")
     return q
 
 

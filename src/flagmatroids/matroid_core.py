@@ -96,11 +96,10 @@ class Matroid:
     O(n*r) shifts and ANDs: `independent_table` and `rank_table`, read-only
     `bytes` with one byte per subset, and `flat_bits` (bit S set iff S is a
     flat) and `coflat_bits` (bit S set iff S is a flat of the dual), so no
-    dual matroid is built to test duals.  `is_matroid` (whether the bases
-    satisfy basis exchange) comes from the same per-element step as
-    `flat_bits`.  `closure_table` (the closure of every subset) is read off
-    the rank table one subset at a time, and `fundamental_circuits` off the
-    basis family.
+    dual matroid is built to test duals.  `flat_bits`, `is_matroid` (whether
+    the bases satisfy basis exchange) and the closures lift test all read
+    the per-element bitsets of `moved_bits`, and `fundamental_circuits` is
+    read off the basis family.
     """
 
     n: int
@@ -185,38 +184,27 @@ class Matroid:
         return common
 
     @cached_property
-    def closure_table(self) -> list[int]:
-        """closure_table[mask] == mask plus every e with r(mask + e) == r(mask)."""
-        table = self.rank_table
-        bits = [1 << e for e in range(self.n)]
-        out = []
-        for mask, r in enumerate(table):
-            cl = mask
-            for bit in bits:
-                if table[mask | bit] == r:
-                    cl |= bit
-            out.append(cl)
-        return out
-
-    def _moved_bits(self) -> Iterator[int]:
+    def moved_bits(self) -> tuple[int, ...]:
         """Per element e, the 2^n-bit int with bit S set iff S holds e or
-        r(S + e) > r(S).
+        r(S + e) > r(S): its clear bits are the S whose closure gains e.
 
         For S without e, bit S of A_k >> 2^e is bit S + e of A_k, so S + e
         raises the rank iff some level holds S + e but not S."""
         levels = self.rank_levels
+        out = []
         for e, has in enumerate(_element_bits(self.n)):
             step = 1 << e
             raised = 0
             for level in levels:
                 raised |= (level >> step) & ~level
-            yield has | raised
+            out.append(has | raised)
+        return tuple(out)
 
     @cached_property
     def flat_bits(self) -> int:
         """Bit S set iff S is a flat: r(S + e) > r(S) for every e outside S."""
         flat = (1 << (1 << self.n)) - 1
-        for moved in self._moved_bits():
+        for moved in self.moved_bits:
             flat &= moved
         return flat
 
@@ -236,7 +224,7 @@ class Matroid:
         """
         everything = (1 << (1 << self.n)) - 1
         stay = []
-        for moved in self._moved_bits():
+        for moved in self.moved_bits:
             stay_f = everything ^ moved
             for e, stay_e in enumerate(stay):
                 both = stay_e & stay_f
@@ -401,7 +389,11 @@ def rank_of(m: Matroid, subset: int | Iterable[int]) -> int:
 
 
 def closure(m: Matroid, subset: int | Iterable[int]) -> int:
-    return m.closure_table[_as_mask(m, subset)]
+    """subset plus every e with r(subset + e) == r(subset)."""
+    mask = _as_mask(m, subset)
+    table = m.rank_table
+    r = table[mask]
+    return mask | mask_of(e for e in range(m.n) if table[mask | 1 << e] == r)
 
 
 def first_unlifted(quot_bits: int, lift_bits: int) -> Optional[int]:

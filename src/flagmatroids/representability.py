@@ -21,11 +21,13 @@ flag.  Matroid-level excluded minors
 (`matroid_core.is_binary`/`is_ternary`) are not used here; they remain an
 independent cross-check of `matroid_representation`.
 
-A full flag is decided by `full_flag_decision`, witness route first: it is
-polynomial and its "yes" carries the certificate.  The forbidden-minor
-search runs only after a "no", to name the excluded minor; if it finds none
-the two characterizations disagree, which is a fault (`InternalError`).
-The fillings route decides each filling by the witness route alone.
+`decide` is the only code that composes these routes.  By default a full
+flag goes to the witness route first: it is polynomial and its "yes"
+carries the certificate.  The forbidden-minor search runs only after a
+"no", to name the excluded minor; if it finds none the two
+characterizations disagree, which is a fault (`InternalError`).  A flag
+that is not full is decided through its fillings, each by the witness
+route alone.  Every answer is a `RepresentabilityDecision`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from .errors import (
 from .lifts_majors import MajorStructure, is_full, verify_major
 
 SEARCH_FIELDS = (2, 3, 5, 7)
+# column backtracking over GF(5)/GF(7) refuses a flag with p^(r(n - 1)) > 2^GUARD_BITS
+GUARD_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ def dual_representation(rep: FlagRepresentation) -> FlagRepresentation:
     levels = tuple(n - d for d in reversed(rep.levels))
     out = FlagRepresentation(b, levels)
     if not represents(out, fl.flag_dual(represented_flag(rep))):
-        raise NoTransform("dual construction mismatch")  # pragma: no cover
+        raise InternalError("dual construction mismatch")  # pragma: no cover
     return out
 
 
@@ -171,10 +175,10 @@ def delete_representation(rep: FlagRepresentation, e: int) -> FlagRepresentation
     a2 = gl.drop_col(rep.matrix, e)
     kept = [d for d in rep.levels if gl.rank(gl.prefix_rows(a2, d)) == d]
     if not kept:
-        raise LevelCollapse("every level collapsed")  # pragma: no cover
+        raise InternalError("every level collapsed")  # pragma: no cover
     out = FlagRepresentation(gl.prefix_rows(a2, kept[-1]), tuple(kept))
     if not represents(out, expected):
-        raise LevelCollapse("no level repair matches the set-system minor")  # pragma: no cover
+        raise InternalError("no level repair matches the set-system minor")  # pragma: no cover
     return out
 
 
@@ -202,7 +206,7 @@ def contract_representation(rep: FlagRepresentation, e: int) -> FlagRepresentati
     levels = tuple(d - 1 for d in rep.levels if d > t)
     out = FlagRepresentation(gl.matrix(p, rows, cols=rep.n - 1), levels)
     if not represents(out, expected):
-        raise LevelCollapse("contraction repair mismatch")  # pragma: no cover
+        raise InternalError("contraction repair mismatch")  # pragma: no cover
     return out
 
 
@@ -242,7 +246,7 @@ def major_from_representation(rep: FlagRepresentation) -> MajorStructure:
         )
     major = MajorStructure(q, tuple(blocks), matrix=aprime)
     if not verify_major(q, major.blocks, represented_flag(rep)):
-        raise SingleLevel("major construction failed verification")  # pragma: no cover
+        raise InternalError("major construction failed verification")  # pragma: no cover
     return major
 
 
@@ -602,15 +606,15 @@ def _level_matches(a: gl.GFMatrix, level: int, layer: mc.Matroid) -> bool:
     return all(b == want for b, want in zip_longest(got, layer.bases))
 
 
-def _search_columns(fm: fl.FlagMatroid, p: int, guard_bits: int) -> Optional[FlagRepresentation]:
+def _search_columns(fm: fl.FlagMatroid, p: int) -> Optional[FlagRepresentation]:
     """Backtracking over columns in lexicographic order with prefix pruning;
     complete for any prime via column-scaling canonicalization plus pinning
     the first feasible singleton's column to a unit vector."""
     levels = fm.cardinalities
     r = levels[-1]
     n = fm.n
-    if r * max(n - 1, 1) * log2(p) > guard_bits:
-        raise SearchSpaceTooLarge(f"column space exceeds 2^{guard_bits}")
+    if r * max(n - 1, 1) * log2(p) > GUARD_BITS:
+        raise SearchSpaceTooLarge(f"column space exceeds 2^{GUARD_BITS}")
     feas = fm.feasible_set
     unit_col = None
     if 1 in levels:
@@ -654,23 +658,21 @@ def _search_columns(fm: fl.FlagMatroid, p: int, guard_bits: int) -> Optional[Fla
     return FlagRepresentation(mat, levels)
 
 
-def search_representation(
-    fm: fl.FlagMatroid, p: int, guard_bits: int = 24
-) -> Optional[FlagRepresentation]:
+def search_representation(fm: fl.FlagMatroid, p: int) -> Optional[FlagRepresentation]:
     """Exhaustive search for a representation of fm over GF(p).
 
     GF(2)/GF(3) use the level-wise route (complete by projective
     uniqueness); GF(5)/GF(7) fall back to canonicalized column
-    backtracking, guarded by `guard_bits`.
+    backtracking, guarded by `GUARD_BITS`.
     """
     if p not in SEARCH_FIELDS:
         raise InvalidInput(f"search supports p in {SEARCH_FIELDS}")
     if p in (2, 3):
         rep = _search_levelwise(fm, p)
     else:
-        rep = _search_columns(fm, p, guard_bits)
+        rep = _search_columns(fm, p)
     if rep is not None and not represents(rep, fm):
-        raise InvalidInput("search produced a wrong representation")  # pragma: no cover
+        raise InternalError("search produced a wrong representation")  # pragma: no cover
     return rep
 
 
@@ -688,10 +690,18 @@ class ForbiddenMinorWitness:
 
 @dataclass(frozen=True)
 class RepresentabilityDecision:
+    """A verdict over GF(p) and what certifies it: a representation on a
+    "yes", a listed forbidden minor on a "no" of the minor search.
+    `representable` is None when the filling budget ran out."""
+
     p: int
-    representable: bool
+    representable: Optional[bool]
     witness: Optional[ForbiddenMinorWitness] = None
     certificate: Optional[FlagRepresentation] = None
+
+    @property
+    def certified(self) -> bool:
+        return self.witness is not None or self.certificate is not None
 
 
 @lru_cache(maxsize=None)
@@ -810,63 +820,74 @@ def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecisi
         mat = pair if mat is None else _stitch(mat, pair)
     rep = FlagRepresentation(mat, fm.cardinalities)
     if not represents(rep, fm):
-        raise NoTransform("stitched certificate mismatch")  # pragma: no cover
+        raise InternalError("stitched certificate mismatch")  # pragma: no cover
     return RepresentabilityDecision(p, True, certificate=rep)
-
-
-def full_flag_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecision:
-    """Decide GF(2)/GF(3) representability of a full flag, witness route
-    first.  A "yes" carries the witness route's certificate.  Only a "no"
-    runs the forbidden-minor search, to certify it with a listed minor;
-    when that finds none the routes disagree and InternalError is raised."""
-    decision = witness_route_decision(fm, p)
-    if decision.representable:
-        return decision
-    minors = forbidden_minor_decision(fm, p)
-    if minors.representable:
-        verdicts = {"witness": False, "minors": True}
-        raise InternalError(f"decision routes disagree: {verdicts}")
-    return minors
-
-
-def is_binary_full(fm: fl.FlagMatroid) -> RepresentabilityDecision:
-    """`full_flag_decision` over GF(2): the witness route decides, and a
-    "no" carries a forbidden-minor certificate."""
-    return full_flag_decision(fm, 2)
-
-
-def is_ternary_full(fm: fl.FlagMatroid) -> RepresentabilityDecision:
-    """`full_flag_decision` over GF(3): the witness route decides, and a
-    "no" carries a forbidden-minor certificate."""
-    return full_flag_decision(fm, 3)
-
-
-@dataclass(frozen=True)
-class FillingDecision:
-    status: str  # "yes" | "no" | "unknown"
-    filling: Optional[fl.FlagMatroid] = None
-    certificate: Optional[FlagRepresentation] = None
 
 
 def is_representable_via_fillings(
     fm: fl.FlagMatroid, p: int, budget: int = 10000
-) -> FillingDecision:
+) -> RepresentabilityDecision:
     """Tri-state decision for arbitrary flags: representable iff some
-    filling is; bounded filling enumeration makes the negative answer
-    conditional on completeness.  Each filling is decided by the witness
-    route alone, so no minor search runs and no minor certificate is made."""
-    from .lifts_majors import enumerate_fillings
-
+    filling is.  A "yes" carries the first representable filling's
+    certificate with the filled-in levels chopped off; a "no" carries none,
+    and when the bounded filling enumeration was cut short the answer is
+    None.  Each filling is decided by the witness route alone, so no minor
+    search runs and no minor certificate is made."""
     if p not in (2, 3):
         raise InvalidInput("filling route supports p in (2, 3)")
-    search = enumerate_fillings(fm, budget)
+    search = lm.enumerate_fillings(fm, budget)
     for filling in search.fillings:
         cert = witness_route_decision(filling, p).certificate
         if cert is not None:
             for level in cert.levels:
                 if level not in fm.cardinalities:
                     cert = chop_representation(cert, level)
-            return FillingDecision("yes", filling=filling, certificate=cert)
-    if search.complete:
-        return FillingDecision("no")
-    return FillingDecision("unknown")
+            return RepresentabilityDecision(p, True, certificate=cert)
+    return RepresentabilityDecision(p, False if search.complete else None)
+
+
+# --- the decision ---------------------------------------------------------------------
+
+# the routes `decide` runs, in order, per method
+_ROUTES = {
+    "witness": ("witness", "minors"),
+    "minors": ("minors", "witness"),
+    "search": ("search",),
+    "all": ("minors", "witness", "search"),
+}
+
+
+def decide(
+    fm: fl.FlagMatroid, p: int, method: str = "witness", budget: int = 10000
+) -> RepresentabilityDecision:
+    """Decide whether fm is representable over GF(p), by `method`.
+
+    "search" runs `search_representation` alone, for p in SEARCH_FIELDS.
+    Under another method a flag that is not full is decided by
+    `is_representable_via_fillings` within `budget`, and a full flag runs
+    the routes of `_ROUTES` in order, each called by its module-level name.
+    Except under "all", the first decision that carries a certificate (a
+    matrix, or a listed minor) ends the loop.  Routes that ran and disagree
+    raise InternalError; otherwise the first certified decision is returned.
+    """
+    routes = _ROUTES.get(method)
+    if routes is None:
+        raise InvalidInput(f"unknown decision method {method!r}")
+    if method != "search" and not is_full(fm):
+        return is_representable_via_fillings(fm, p, budget)
+    decisions = {}
+    for route in routes:
+        if route == "witness":
+            decision = witness_route_decision(fm, p)
+        elif route == "minors":
+            decision = forbidden_minor_decision(fm, p)
+        else:
+            rep = search_representation(fm, p)
+            decision = RepresentabilityDecision(p, rep is not None, certificate=rep)
+        decisions[route] = decision
+        if decision.certified and method != "all":
+            break
+    verdicts = {route: d.representable for route, d in decisions.items()}
+    if len(set(verdicts.values())) != 1:
+        raise InternalError(f"decision routes disagree: {verdicts}")
+    return next((d for d in decisions.values() if d.certified), decision)

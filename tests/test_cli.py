@@ -512,6 +512,23 @@ def test_a_no_without_a_listed_minor_exits_4(capture, corpus, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_a_failed_post_condition_exits_4(capture, corpus, tmp_path, monkeypatch):
+    """A construction whose own result fails its check is a fault in the
+    program, not an input error: the input passed every check before it."""
+    monkeypatch.setattr(rp, "represents", lambda rep, fm: False)
+    code, out, _ = capture("represent", corpus["chain3.json"], "--p", "3")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert json.loads(out) == {
+        "error": "InternalError", "detail": "search produced a wrong representation"
+    }
+    monkeypatch.setattr(rp, "verify_major", lambda q, blocks, fm: False)
+    code, out, _ = capture("major", "from-rep", str(_write_rep(tmp_path)))
+    assert code == 4
+    assert json.loads(out) == {
+        "error": "InternalError", "detail": "major construction failed verification"
+    }
+
+
 def test_a_huge_element_builds_no_huge_mask(capture, corpus):
     """An element such as 10^8 is bounded before any mask is built, and the
     error documents stay what they were."""

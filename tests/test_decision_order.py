@@ -1,12 +1,15 @@
-"""The order in which full flags are decided, and the order of the minor walk.
+"""The order in which flags are decided, and the order of the minor walk.
 
-A full flag is decided by the witness route; the forbidden-minor search runs
-only to certify a "no".  The compositions this replaced (minor search first,
-witness route for the certificate) are kept below as references: the
-decisions, fillings and CLI output must not change.  `flag_has_minor` tries
-the deletion-only splits during its walk over the removed sets and the rest
-after one sort, and it must build exactly as many minors as the plain
-(|C|, C, D) enumeration of the surviving splits needs to reach its hit.
+`representability.decide` composes the decision routes.  By default a full
+flag is decided by the witness route; the forbidden-minor search runs only
+to certify a "no".  The compositions it replaced (minor search first,
+witness route for the certificate; witness route first; the CLI's choice
+between search, fillings and the full-flag routes) are kept below as
+references: the decisions, fillings and CLI output must not change.
+`flag_has_minor` tries the deletion-only splits during its walk over the
+removed sets and the rest after one sort, and it must build exactly as many
+minors as the plain (|C|, C, D) enumeration of the surviving splits needs to
+reach its hit.
 """
 
 import random
@@ -28,13 +31,24 @@ FLAG_TARGETS = [t for _, t in rp.binary_forbidden_flags() + rp.ternary_forbidden
 
 
 def minors_first_decision(fm, p):
-    """The composition `is_binary_full`/`is_ternary_full` used before: the
-    forbidden-minor search decides, the witness route certifies a "yes"."""
+    """The minors-first composition: the forbidden-minor search decides, the
+    witness route certifies a "yes"."""
     decision = rp.forbidden_minor_decision(fm, p)
     if not decision.representable:
         return decision
     cert = rp.witness_route_decision(fm, p).certificate
     return rp.RepresentabilityDecision(p, True, certificate=cert)
+
+
+def witness_first_decision(fm, p):
+    """The witness-first composition: the witness route decides, and only a
+    "no" runs the minor search, whose listed minor certifies it."""
+    decision = rp.witness_route_decision(fm, p)
+    if decision.representable:
+        return decision
+    minors = rp.forbidden_minor_decision(fm, p)
+    assert not minors.representable
+    return minors
 
 
 def minors_first_fillings(fm, p, budget=10000):
@@ -46,8 +60,24 @@ def minors_first_fillings(fm, p, budget=10000):
             for level in cert.levels:
                 if level not in fm.cardinalities:
                     cert = rp.chop_representation(cert, level)
-            return rp.FillingDecision("yes", filling=filling, certificate=cert)
-    return rp.FillingDecision("no" if search.complete else "unknown")
+            return rp.RepresentabilityDecision(p, True, certificate=cert)
+    return rp.RepresentabilityDecision(p, False if search.complete else None)
+
+
+def composed_decision(fm, p, method):
+    """The choice the CLI made between the representation search, the
+    fillings route and the full-flag compositions, per `--method`."""
+    if method == "search":
+        rep = rp.search_representation(fm, p)
+        return rp.RepresentabilityDecision(p, rep is not None, certificate=rep)
+    if not is_full(fm):
+        return minors_first_fillings(fm, p)
+    if method == "witness":
+        return witness_first_decision(fm, p)
+    decision = minors_first_decision(fm, p)
+    if method == "all":
+        assert (rp.search_representation(fm, p) is not None) == decision.representable
+    return decision
 
 
 def planted_matrix(rng):
@@ -106,14 +136,26 @@ def test_default_route_writes_what_the_minors_route_writes(capture, corpus):
     assert codes == {0, 1}
 
 
+def test_represent_writes_what_the_search_method_writes(capture, corpus):
+    files = [path for name, path in corpus.items() if name.endswith(".json")]
+    codes = set()
+    for path in files:
+        for p in ("2", "3"):
+            represent = capture("represent", path, "--p", p)
+            search = capture("is-representable", path, "--p", p, "--method", "search")
+            assert represent[:2] == search[:2]
+            codes.add(represent[0])
+    assert codes == {0, 1, 2}
+
+
 def test_full_decisions_match_the_minors_first_composition(f7):
     rng = random.Random(53)
     flags = [fm for fm, _ in SEEDED] + [random_full_flag(rng, 6) for _ in range(30)]
     flags += [fl.basis_flag(f7), fl.independent_flag(mc.uniform(2, 4))]
     seen = set()
     for fm in flags:
-        for p, decide in ((2, rp.is_binary_full), (3, rp.is_ternary_full)):
-            got = decide(fm)
+        for p in (2, 3):
+            got = rp.decide(fm, p)
             assert got == minors_first_decision(fm, p)
             seen.add(got.representable)
     assert seen == {True, False}
@@ -133,13 +175,27 @@ def gapped_flags(count, seed):
 def test_fillings_route_matches_the_minors_first_loop():
     flags = gapped_flags(20, 59)
     assert not any(is_full(fm) for fm in flags)
-    statuses = set()
+    verdicts = set()
     for fm in flags:
         for p in (2, 3):
             got = rp.is_representable_via_fillings(fm, p)
             assert got == minors_first_fillings(fm, p)
-            statuses.add(got.status)
-    assert {"yes", "no"} <= statuses
+            verdicts.add(got.representable)
+    assert {True, False} <= verdicts
+
+
+def test_decide_matches_the_compositions_it_replaced():
+    flags = SEEDED + [(fm, p) for fm in gapped_flags(8, 71) for p in (2, 3)]
+    assert {is_full(fm) for fm, _ in flags} == {True, False}
+    for method in ("witness", "minors", "search", "all"):
+        verdicts = set()
+        for fm, p in flags:
+            got = rp.decide(fm, p, method)
+            assert got == composed_decision(fm, p, method)
+            verdicts.add(got.representable)
+        assert {True, False} <= verdicts
+    with pytest.raises(rp.InvalidInput, match="unknown decision method"):
+        rp.decide(SEEDED[0][0], 2, "fastest")
 
 
 def test_a_yes_runs_no_minor_search(monkeypatch, f7):
@@ -148,18 +204,18 @@ def test_a_yes_runs_no_minor_search(monkeypatch, f7):
 
     monkeypatch.setattr(fl, "flag_has_minor", forbidden)
     bf7 = fl.basis_flag(f7)
-    assert rp.is_binary_full(bf7).representable
+    assert rp.decide(bf7, 2).representable
     gap = fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])
-    assert rp.is_representable_via_fillings(gap, 2).status == "yes"
+    assert rp.decide(gap, 2).representable is True
     # a "no" of the filling route needs no minor certificate either
     bad = fl.chop(fl.independent_flag(mc.uniform(2, 4)), 0)
-    assert rp.is_representable_via_fillings(bad, 2).status == "no"
+    assert rp.is_representable_via_fillings(bad, 2).representable is False
 
 
 def test_a_no_without_a_listed_minor_is_a_fault(monkeypatch, f7):
     monkeypatch.setattr(fl, "flag_has_minor", lambda fm, target: None)
     with pytest.raises(rp.InternalError, match="decision routes disagree"):
-        rp.is_ternary_full(fl.basis_flag(f7))
+        rp.decide(fl.basis_flag(f7), 3)
 
 
 # --- the split walk of flag_has_minor ------------------------------------------------

@@ -102,9 +102,8 @@ def seeded_gap_flags(count, seed, max_n):
 
 def closure_class_count(low, high):
     """The number of distinct `high`-closures among the candidate bases of a
-    gap, read from `closure_table`."""
-    cl = high.closure_table
-    return len({cl[b] for b in candidate_pool(low, high)})
+    gap, read from `matroid_core.closure`."""
+    return len({mc.closure(high, b) for b in candidate_pool(low, high)})
 
 
 def check_against_reference(fm, budget, tally):
@@ -149,8 +148,8 @@ def test_quotient_rank_is_constant_on_closure_classes_of_the_lift():
             if not lm.is_lift(h, q, "flats").ok:
                 continue
             pairs += 1
-            rank, cl = q.rank_table, h.closure_table
-            assert all(rank[x] == rank[cl[x]] for x in range(1 << n))
+            rank = q.rank_table
+            assert all(rank[x] == rank[mc.closure(h, x)] for x in range(1 << n))
     assert pairs > 500
 
 

@@ -1,6 +1,6 @@
 """Differential tests for the lift tests on `Matroid`.
 
-`is_lift` reads `flat_bits`, `coflat_bits`, `closure_table` and
+`is_lift` reads `flat_bits`, `coflat_bits`, `moved_bits` and
 `fundamental_circuits`, and `flag_core._lift_witness` reads `flat_bits`.
 The "bases" method runs `flag_core._unlifted_basis` on the fundamental
 circuit rows cached on both matroids; the memoized `_axiom2_witness` runs
@@ -142,7 +142,8 @@ def test_cached_tables_match_references_on_5_elements():
     for m in matroids_on(4) + matroids_on(5):
         assert m.flats == reference_flats(m)
         assert m.coflat_bits == mc.dual(m).flat_bits
-        assert m.closure_table == [reference_closure(m, s) for s in range(1 << m.n)]
+        subsets = range(1 << m.n)
+        assert [mc.closure(m, s) for s in subsets] == [reference_closure(m, s) for s in subsets]
         assert m.fundamental_circuits == reference_fundamental_circuits(m)
 
 

@@ -7,7 +7,7 @@ from flagmatroids import graphic as gr
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
 from flagmatroids.bitset import mask_of
-from flagmatroids.errors import BudgetExhausted, NotElementaryLift, NotFull
+from flagmatroids.errors import BudgetExhausted, InternalError, NotElementaryLift, NotFull
 
 
 def test_is_lift_examples():
@@ -15,6 +15,13 @@ def test_is_lift_examples():
     assert lm.is_lift(mc.uniform(2, 3), mc.uniform(2, 3), "all").ok
     res = lm.is_lift(mc.uniform(1, 3), mc.uniform(2, 3), "all")
     assert not res.ok
+
+
+def test_is_lift_all_raises_when_a_method_disagrees(monkeypatch):
+    lift, quot = mc.uniform(2, 3), mc.uniform(1, 3)
+    monkeypatch.setitem(lm._LIFT_TESTS, "closures", lambda lift, quot: ("subset", ()))
+    with pytest.raises(InternalError, match="characterizations disagree"):
+        lm.is_lift(lift, quot, "all")
 
 
 def test_is_lift_methods_agree_n4():

@@ -383,18 +383,23 @@ def test_forbidden_minor_decisions(f7):
     assert not d.representable and d.witness.target_name == "(U_{1,3},U_{2,3})"
 
     bf7 = fl.basis_flag(f7)
-    d2 = rp.is_binary_full(bf7)
+    d2 = rp.decide(bf7, 2)
     assert d2.representable
     assert rp.represented_flag(d2.certificate) == bf7
-    d3 = rp.is_ternary_full(bf7)
+    d3 = rp.decide(bf7, 3)
     assert not d3.representable and d3.witness.target_name == "(F_7)"
 
     small = fl.from_sequence([mc.uniform(1, 2), mc.uniform(2, 2)])
-    d4 = rp.is_binary_full(small)
+    d4 = rp.decide(small, 2)
     assert d4.representable and rp.represented_flag(d4.certificate) == small
 
-    with pytest.raises(NotFull):
-        rp.is_binary_full(fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)]))
+    # both full-flag routes refuse a flag that is not full; `decide` sends
+    # such a flag to the fillings route instead
+    gap = fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])
+    for route in (rp.witness_route_decision, rp.forbidden_minor_decision):
+        with pytest.raises(NotFull):
+            route(gap, 2)
+    assert rp.decide(gap, 2) == rp.is_representable_via_fillings(gap, 2)
 
 
 def test_witness_route_matches_minors_route():
@@ -419,20 +424,20 @@ def test_ternary_forbidden_list_shape():
 def test_fillings_route(f7):
     g = fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])
     out = rp.is_representable_via_fillings(g, 2)
-    assert out.status == "yes"
+    assert out.representable is True
     assert rp.represented_flag(out.certificate) == g
 
     bad = fl.chop(fl.independent_flag(mc.uniform(2, 4)), 0)
-    assert rp.is_representable_via_fillings(bad, 2).status == "no"
+    assert rp.is_representable_via_fillings(bad, 2).representable is False
 
     full = fl.basis_flag(f7)
-    assert rp.is_representable_via_fillings(full, 3).status == "no"
-    assert rp.is_representable_via_fillings(full, 2).status == "yes"
+    assert rp.is_representable_via_fillings(full, 3).representable is False
+    assert rp.is_representable_via_fillings(full, 2).representable is True
 
     unknown = rp.is_representable_via_fillings(
         fl.from_sequence([mc.uniform(1, 4), mc.uniform(4, 4)]), 2, budget=2
     )
-    assert unknown.status == "unknown"
+    assert unknown.representable is None
 
 
 def test_certificates_reproduce_input():

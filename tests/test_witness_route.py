@@ -20,7 +20,7 @@ from flagmatroids import gf_linalg as gl
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
-from flagmatroids.errors import ConstructionFailed
+from flagmatroids.errors import InternalError
 
 RD = rp.RepresentabilityDecision
 
@@ -227,5 +227,5 @@ def test_a_constructor_that_drops_a_basis_makes_the_no_path_raise(monkeypatch):
         return mc.Matroid(q.n, q.bases[1:])
 
     monkeypatch.setattr(lm, "_coextension", drop_first_basis)
-    with pytest.raises(ConstructionFailed):
+    with pytest.raises(InternalError):
         rp.witness_route_decision(fm, 2)
