@@ -8,8 +8,8 @@ keep the edge indexing, so quotient matroids share one ground set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Collection, Iterable, Optional, Sequence
 
 from . import flag_core as fl
 from . import matroid_core as mc
@@ -122,11 +122,13 @@ class _UnionFind:
         return True
 
 
-def _components(g: MultiGraph) -> int:
+def _roots(g: MultiGraph, removed: Collection[int] = ()) -> set[int]:
+    """One vertex per connected component of g with `removed` taken out."""
     uf = _UnionFind(g.vertices)
     for u, v in g.edges:
-        uf.union(u, v)
-    return len({uf.find(v) for v in range(g.vertices)})
+        if u not in removed and v not in removed:
+            uf.union(u, v)
+    return {uf.find(v) for v in range(g.vertices) if v not in removed}
 
 
 def _is_forest(g: MultiGraph, edge_mask: int) -> bool:
@@ -142,7 +144,7 @@ def cycle_matroid(g: MultiGraph) -> mc.Matroid:
     """Matroid on the edge indices; independent = acyclic edge subsets."""
     if len(g.edges) > mc.MAX_GROUND:
         raise IndexOutOfRange(f"too many edges ({len(g.edges)})")
-    r = g.vertices - _components(g)
+    r = g.vertices - len(_roots(g))
     bases = [
         m
         for m in (mask_of(c) for c in combinations(range(len(g.edges)), r))
@@ -219,10 +221,7 @@ def _transport_partition(cells: Partition, u: int, v: int, n: int) -> Partition:
 
 def connectify(g: MultiGraph, chain: PartitionChain) -> tuple[MultiGraph, PartitionChain]:
     """Identify one vertex per connected component; quotients are unchanged."""
-    uf = _UnionFind(g.vertices)
-    for a, b in g.edges:
-        uf.union(a, b)
-    reps = sorted({uf.find(v) for v in range(g.vertices)})
+    reps = sorted(_roots(g))
     before = [quotient_graph_matroid(g, p) for p in chain.partitions]
     while len(reps) > 1:
         g2 = identify_vertices(g, reps[0], reps[1])
@@ -230,10 +229,7 @@ def connectify(g: MultiGraph, chain: PartitionChain) -> tuple[MultiGraph, Partit
             tuple(_transport_partition(p, reps[0], reps[1], g.vertices) for p in chain.partitions)
         )
         g = g2
-        uf = _UnionFind(g.vertices)
-        for a, b in g.edges:
-            uf.union(a, b)
-        reps = sorted({uf.find(v) for v in range(g.vertices)})
+        reps = sorted(_roots(g))
     after = [quotient_graph_matroid(g, p) for p in chain.partitions]
     if before != after:
         raise InternalError("connectify changed a quotient matroid")  # pragma: no cover
@@ -294,7 +290,7 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
     """
     from .lifts_majors import MajorStructure, verify_major
 
-    if _components(g) != 1:
+    if len(_roots(g)) != 1:
         raise GraphNotConnected("apply connectify first")
     parts = chain.partitions
     if parts[-1] != singletons(g.vertices):
@@ -350,44 +346,38 @@ def strip_major_edges(g_major: MultiGraph, blocks: Sequence[Iterable[int]]) -> M
 # --- the non-graphic counterexample harness ---------------------------------------
 
 def graphs_match(a: MultiGraph, b: MultiGraph) -> Optional[tuple[int, ...]]:
-    """Vertex bijection under which edge i of a equals edge i of b, or None."""
+    """The lexicographically least vertex bijection under which edge i of a
+    equals edge i of b, or None.  Vertices are placed in order, each on the
+    least free target first, and an edge is checked once both ends are."""
     if a.vertices != b.vertices or len(a.edges) != len(b.edges):
         return None
-    for perm in permutations(range(a.vertices)):
-        ok = True
-        for (u, v), (x, y) in zip(a.edges, b.edges):
-            if {perm[u], perm[v]} != {x, y}:
-                ok = False
-                break
-        if ok:
-            return perm
-    return None
+    checks: list[list] = [[] for _ in range(a.vertices)]  # by the edge's later end
+    for (u, v), target in zip(a.edges, b.edges):
+        checks[max(u, v)].append((u, v, set(target)))
+    image: list[int] = []
+
+    def place(w: int) -> bool:
+        if w == a.vertices:
+            return True
+        for t in range(a.vertices):
+            image.append(t)
+            if t not in image[:-1] and all({image[u], image[v]} == to for u, v, to in checks[w]):
+                if place(w + 1):
+                    return True
+            image.pop()
+        return False
+
+    return tuple(image) if place(0) else None
 
 
 def is_three_connected_simple(g: MultiGraph) -> bool:
-    """3-connectivity of the underlying simple graph."""
-    simple_edges = sorted({(u, v) for u, v in g.edges if u != v})
-    simple = MultiGraph(g.vertices, tuple(simple_edges))
+    """3-connectivity of the underlying simple graph: at least 4 vertices,
+    and connected after removing any two.  With 4 or more vertices, a graph
+    that is disconnected, or disconnected by one vertex, is disconnected by
+    some pair too, so pairs suffice."""
     if g.vertices < 4:
         return False
-
-    def connected_without(removed: set[int]) -> bool:
-        verts = [v for v in range(simple.vertices) if v not in removed]
-        uf = _UnionFind(simple.vertices)
-        for u, v in simple.edges:
-            if u not in removed and v not in removed:
-                uf.union(u, v)
-        return len({uf.find(v) for v in verts}) == 1
-
-    if not connected_without(set()):
-        return False
-    for cut in combinations(range(simple.vertices), 2):
-        if not connected_without(set(cut)):
-            return False
-    for v in range(simple.vertices):
-        if not connected_without({v}):
-            return False
-    return True
+    return all(len(_roots(g, cut)) == 1 for cut in combinations(range(g.vertices), 2))
 
 
 @dataclass(frozen=True)

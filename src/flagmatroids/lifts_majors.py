@@ -1,4 +1,6 @@
 """Lift/quotient predicates, elementary lift witnesses, fillings and majors.
+Their searches take candidates from `matroid_core.single_element_extensions`
+and `matroid_core.elementary_quotients`.
 
 Conventions: when a matroid Q on E + X encodes a flag matroid with layers
 (M_1..M_k), the ordered blocks X_1..X_{k-1} satisfy
@@ -13,13 +15,13 @@ for a pair on {0..n-1} lives on {0..n} with the new element at index n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import flag_core as fl
 from . import gf_linalg as gl
 from . import matroid_core as mc
-from .bitset import elements_of, iter_bits, mask_of, size_masks
+from .bitset import elements_of, mask_of
 from .errors import (
     BudgetExhausted,
     GroundSetMismatch,
@@ -152,22 +154,16 @@ def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
 
 
 def enumerate_elementary_coextensions(quot: mc.Matroid, lift: mc.Matroid) -> list[mc.Matroid]:
-    """All matroids Q on {0..n} with Q/n == quot and Q\\n == lift: none, or
-    the one family the pair forces.
-
-    Any such Q has rank(lift): its bases avoiding n are exactly lift's bases
-    and its bases through n are T + {n} for a family T of (rank-1)-subsets,
-    which the contraction forces to be quot's bases.  So only that family is
-    built (`_coextension`), and it is kept if it passes the pairwise basis-exchange test
-    (`basis_exchange_witness`, not the rank-axiom test of
-    `elementary_witness`) and its two minors are the pair.
+    """All matroids Q on {0..n} with Q/n == quot and Q\\n == lift, for
+    quot and lift of ranks r and r + 1: every single-element extension of
+    lift whose contraction by n is quot.  Unlike `_coextension`, this
+    does not assume that there is at most one.
     """
     if quot.n != lift.n or lift.rank != quot.rank + 1:
         return []
-    q = _coextension(quot, lift)
-    if mc.basis_exchange_witness(q.bases) is not None:
-        return []
-    return [q] if verify_quotient_pair(q, [quot.n], quot, lift) else []
+    n = quot.n
+    found = (mc.Matroid(n + 1, fam) for fam in mc.single_element_extensions(lift))
+    return [q for q in found if mc.minor(q, 1 << n, 0) == quot]
 
 
 @dataclass(frozen=True)
@@ -201,108 +197,47 @@ class FillingSearch:
     complete: bool
 
 
-def _gap_blocks(low: mc.Matroid, high: mc.Matroid) -> tuple[list[int], list[int]]:
-    """The candidate bases one rank above `low`, and their blocks.
-
-    The pool holds the (low.rank + 1)-sets independent in `high` and
-    spanning in `low`, in `combinations` order.  The candidates with one
-    `high`-closure (X plus every e with X + e dependent in `high`) form a
-    block, the mask of their pool indices; the blocks come sorted by their
-    highest pool index.
-    """
-    indep = high.independent_table
-    spanning = low.rank_table
-    bits = [1 << e for e in range(low.n)]
-    pool: list[int] = []
-    classes: dict[int, int] = {}
-    for b in size_masks(low.n, low.rank + 1):
-        if not indep[b] or spanning[b] != low.rank:
-            continue
-        key = b
-        for bit in bits:
-            if not indep[b | bit]:
-                key |= bit
-        classes[key] = classes.get(key, 0) | 1 << len(pool)
-        pool.append(b)
-    return pool, sorted(classes.values(), key=int.bit_length)
-
-
 def enumerate_fillings(fm: fl.FlagMatroid, budget: int = 10000) -> FillingSearch:
     """Bounded DFS over full flag matroids chopping down to `fm`.
 
-    Every rank gap >= 2 between layers `low` and `high` is bridged by the
-    matroids Q of rank low.rank + 1 that are quotients of `high` and have
-    `low` as a quotient, each followed by a bridge from Q to `high`.  Q's
-    basis family is a union of closure classes of `high`, where a class is
-    the set of `high`-independent (low.rank + 1)-sets with one
-    `high`-closure (Oxley, Matroid Theory, 7.3):
-
-    - Every flat of Q is a flat of `high`, so cl_Q(X) contains
-      cl_high(X) and r_Q(X) = r_Q(cl_high(X)).  Two sets of a class are
-      therefore both bases of Q or neither.
-    - `low` is a quotient of Q, so every basis of Q spans `low` and lies
-      in the pool of `_gap_blocks`.  `low` is a quotient of `high` as
-      well, so by the same argument the sets of a class all span `low` or
-      none does: every class lies wholly inside the pool or outside it.
-
-    So only unions of the classes met by the pool (the blocks) are tried.
-    With the pool numbered in `combinations` order, read a family as the
-    integer whose bit i is set iff pool[i] is in it; the 2^|pool| - 1
-    families in increasing order of that integer are the full search.
-    Two unions of blocks differ first at the highest pool index in their
-    symmetric difference, which is the top index of the highest block
-    where they differ.  With the blocks sorted by their highest pool
-    index, the selectors s = 1 .. 2^k - 1 over k blocks thus give the
-    unions in that same increasing order.  The unions tried are a
-    subsequence of the full search, and every family skipped fails the
-    checks below, so whenever the full search would complete within the
-    budget this search returns the same fillings in the same order.
-
-    Each union still goes through basis exchange and both lift checks.
-    `budget` caps the number of unions examined over all gaps, so a gap
-    with k blocks costs at most 2^k - 1 of it (plus the bridges above
-    each intermediate when the gap is 3 or more), and exhaustion is
-    reported on the result rather than silently returning a partial
-    answer as a complete one.
+    Each rank gap >= 2 between layers `low` and `high` is bridged top-down
+    through the elementary quotients of `high` (Oxley, Matroid Theory, 7.3)
+    whose bases all span `low`, as a lift's bases must; each that is a lift
+    of `low` is bridged down to `low` in turn.  `budget` caps the quotient
+    families examined over all gaps, one per linear subclass of the upper
+    layer's hyperplanes.  Each is a nonempty union of the closure classes
+    (sets with one closure in `high`) that span `low`, so a gap of two with
+    k such classes costs at most 2^k - 1.  Exhaustion is reported on the
+    result.  The fillings are sorted by the `mc.pick_key` of their layers,
+    bottom-up: the order of a search over every family of candidate bases,
+    one layer above the other.
     """
     layers = fm.layers
     remaining = budget
     truncated = False
 
     def bridge(low: mc.Matroid, high: mc.Matroid) -> list[tuple[mc.Matroid, ...]]:
+        """The chains of layers above `low`, up to `high`, one rank apart."""
         nonlocal remaining, truncated
         if high.rank - low.rank <= 1:
-            return [()]
-        pool, blocks = _gap_blocks(low, high)
+            return [(high,)]
         out = []
-        for select in range(1, 1 << len(blocks)):
+        for bases in mc.elementary_quotients(high, low):
+            if not bases:  # the last family: e a loop, no quotient
+                break
             if remaining <= 0:
                 truncated = True
                 break
             remaining -= 1
-            pick = 0
-            for j in iter_bits(select):
-                pick |= blocks[j]
-            mid = mc.Matroid(fm.n, (pool[i] for i in iter_bits(pick)))
-            if not mid.is_matroid:
-                continue
-            if not is_lift(mid, low, "flats").ok or not is_lift(high, mid, "flats").ok:
-                continue
-            for tail in bridge(mid, high):
-                out.append((mid,) + tail)
+            mid = mc.Matroid(fm.n, bases)
+            if mc.first_unlifted(low.flat_bits, mid.flat_bits) is None:
+                out.extend(below + (high,) for below in bridge(low, mid))
         return out
 
-    per_gap = []
-    for low, high in zip(layers, layers[1:]):
-        per_gap.append(bridge(low, high))
-    fillings = []
-    for choice in product(*per_gap) if per_gap else [()]:
-        chain: list[mc.Matroid] = [layers[0]]
-        for mids, high in zip(choice, layers[1:]):
-            chain.extend(mids)
-            chain.append(high)
-        fillings.append(fl.from_sequence(chain))
-    return FillingSearch(tuple(fillings), not truncated)
+    per_gap = [bridge(low, high) for low, high in zip(layers, layers[1:])]
+    chains = [(layers[0],) + sum(choice, ()) for choice in product(*per_gap)]
+    chains.sort(key=lambda chain: [mc.pick_key(m) for m in chain])
+    return FillingSearch(tuple(map(fl.from_sequence, chains)), not truncated)
 
 
 # --- majors -------------------------------------------------------------------
@@ -319,8 +254,7 @@ class MajorStructure:
 def verify_major(q: mc.Matroid, blocks: Sequence[Iterable[int]], fm: fl.FlagMatroid) -> bool:
     """Check that q with the given ordered blocks is a major of fm."""
     layers = fm.layers
-    k = len(layers)
-    if len(blocks) != k - 1:
+    if len(blocks) != len(layers) - 1:
         return False
     block_masks = [mask_of(b) for b in blocks]
     xmask = 0
@@ -333,76 +267,69 @@ def verify_major(q: mc.Matroid, blocks: Sequence[Iterable[int]], fm: fl.FlagMatr
         return False
     if not q.is_independent(xmask):
         return False
-    for i in range(k):
-        contract = 0
-        for bm in block_masks[i:]:
-            contract |= bm
-        delete = xmask ^ contract
-        if mc.minor(q, contract, delete) != layers[i]:
+    contract = xmask
+    for layer, bm in zip(layers, block_masks + [0]):
+        if mc.minor(q, contract, xmask ^ contract) != layer:
             return False
+        contract ^= bm
     return True
 
 
 def search_major(
     fm: fl.FlagMatroid, extra: Optional[int] = None, budget: int = 20000
 ) -> Optional[MajorStructure]:
-    """Brute-force search for a major on fm.n + extra elements.
+    """A major of fm on fm.n + extra elements, or None if it has none.
 
-    Candidate basis families keep the top layer's bases on E and add bases
-    through the extra elements; families are enumerated in a fixed order and
-    the first verified major is returned.  Raises BudgetExhausted when the
-    budget runs out before the space is covered.
-
-    With one extra element the family that can verify is forced, so only
-    the coextension of the two layers is built; it counts against the budget.
+    With one extra element the major is forced: the coextension of the two
+    layers, built directly, which counts against the budget.  Otherwise it
+    is grown from the top layer by `mc.single_element_extensions`, depth
+    first, adding n, n + 1, ... block by block from X_{k-1} down.
+    Contracting the extras so far must lower the rank by one per extra and
+    give a lift of the layer below the current block, and so that layer at
+    the block's end.  `budget` caps the extensions examined (else
+    BudgetExhausted); the result is checked by `verify_major`.
     """
     layers = fm.layers
     ranks = [m.rank for m in layers]
-    need = ranks[-1] - ranks[0]
-    if extra is None:
-        extra = need
-    if extra != need:
+    if extra not in (None, ranks[-1] - ranks[0]):
         return None
+    extra = ranks[-1] - ranks[0]
     if extra == 0:
         return MajorStructure(layers[0], ())
     n = fm.n
     if extra == 1:
         if budget <= 0:
             raise BudgetExhausted(f"{budget} candidate families examined")
-        found = enumerate_elementary_coextensions(*layers)
-        return MajorStructure(found[0], ((n,),)) if found else None
-    nq = n + extra
-    xmask = ((1 << nq) - 1) ^ ((1 << n) - 1)
-    top = ranks[-1]
-    pool = [b for b in size_masks(nq, top) if b & xmask]
-    block_sizes = [r2 - r1 for r1, r2 in zip(ranks, ranks[1:])]
+        q = _coextension(*layers)
+        return MajorStructure(q, ((n,),)) if q.is_matroid and verify_major(q, ((n,),), fm) else None
+    # the block of each extra, in the order they are added
+    block_of = [i for i in reversed(range(len(layers) - 1)) for _ in range(ranks[i + 1] - ranks[i])]
     remaining = budget
-    for pick in range(1, 1 << len(pool)):
-        if remaining <= 0:
-            raise BudgetExhausted(f"{budget} candidate families examined")
-        remaining -= 1
-        fam = [pool[i] for i in range(len(pool)) if pick >> i & 1]
-        bases = list(layers[-1].bases) + fam
-        if mc.basis_exchange_witness(bases) is not None:
-            continue
-        q = mc.Matroid(nq, bases)
-        if not q.is_independent(xmask):
-            continue
-        for blocks in _ordered_partitions(elements_of(xmask), block_sizes):
-            if verify_major(q, blocks, fm):
-                return MajorStructure(q, blocks)
-    return None
 
+    def grow(q: mc.Matroid) -> Optional[mc.Matroid]:
+        nonlocal remaining
+        added = q.n - n
+        if added == extra:
+            return q
+        below = layers[block_of[added]]
+        for fam in mc.single_element_extensions(q):
+            if remaining <= 0:
+                raise BudgetExhausted(f"{budget} extensions examined")
+            remaining -= 1
+            ext = mc.Matroid(q.n + 1, fam)
+            low = mc.minor(ext, ext.full_mask >> n << n, 0)
+            fits = low.rank == ranks[-1] - added - 1
+            if fits and mc.first_unlifted(below.flat_bits, low.flat_bits) is None:
+                if (found := grow(ext)) is not None:
+                    return found
+        return None
 
-def _ordered_partitions(
-    elements: tuple[int, ...], sizes: Sequence[int]
-) -> Iterable[tuple[tuple[int, ...], ...]]:
-    """Ordered partitions of `elements` into blocks of the given sizes."""
-    if not sizes:
-        if not elements:
-            yield ()
-        return
-    for first in combinations(elements, sizes[0]):
-        rest = tuple(e for e in elements if e not in first)
-        for tail in _ordered_partitions(rest, sizes[1:]):
-            yield (first,) + tail
+    q = grow(layers[-1])
+    if q is None:
+        return None
+    blocks = tuple(
+        tuple(n + t for t, b in enumerate(block_of) if b == i) for i in range(len(layers) - 1)
+    )
+    if not verify_major(q, blocks, fm):
+        raise InternalError("the major search built a matroid that is not a major")
+    return MajorStructure(q, blocks)

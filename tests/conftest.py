@@ -1,6 +1,7 @@
-"""Shared fixtures: brute-force oracles, seeded random generators, and the
-CLI harness (`capture` runs one verb in-process, `corpus` writes the small
-documents the CLI tests read).
+"""Shared fixtures: brute-force oracles, seeded random generators, every
+flag on a few elements (`all_flags`), and the CLI harness (`capture` runs
+one verb in-process, `corpus` writes the small documents the CLI tests
+read).
 
 The oracle helpers here deliberately avoid the library's linear algebra and
 matroid code paths so that expected values in tests are computed
@@ -300,3 +301,21 @@ def random_flag(rng: random.Random, max_n: int = 6) -> fl.FlagMatroid:
         fm = fl.chop(fm, rng.choice(cards[1:-1]))
         cards = list(fm.cardinalities)
     return fm
+
+
+def all_flags(n):
+    """Every valid flag matroid on n elements, as a chain of its layers."""
+    by_rank = sorted(mc.enumerate_matroids(n), key=lambda m: m.rank)
+    out = []
+
+    def extend(chain):
+        for m in by_rank:
+            if chain and m.rank <= chain[-1].rank:
+                continue
+            masks = [b for layer in chain for b in layer.bases] + list(m.bases)
+            if fl.layered_witness(n, masks) is None:
+                out.append(fl.from_sequence(chain + [m]))
+                extend(chain + [m])
+
+    extend([])
+    return out

@@ -308,8 +308,8 @@ def test_criterion_09_lift_witness_uniqueness():
     elapsed = time.time() - start
     report(
         9,
-        "the forced coextension passes pairwise basis exchange and equals the "
-        f"checked witness for each of {pairs} elementary pairs from 100 random full flags",
+        "exactly one single-element extension of the lift contracts to the quotient, "
+        f"the checked witness, for each of {pairs} elementary pairs from 100 random full flags",
         failures == 0,
         f"{elapsed:.1f}s",
     )

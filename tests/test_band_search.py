@@ -16,8 +16,7 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
-from conftest import random_prefix_chain_matrix
-from test_minor_search import _all_flags
+from conftest import all_flags, random_prefix_chain_matrix
 from flagmatroids import gf_linalg as gl
 from flagmatroids import representability as rp
 from flagmatroids.errors import Error, SearchSpaceTooLarge
@@ -95,7 +94,7 @@ def kind(got):
 
 def test_every_flag_on_four_elements_matches_the_reference():
     kinds = Counter(
-        kind(assert_same_search(fm, p)) for n in range(5) for fm in _all_flags(n) for p in (2, 3)
+        kind(assert_same_search(fm, p)) for n in range(5) for fm in all_flags(n) for p in (2, 3)
     )
     assert kinds["rep"] and kinds[None]
 

@@ -1,19 +1,18 @@
 """Differential, lemma and budget tests for the fillings bridge.
 
-`lifts_majors.enumerate_fillings` bridges a rank gap by trying only unions
-of the closure classes of the upper layer, in the order of the loop it
-replaced.  That loop tried every subset of the candidate bases and is kept
-below as the reference.  Where the reference completes, the search must
-return the same fillings in the same order; where the reference runs out
-of budget, the search may get further, but it keeps every filling the
-reference found.
+`lifts_majors.enumerate_fillings` bridges a rank gap top-down: the layer
+below the upper one is an elementary quotient of it, one per linear
+subclass of its hyperplanes, and the budget counts the subclasses examined.
+The first search tried every subset of the candidate bases; it is kept below
+as the reference.  Where the reference completes, the search must return the
+same fillings in the same order; where the reference runs out of budget,
+the search may get further, but it keeps every filling the reference found.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
-from conftest import random_prefix_chain_matrix
-from test_minor_search import _all_flags
+from conftest import all_flags, random_prefix_chain_matrix
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import lifts_majors as lm
@@ -119,7 +118,7 @@ def check_against_reference(fm, budget, tally):
 
 def test_same_fillings_as_the_subset_loop_on_every_non_full_flag_of_4_elements():
     tally = {"same": 0, "reached": 0}
-    flags = [fm for n in range(5) for fm in _all_flags(n) if not lm.is_full(fm)]
+    flags = [fm for n in range(5) for fm in all_flags(n) if not lm.is_full(fm)]
     assert len(flags) > 300
     for fm in flags:
         for budget in BUDGETS:
@@ -153,11 +152,39 @@ def test_quotient_rank_is_constant_on_closure_classes_of_the_lift():
     assert pairs > 500
 
 
+def linear_subclass_count(low, high):
+    """The linear subclasses H of high's hyperplanes that the bridge over
+    (low, high) examines, counted by trying every set of hyperplanes.
+
+    H holds every hyperplane of `high` of rank below low.rank in `low`, and
+    not all of them.  It is linear iff for any two of its hyperplanes that
+    meet in a flat of rank r - 2, it holds every hyperplane through that
+    flat."""
+    r = high.rank
+    independent = [x for x in size_masks(high.n, r - 1) if high.is_independent(x)]
+    planes = sorted({mc.closure(high, x) for x in independent})
+    forced = [h for h in planes if mc.rank_of(low, h) < low.rank]
+    free = [h for h in planes if h not in forced]
+    count = 0
+    for pick in range((1 << len(free)) - 1):
+        sub = set(forced) | {h for i, h in enumerate(free) if pick >> i & 1}
+        count += all(
+            h in sub
+            for h1, h2 in combinations(sub, 2)
+            if mc.rank_of(high, h1 & h2) == r - 2
+            for h in planes
+            if h & h1 & h2 == h1 & h2
+        )
+    return count
+
+
 def test_a_single_gap_costs_one_family_per_union_of_closure_classes():
     """A gap of 2 with k classes among its candidates completes at budget
-    2^k - 1 and not below.  Gaps with more than 10 classes are skipped to
-    bound the test's time (over GF(5) a rank-4 layer on 7 elements can
-    have 23 planes)."""
+    2^k - 1, so the search examines no more than one union of classes per
+    family.  It completes at a budget of the number of linear subclasses it
+    examines, and not at one less.  Gaps with more than 10 classes are
+    skipped to bound the test's time (over GF(5) a rank-4 layer on 7
+    elements can have 23 planes)."""
     checked = 0
     for fm in seeded_gap_flags(40, 5, max_n=7):
         layers = fm.layers
@@ -168,7 +195,10 @@ def test_a_single_gap_costs_one_family_per_union_of_closure_classes():
         if k > 10:
             continue
         assert lm.enumerate_fillings(fm, 2 ** k - 1).complete
-        assert not lm.enumerate_fillings(fm, 2 ** k - 2).complete
+        examined = linear_subclass_count(*gaps[0])
+        assert 0 < examined <= 2 ** k - 1
+        assert lm.enumerate_fillings(fm, examined).complete
+        assert not lm.enumerate_fillings(fm, examined - 1).complete
         checked += 1
     assert checked > 20
 

@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -299,3 +299,70 @@ def test_three_connectivity():
     assert gr.is_three_connected_simple(gr.complete_graph(4))
     path = gr.multigraph(4, [(0, 1), (1, 2), (2, 3)])
     assert not gr.is_three_connected_simple(path)
+
+
+def reference_graphs_match(a, b):
+    """The first vertex permutation, in lexicographic order, that maps edge
+    i of a onto edge i of b."""
+    if a.vertices != b.vertices or len(a.edges) != len(b.edges):
+        return None
+    for perm in permutations(range(a.vertices)):
+        if all({perm[u], perm[v]} == {x, y} for (u, v), (x, y) in zip(a.edges, b.edges)):
+            return perm
+    return None
+
+
+def test_graphs_match_agrees_with_trying_every_permutation():
+    """Seeded multigraph pairs on at most 6 vertices, loops and parallel
+    edges included: b is a relabelled a, sometimes with one end of one
+    edge moved, so that most pairs match and some hundreds do not."""
+    rng = random.Random(2020)
+    matched = 0
+    for _ in range(3000):
+        vertices = rng.randint(1, 6)
+        a = random_multigraph(rng, vertices, rng.randint(0, 8))
+        perm = list(range(vertices))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in a.edges]
+        if edges and rng.random() < 0.35:
+            i = rng.randrange(len(edges))
+            edges[i] = (edges[i][0], rng.randrange(vertices))
+        b = gr.multigraph(vertices, edges)
+        got = gr.graphs_match(a, b)
+        assert got == reference_graphs_match(a, b), (a, b)
+        matched += got is not None
+    assert 2000 < matched < 2900
+
+
+def reference_is_three_connected_simple(g):
+    """At least 4 vertices, and connected with no vertex, any one vertex or
+    any two vertices removed."""
+    if g.vertices < 4:
+        return False
+
+    def connected_without(removed):
+        parent = list(range(g.vertices))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v in g.edges:
+            if u not in removed and v not in removed:
+                parent[find(u)] = find(v)
+        return len({find(v) for v in range(g.vertices) if v not in removed}) == 1
+
+    cuts = [()] + [(v,) for v in range(g.vertices)] + list(combinations(range(g.vertices), 2))
+    return all(connected_without(set(cut)) for cut in cuts)
+
+
+def test_three_connectivity_checks_only_pairs_of_vertices():
+    rng = random.Random(33)
+    found = 0
+    for _ in range(600):
+        g = random_multigraph(rng, rng.randint(1, 7), rng.randint(0, 20))
+        got = gr.is_three_connected_simple(g)
+        assert got == reference_is_three_connected_simple(g), g
+        found += got
+    assert found > 20

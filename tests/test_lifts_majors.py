@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from conftest import all_flags
 from flagmatroids import flag_core as fl
 from flagmatroids import graphic as gr
 from flagmatroids import lifts_majors as lm
@@ -258,6 +260,59 @@ def test_search_major_budget():
     g = fl.from_sequence([mc.uniform(1, 4), mc.uniform(4, 4)])
     with pytest.raises(BudgetExhausted):
         lm.search_major(g, budget=2)
+
+
+def _ordered_partitions(elements, sizes):
+    """Ordered partitions of `elements` into blocks of the given sizes."""
+    if not sizes:
+        if not elements:
+            yield ()
+        return
+    for first in combinations(elements, sizes[0]):
+        rest = tuple(e for e in elements if e not in first)
+        for tail in _ordered_partitions(rest, sizes[1:]):
+            yield (first,) + tail
+
+
+def _major_by_brute_force(fm, budget):
+    """Reference: the first `budget` families of top-rank sets meeting the
+    extra elements, in pick order, each with every ordered partition of
+    the extras into blocks."""
+    from flagmatroids.bitset import elements_of, size_masks
+
+    layers = fm.layers
+    ranks = [m.rank for m in layers]
+    n, nq = fm.n, fm.n + ranks[-1] - ranks[0]
+    xmask = ((1 << nq) - 1) ^ ((1 << n) - 1)
+    pool = [b for b in size_masks(nq, ranks[-1]) if b & xmask]
+    sizes = [r2 - r1 for r1, r2 in zip(ranks, ranks[1:])]
+    for pick in range(1, min(1 << len(pool), budget + 1)):
+        bases = list(layers[-1].bases) + [pool[i] for i in range(len(pool)) if pick >> i & 1]
+        if mc.basis_exchange_witness(bases) is not None:
+            continue
+        q = mc.Matroid(nq, bases)
+        if not q.is_independent(xmask):
+            continue
+        for blocks in _ordered_partitions(elements_of(xmask), sizes):
+            if lm.verify_major(q, blocks, fm):
+                return lm.MajorStructure(q, blocks)
+    return None
+
+
+def test_multi_element_majors_verify_on_every_flag_of_3_elements():
+    """The tree search finds a major that verifies for every flag on at
+    most 3 elements with two or more extra elements, and so for every one
+    where the family loop finds one.  That loop gets a budget of 500
+    families: on these flags a budget of 20,000 finds no further major."""
+    flags = [fm for n in range(4) for fm in all_flags(n)]
+    flags = [fm for fm in flags if fm.cardinalities[-1] - fm.cardinalities[0] > 1]
+    assert len(flags) == 99
+    by_loop = 0
+    for fm in flags:
+        major = lm.search_major(fm)
+        assert major is not None and lm.verify_major(major.matroid, major.blocks, fm), fm
+        by_loop += _major_by_brute_force(fm, 500) is not None
+    assert by_loop == 62
 
 
 def _one_element_major_by_brute_force(fm):

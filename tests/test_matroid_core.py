@@ -14,7 +14,7 @@ from conftest import (
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import elements_of, mask_of
+from flagmatroids.bitset import elements_of, mask_of, size_masks
 from flagmatroids.errors import AxiomViolation, BadRank, ConstructionFailed, OverlappingSets
 
 
@@ -321,8 +321,43 @@ def test_loops_and_parallel_classes():
 
 
 def test_enumerate_matroids_counts():
-    # labeled matroid counts on 0..4 elements
-    assert [sum(1 for _ in mc.enumerate_matroids(n)) for n in range(5)] == [1, 2, 5, 16, 68]
+    # labeled matroid counts on 0..6 elements (OEIS A058673)
+    counts = [sum(1 for _ in mc.enumerate_matroids(n)) for n in range(7)]
+    assert counts == [1, 2, 5, 16, 68, 406, 3807]
+
+
+def reference_enumerate_basis_families(n, r):
+    """All exchange-valid nonempty families of r-subsets of {0..n-1}, by
+    trying each of the 2^C(n, r) - 1 families in order of its pick integer
+    (bit i set iff the i-th r-set of `size_masks` is in it)."""
+    pool = size_masks(n, r)
+    for pick in range(1, 1 << len(pool)):
+        fam = tuple(pool[i] for i in range(len(pool)) if pick >> i & 1)
+        if mc.basis_exchange_witness(fam) is None:
+            yield fam
+
+
+def test_extensions_start_with_the_coloop_and_end_with_the_loop():
+    # rank 0 has no hyperplanes: coloop, then loop
+    assert [mc.Matroid(3, fam) for fam in mc.single_element_extensions(mc.uniform(0, 2))] == [
+        mc.Matroid(3, (4,)), mc.uniform(0, 3)
+    ]
+    # U_{1,1}: coloop, free (parallel to 0), loop
+    got = [mc.Matroid(2, fam) for fam in mc.single_element_extensions(mc.uniform(1, 1))]
+    assert got == [mc.uniform(2, 2), mc.uniform(1, 2), mc.Matroid(2, (1,))]
+    # U_{2,3}: coloop, free, on one of the three points, loop
+    got = [mc.Matroid(4, fam) for fam in mc.single_element_extensions(mc.uniform(2, 3))]
+    coloop = mc.Matroid(4, (b | 8 for b in mc.uniform(2, 3).bases))
+    assert len(got) == 6 and got[:2] == [coloop, mc.uniform(2, 4)]
+    assert got[-1] == mc.Matroid(4, mc.uniform(2, 3).bases)
+    assert all(mc.delete(m, 3) == mc.uniform(2, 3) for m in got)
+
+
+def test_extensions_give_the_matroids_of_the_family_search_in_its_order():
+    for n in range(6):
+        families = [fam for r in range(n + 1) for fam in reference_enumerate_basis_families(n, r)]
+        expected = [mc.Matroid(n, fam) for fam in families]
+        assert list(mc.enumerate_matroids(n)) == expected
 
 
 def test_every_memo_is_bounded():

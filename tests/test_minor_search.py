@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import all_flags
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import matroid_core as mc
@@ -122,26 +123,8 @@ def test_matroid_search_matches_reference_on_linear_matroids(a):
         )
 
 
-def _all_flags(n):
-    """Every valid flag matroid on n elements, as a chain of its layers."""
-    by_rank = sorted(mc.enumerate_matroids(n), key=lambda m: m.rank)
-    out = []
-
-    def extend(chain):
-        for m in by_rank:
-            if chain and m.rank <= chain[-1].rank:
-                continue
-            masks = [b for layer in chain for b in layer.bases] + list(m.bases)
-            if fl.layered_witness(n, masks) is None:
-                out.append(fl.from_sequence(chain + [m]))
-                extend(chain + [m])
-
-    extend([])
-    return out
-
-
 def test_flag_search_matches_reference_on_every_flag_of_4_elements():
-    flags = _all_flags(4)
+    flags = all_flags(4)
     assert len(flags) == 3319
     targets = [t for t in FLAG_TARGETS if t.n <= 4]
     assert len(targets) == 4
