@@ -34,7 +34,6 @@ from .errors import (
     FieldTooSmall,
     InternalError,
     InvalidInput,
-    SearchSpaceTooLarge,
 )
 
 EXIT_YES = 0
@@ -373,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _error_answer(exc: Exception) -> tuple[int, dict]:
     """The exit code and error document of an exception out of a verb: 3 for
-    a search that ran out of budget or refused an over-large space, 4 for a
+    a search that ran out of budget, 4 for a
     fault in the program (an InternalError, or any exception that is not a
     library Error: exit 1 would read as "no"), 2 for any other Error."""
     if not isinstance(exc, Error):
@@ -382,7 +381,7 @@ def _error_answer(exc: Exception) -> tuple[int, dict]:
         }
     payload = _json_lists(exc.payload)
     doc = {"error": exc.code, "detail": str(exc), **({"witness": payload} if payload else {})}
-    if isinstance(exc, (BudgetExhausted, SearchSpaceTooLarge)):
+    if isinstance(exc, BudgetExhausted):
         return EXIT_UNKNOWN, doc
     return (EXIT_INTERNAL if isinstance(exc, InternalError) else EXIT_INPUT), doc
 

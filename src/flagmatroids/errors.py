@@ -133,10 +133,6 @@ class LevelCollapse(Error):
     """A prefix rank dropped and no level repair matches the set-system minor."""
 
 
-class SearchSpaceTooLarge(Error):
-    """The canonicalized search space exceeds the exhaustive-search guard."""
-
-
 # --- graphs -----------------------------------------------------------------
 
 class BadPartition(Error):

@@ -13,7 +13,9 @@ unique candidate representation of each witness matroid
 representable), decides by checking it once, and stitches the pair
 matrices into an explicit certificate (one linear-time solve per shared
 layer finds the column scaling that aligns its two matrices); and a
-level-by-level search for a representing matrix.  In the witness route
+level-by-level search for a representing matrix, one depth-first walk over
+the layers for every prime in SEARCH_FIELDS, which backtracks only over
+GF(5)/GF(7) and is bounded by a budget of bands.  In the witness route
 that one check is all a layer pair gets on a "yes"; the fully checked
 `lifts_majors.elementary_witness` runs only on a failing pair, before a
 "no", and only the final certificate is validated and compared with the
@@ -35,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product, zip_longest
-from math import log2
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import flag_core as fl
 from . import gf_linalg as gl
@@ -45,6 +46,7 @@ from . import matroid_core as mc
 from .bitset import elements_of, mask_of
 from .errors import (
     BadRank,
+    BudgetExhausted,
     FieldMismatch,
     FieldTooSmall,
     GroundSetMismatch,
@@ -55,14 +57,11 @@ from .errors import (
     NoTransform,
     NotFull,
     RankDeficientPrefix,
-    SearchSpaceTooLarge,
     SingleLevel,
 )
 from .lifts_majors import MajorStructure, is_full, verify_major
 
 SEARCH_FIELDS = (2, 3, 5, 7)
-# column backtracking over GF(5)/GF(7) refuses a flag with p^(r(n - 1)) > 2^GUARD_BITS
-GUARD_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -509,14 +508,14 @@ def _least_row_signs(entries: dict[tuple[int, int], int], r: int, c: int) -> Non
 
 # --- flag representation search ------------------------------------------------------
 
-def _rref_bands(p: int, pivot_mask: int, positions: Sequence[int], g: int, nxt: mc.Matroid):
-    """The g-row RREF bands over `positions`, the non-pivot columns of the
-    current matrix cur, that the bases of the next layer `nxt` allow.
+def _rref_bands(cur: gl.GFMatrix, nxt: mc.Matroid) -> Iterator[gl.GFMatrix]:
+    """The matrices [cur; band], for the RREF bands of nxt.rank - cur.rows
+    rows that the bases of the next layer `nxt` allow.
 
-    A band is embedded as width-n rows, zero on cur's pivot columns P
-    (`pivot_mask`).  Bands come in a fixed order: band pivots Pb in
-    `combinations` order, then the free cells, row by row and left to right,
-    in `product` order.  The rule, with B = P | Pb and cur_P invertible:
+    A band is zero on cur's pivot columns P.  Bands come in a fixed order:
+    band pivots Pb in `combinations` order, then the free cells, row by row
+    and left to right, in `product` order.  The rule, with B = P | Pb and
+    cur_P invertible:
 
     - [cur; band] on the columns B is [[cur_P, *], [0, I]], so its
       determinant is det(cur_P) != 0.  A pivot choice with B not in
@@ -527,12 +526,21 @@ def _rref_bands(p: int, pivot_mask: int, positions: Sequence[int], g: int, nxt: 
       B - Pb_i + e is in `nxt.basis_set`.  A pivot choice that needs a
       nonzero left of a row's pivot is skipped; every other cell is fixed
       to 0 or ranges over 1..p-1.
+    - A column that is zero in every row of cur has its first nonzero band
+      cell fixed to 1.  Scaling such a column leaves cur unchanged and keeps
+      the band in RREF, and a column is nonzero in cur after the level that
+      scales it, so no representation is lost.
 
-    So the bands yielded are a subsequence of all RREF bands in the same
-    order, and every band left out has a column matroid other than `nxt`.
+    So every band left out has a column matroid other than `nxt`, or is a
+    column scaling of a band that is kept.
     """
-    n = nxt.n
+    p, n = cur.p, cur.cols
+    g = nxt.rank - cur.rows
     bases = nxt.basis_set
+    _, lead, _ = gl.rref(cur)
+    positions = [j for j in range(n) if j not in lead]
+    zero = {j for j, e in enumerate(positions) if not any(cur.col(e))}
+    pivot_mask = mask_of(lead)
     for pivots in combinations(range(len(positions)), g):
         full = pivot_mask | mask_of(positions[j] for j in pivots)
         if full not in bases:
@@ -546,57 +554,22 @@ def _rref_bands(p: int, pivot_mask: int, positions: Sequence[int], g: int, nxt: 
         if any(nz for (i, j), nz in nonzero.items() if j < pivots[i]):
             continue
         free_cells = [(i, j) for i, j in nonzero if j > pivots[i]]
-        choices = [range(1, p) if nonzero[cell] else (0,) for cell in free_cells]
+        first = {}
+        for i, j in free_cells:
+            if nonzero[i, j] and j in zero:
+                first.setdefault(j, i)
+        choices = [
+            ((1,) if first.get(j) == i else range(1, p)) if nonzero[i, j] else (0,)
+            for i, j in free_cells
+        ]
+        band = [0] * (g * n)
+        for i in range(g):
+            band[i * n + positions[pivots[i]]] = 1
+        cells = [i * n + positions[j] for i, j in free_cells]
         for values in product(*choices):
-            rows = []
-            for i in range(g):
-                row = [0] * n
-                row[positions[pivots[i]]] = 1
-                rows.append(row)
-            for (i, j), v in zip(free_cells, values):
-                rows[i][positions[j]] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def _search_levelwise(fm: fl.FlagMatroid, p: int) -> Optional[FlagRepresentation]:
-    """Greedy level-by-level search, complete over GF(2)/GF(3).
-
-    Any representation of the longer flag can be transformed to extend the
-    one already found, because representations of a binary/ternary top
-    layer are unique up to row operations and column scaling; so a single
-    representative per stage suffices and failure to extend is conclusive.
-
-    The rows that extend cur to the next layer form a band in RREF, zero on
-    cur's pivot columns, and the next layer's bases fix its pivots and the
-    support of every row (`_rref_bands`).  Over GF(2) that leaves at most one
-    band per pivot choice, over GF(3) only the signs of its support.  Every
-    band tried is still checked by `_level_matches`, and the guard below
-    still bounds all RREF bands by p^(g*m), so whether the search answers
-    `SearchSpaceTooLarge` does not depend on the rule.
-    """
-    layers = fm.layers
-    ranks = [m.rank for m in layers]
-    n = fm.n
-    cur = matroid_representation(layers[0], p)
-    if cur is None:
-        return None
-    for nxt in layers[1:]:
-        target = nxt.rank
-        g = target - cur.rows
-        _, pivots, _ = gl.rref(cur)
-        positions = [j for j in range(n) if j not in pivots]
-        if p ** (g * len(positions)) > 1 << 22:
-            raise SearchSpaceTooLarge(f"band space too large at rank {target}")
-        found = None
-        for band in _rref_bands(p, mask_of(pivots), positions, g, nxt):
-            cand = gl.vstack(cur, gl.matrix(p, [list(r) for r in band], cols=n))
-            if _level_matches(cand, target, nxt):
-                found = cand
-                break
-        if found is None:
-            return None
-        cur = found
-    return FlagRepresentation(cur, tuple(ranks))
+            for k, v in zip(cells, values):
+                band[k] = v
+            yield gl.GFMatrix(cur.field, cur.rows + g, n, cur.entries + tuple(band))
 
 
 def _level_matches(a: gl.GFMatrix, level: int, layer: mc.Matroid) -> bool:
@@ -606,72 +579,57 @@ def _level_matches(a: gl.GFMatrix, level: int, layer: mc.Matroid) -> bool:
     return all(b == want for b, want in zip_longest(got, layer.bases))
 
 
-def _search_columns(fm: fl.FlagMatroid, p: int) -> Optional[FlagRepresentation]:
-    """Backtracking over columns in lexicographic order with prefix pruning;
-    complete for any prime via column-scaling canonicalization plus pinning
-    the first feasible singleton's column to a unit vector."""
-    levels = fm.cardinalities
-    r = levels[-1]
-    n = fm.n
-    if r * max(n - 1, 1) * log2(p) > GUARD_BITS:
-        raise SearchSpaceTooLarge(f"column space exceeds 2^{GUARD_BITS}")
-    feas = fm.feasible_set
-    unit_col = None
-    if 1 in levels:
-        singles = [j for j in range(n) if (1 << j) in feas]
-        if singles:
-            unit_col = singles[0]
-    candidates = []
-    for vec in product(range(p), repeat=r):
-        lead = next((x for x in vec if x), None)
-        if lead is None or lead == 1:
-            candidates.append(vec)
-    pos_levels = [d for d in levels if d > 0]
-    cols: list[tuple[int, ...]] = []
+def search_representation(
+    fm: fl.FlagMatroid, p: int, budget: int = 10000
+) -> Optional[FlagRepresentation]:
+    """Exhaustive search for a representation of fm over GF(p), a
+    depth-first walk over the layers.
 
-    def feasible_so_far() -> bool:
-        j = len(cols) - 1
-        for d in pos_levels:
-            if d > len(cols):
-                break
-            for combo in combinations(range(len(cols) - 1), d - 1):
-                subset = combo + (j,)
-                independent = gl.independent_columns(p, [cols[c][:d] for c in subset])
-                if independent != (mask_of(subset) in feas):
-                    return False
-        return True
-
-    def place(j: int) -> bool:
-        if j == n:
-            return True
-        pool = [tuple(1 if i == 0 else 0 for i in range(r))] if j == unit_col else candidates
-        for vec in pool:
-            cols.append(vec)
-            if feasible_so_far() and place(j + 1):
-                return True
-            cols.pop()
-        return False
-
-    if not place(0):
-        return None
-    mat = gl.matrix(p, [[cols[j][i] for j in range(n)] for i in range(r)], cols=n)
-    return FlagRepresentation(mat, levels)
-
-
-def search_representation(fm: fl.FlagMatroid, p: int) -> Optional[FlagRepresentation]:
-    """Exhaustive search for a representation of fm over GF(p).
-
-    GF(2)/GF(3) use the level-wise route (complete by projective
-    uniqueness); GF(5)/GF(7) fall back to canonicalized column
-    backtracking, guarded by `GUARD_BITS`.
+    Each layer extends the matrix found so far by the bands of
+    `_rref_bands`.  A band whose stacked matrix has exactly the layer's
+    bases is extended to the next layer; if that fails, the walk tries the
+    next band.  Over GF(5)/GF(7) the bottom layer is a band over a 0-row
+    matrix.  Over GF(2)/GF(3) it is `matroid_representation`'s matrix, and
+    the first matching band is final: a binary or ternary layer's
+    representations are unique up to row operations and column scaling
+    (Brylawski and Lucas 1976), so any representation of the longer flag
+    can be brought to extend the one found, and if it does not extend, no
+    other band does.  `budget` caps the bands examined (else
+    BudgetExhausted).
     """
     if p not in SEARCH_FIELDS:
         raise InvalidInput(f"search supports p in {SEARCH_FIELDS}")
-    if p in (2, 3):
-        rep = _search_levelwise(fm, p)
+    unique = p in (2, 3)
+    layers = fm.layers
+    if unique:
+        cur = matroid_representation(layers[0], p)
+        if cur is None:
+            return None
+        layers = layers[1:]
     else:
-        rep = _search_columns(fm, p)
-    if rep is not None and not represents(rep, fm):
+        cur = gl.matrix(p, [], cols=fm.n)
+    examined = 0
+
+    def extend(cur: gl.GFMatrix, depth: int) -> Optional[gl.GFMatrix]:
+        nonlocal examined
+        if depth == len(layers):
+            return cur
+        nxt = layers[depth]
+        for cand in _rref_bands(cur, nxt):
+            if examined >= budget:
+                raise BudgetExhausted(f"{budget} bands examined")
+            examined += 1
+            if _level_matches(cand, nxt.rank, nxt):
+                found = extend(cand, depth + 1)
+                if found is not None or unique:
+                    return found
+        return None
+
+    mat = extend(cur, 0)
+    if mat is None:
+        return None
+    rep = FlagRepresentation(mat, fm.cardinalities)
+    if not represents(rep, fm):
         raise InternalError("search produced a wrong representation")  # pragma: no cover
     return rep
 
@@ -862,8 +820,8 @@ def decide(
 ) -> RepresentabilityDecision:
     """Decide whether fm is representable over GF(p), by `method`.
 
-    "search" runs `search_representation` alone, for p in SEARCH_FIELDS.
-    Under another method a flag that is not full is decided by
+    "search" runs `search_representation` alone, for p in SEARCH_FIELDS,
+    and `budget` caps the bands it examines.  Under another method a flag that is not full is decided by
     `is_representable_via_fillings` within `budget`, and a full flag runs
     the routes of `_ROUTES` in order, each called by its module-level name.
     Except under "all", the first decision that carries a certificate (a
@@ -882,7 +840,7 @@ def decide(
         elif route == "minors":
             decision = forbidden_minor_decision(fm, p)
         else:
-            rep = search_representation(fm, p)
+            rep = search_representation(fm, p, budget)
             decision = RepresentabilityDecision(p, rep is not None, certificate=rep)
         decisions[route] = decision
         if decision.certified and method != "all":

@@ -1,25 +1,42 @@
-"""Differential and count tests for the GF(2)/GF(3) level-wise search.
+"""Differential and count tests for the level-by-level representation search.
 
-`representability._search_levelwise` extends the representation of one
-layer to the next by a band of new rows in RREF, and `_rref_bands` builds
-only the bands that the next layer's bases allow: a band pivot choice must
-complete cur's pivots to a basis, and a cell is nonzero iff swapping its
-column for its row's pivot gives a basis.  The reference below is the loop
-it replaced, which tries every RREF band in the same order.  The bands kept
-are a subsequence of the reference's and every band dropped fails
-`_level_matches`, so `search_representation` must return exactly what the
-reference returns: the same matrix and levels, None, or the same
-exception.
+`representability.search_representation` walks the layers depth first:
+it extends the representation of one layer to the next by a band of new
+rows in RREF, and `_rref_bands` builds only the bands that the next
+layer's bases allow.  A band pivot choice must complete cur's pivots to a
+basis, a cell is nonzero iff swapping its column for its row's pivot gives
+a basis, and a column that is zero in cur has its first nonzero band cell
+fixed to 1.  Two references are kept, each the code the walk replaced, each
+with the size guard under which it refused to search (`Refused`):
+
+- `reference_search_levelwise`, the GF(2)/GF(3) loop that tries every RREF
+  band in the same order and keeps the first match.  Wherever it answers,
+  the walk must return exactly what it returns: the same matrix and
+  levels, None, or the same exception.  Where it refuses, the walk must
+  answer, and on a full flag agree with the witness route.
+- `reference_search_columns`, the column backtracker that searched
+  GF(5)/GF(7).  Wherever it answers, the walk must give the same verdict;
+  its certificate may differ, and `search_representation` checks it with
+  `represents`.
 """
 
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import log2
 
 from conftest import all_flags, random_prefix_chain_matrix
+from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
+from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
-from flagmatroids.errors import Error, SearchSpaceTooLarge
+from flagmatroids.bitset import mask_of
+from flagmatroids.errors import Error
+from flagmatroids.lifts_majors import is_full
+
+
+class Refused(Exception):
+    """A reference search's size guard refused the flag."""
 
 
 def reference_rref_bands(p, positions, g, n):
@@ -60,7 +77,7 @@ def reference_search_levelwise(fm, p):
         _, pivots, _ = gl.rref(cur)
         positions = [j for j in range(n) if j not in pivots]
         if p ** (g * len(positions)) > 1 << 22:
-            raise SearchSpaceTooLarge(f"band space too large at rank {target}")
+            raise Refused(f"band space too large at rank {target}")
         found = None
         for band in reference_rref_bands(p, positions, g, n):
             cand = gl.vstack(cur, gl.matrix(p, [list(r) for r in band], cols=n))
@@ -73,30 +90,94 @@ def reference_search_levelwise(fm, p):
     return rp.FlagRepresentation(cur, tuple(ranks))
 
 
+def reference_search_columns(fm, p):
+    """Backtracking over columns in lexicographic order with prefix pruning;
+    complete for any prime via column-scaling canonicalization plus pinning
+    the first feasible singleton's column to a unit vector."""
+    levels = fm.cardinalities
+    r = levels[-1]
+    n = fm.n
+    if r * max(n - 1, 1) * log2(p) > 24:
+        raise Refused("column space exceeds 2^24")
+    feas = fm.feasible_set
+    unit_col = None
+    if 1 in levels:
+        singles = [j for j in range(n) if (1 << j) in feas]
+        if singles:
+            unit_col = singles[0]
+    candidates = []
+    for vec in product(range(p), repeat=r):
+        lead = next((x for x in vec if x), None)
+        if lead is None or lead == 1:
+            candidates.append(vec)
+    pos_levels = [d for d in levels if d > 0]
+    cols = []
+
+    def feasible_so_far():
+        j = len(cols) - 1
+        for d in pos_levels:
+            if d > len(cols):
+                break
+            for combo in combinations(range(len(cols) - 1), d - 1):
+                subset = combo + (j,)
+                independent = gl.independent_columns(p, [cols[c][:d] for c in subset])
+                if independent != (mask_of(subset) in feas):
+                    return False
+        return True
+
+    def place(j):
+        if j == n:
+            return True
+        pool = [tuple(1 if i == 0 else 0 for i in range(r))] if j == unit_col else candidates
+        for vec in pool:
+            cols.append(vec)
+            if feasible_so_far() and place(j + 1):
+                return True
+            cols.pop()
+        return False
+
+    if not place(0):
+        return None
+    mat = gl.matrix(p, [[cols[j][i] for j in range(n)] for i in range(r)], cols=n)
+    return rp.FlagRepresentation(mat, levels)
+
+
 def outcome(search, fm, p):
-    """A comparable summary: (entries, levels), None, or the exception type."""
+    """A comparable summary: (entries, levels), None, the exception type,
+    or "refused" when a reference's guard refuses."""
     try:
         rep = search(fm, p)
+    except Refused:
+        return "refused"
     except Error as exc:
         return type(exc)
     return None if rep is None else (rep.matrix.entries, rep.levels)
-
-
-def assert_same_search(fm, p):
-    got = outcome(rp.search_representation, fm, p)
-    assert got == outcome(reference_search_levelwise, fm, p)
-    return got
 
 
 def kind(got):
     return "rep" if isinstance(got, tuple) else got
 
 
+def assert_same_search(fm, p):
+    """Over GF(2)/GF(3): the reference's outcome wherever it answers.  Where
+    it refuses, the walk answers, and on a full flag its verdict is the
+    witness route's.  Returns the reference's kind."""
+    got = outcome(rp.search_representation, fm, p)
+    want = outcome(reference_search_levelwise, fm, p)
+    if want != "refused":
+        assert got == want
+    else:
+        assert got is None or isinstance(got, tuple)
+        if is_full(fm):
+            assert (got is not None) == rp.witness_route_decision(fm, p).representable
+    return kind(want)
+
+
 def test_every_flag_on_four_elements_matches_the_reference():
     kinds = Counter(
-        kind(assert_same_search(fm, p)) for n in range(5) for fm in all_flags(n) for p in (2, 3)
+        assert_same_search(fm, p) for n in range(5) for fm in all_flags(n) for p in (2, 3)
     )
-    assert kinds["rep"] and kinds[None]
+    assert kinds["rep"] and kinds[None] and kinds["refused"]
 
 
 def seeded_prefix_flags(seed, count, max_n=9):
@@ -119,9 +200,30 @@ def seeded_prefix_flags(seed, count, max_n=9):
 
 def test_seeded_prefix_flags_match_the_reference():
     kinds = Counter(
-        kind(assert_same_search(fm, p)) for fm in seeded_prefix_flags(4096, 200) for p in (2, 3)
+        assert_same_search(fm, p) for fm in seeded_prefix_flags(4096, 200) for p in (2, 3)
     )
-    assert kinds["rep"] and kinds[None] and kinds[SearchSpaceTooLarge]
+    assert kinds["rep"] and kinds[None] and kinds["refused"]
+
+
+def test_gf5_and_gf7_verdicts_match_the_column_backtracker():
+    """Wherever the column backtracker answers, the walk gives its verdict.
+    On flags on <= 4 elements the walk answers where it refused as well;
+    elsewhere a refused flag may exhaust the walk's budget."""
+    small = [fm for n in range(5) for fm in all_flags(n)]
+    pairs = [fl.from_sequence([mc.uniform(1, n), mc.uniform(2, n)]) for n in range(3, 8)]
+    kinds = Counter()
+    for fm in small + pairs + seeded_prefix_flags(4096, 200):
+        for p in (5, 7):
+            want = outcome(reference_search_columns, fm, p)
+            kinds[kind(want)] += 1
+            if want == "refused":
+                if fm.n <= 4:
+                    got = outcome(rp.search_representation, fm, p)
+                    assert got is None or isinstance(got, tuple)
+            else:
+                got = outcome(rp.search_representation, fm, p)
+                assert isinstance(got, tuple) if want else got is None
+    assert kinds["rep"] and kinds[None] and kinds["refused"]
 
 
 def test_binary_full_flags_check_one_band_per_layer(monkeypatch):

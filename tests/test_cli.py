@@ -647,16 +647,24 @@ def test_overlapping_major_blocks_are_rejected(capture, corpus):
 
 
 def test_a_refused_search_exits_3_on_every_verb(capture, corpus):
-    """Over GF(3) the band guard refuses (U_{1,15}, U_{2,15}): 3^14 > 2^22.
-    That is an unknown answer, not an input error, from either verb."""
-    flag = corpus["write"]("u15.json", io.flag_json(
-        fl.from_sequence([mc.uniform(1, 15), mc.uniform(2, 15)])
-    ))
-    search = capture("is-representable", flag, "--p", "3", "--method", "search")
-    represent = capture("represent", flag, "--p", "3")
+    """Over GF(3), (U_{1,n}, U_{2,n}) has 2^(n - 2) bands for its second
+    layer, all of which fail.  At n = 16 the default budget of 10,000 bands
+    runs out: an unknown answer, not an input error, from either verb.  At
+    n = 15, or with --budget 20000, the search ends in a "no"."""
+    def flag(n):
+        fm = fl.from_sequence([mc.uniform(1, n), mc.uniform(2, n)])
+        return corpus["write"](f"u{n}.json", io.flag_json(fm))
+
+    u15, u16 = flag(15), flag(16)
+    search = capture("is-representable", u16, "--p", "3", "--method", "search")
+    represent = capture("represent", u16, "--p", "3")
     assert search[0] == represent[0] == cli.EXIT_UNKNOWN == 3
     assert search[1] == represent[1]
-    assert json.loads(search[1])["error"] == "SearchSpaceTooLarge"
+    assert json.loads(search[1])["error"] == "BudgetExhausted"
+    search = capture("is-representable", u15, "--p", "3", "--method", "search")
+    assert search[0] == capture("represent", u15, "--p", "3")[0] == cli.EXIT_NO
+    more = capture("is-representable", u16, "--p", "3", "--method", "search", "--budget", "20000")
+    assert more[0] == cli.EXIT_NO
 
 
 def test_major_search_on_a_one_element_major_answers_and_verifies(capture, corpus):
