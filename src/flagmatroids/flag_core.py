@@ -154,10 +154,6 @@ class FlagMatroid:
     def feasible_set(self) -> frozenset[int]:
         return frozenset(self.feasible)
 
-    @property
-    def top_rank(self) -> int:
-        return self.cardinalities[-1]
-
 
 def flag_matroid(n: int, family: Iterable[Iterable[int]]) -> FlagMatroid:
     """Validated construction from explicit feasible sets."""
@@ -301,24 +297,11 @@ def flag_dual(fm: FlagMatroid) -> FlagMatroid:
 
 
 def flag_delete(fm: FlagMatroid, e: int) -> FlagMatroid:
-    if not (0 <= e < fm.n):
-        raise IndexOutOfRange(f"element {e} outside ground set")
-    bit = 1 << e
-    kept = [squeeze(f, bit) for f in fm.feasible if not f & bit]
-    if not kept:
-        raise EmptyResult(f"deleting {e} empties the feasible family")
-    return FlagMatroid(fm.n - 1, kept)
+    return flag_minor(fm, (), (e,))
 
 
 def flag_contract(fm: FlagMatroid, e: int) -> FlagMatroid:
-    # literal (dual . delete . dual) unfolds to: keep sets through e, drop e
-    if not (0 <= e < fm.n):
-        raise IndexOutOfRange(f"element {e} outside ground set")
-    bit = 1 << e
-    kept = [squeeze(f ^ bit, bit) for f in fm.feasible if f & bit]
-    if not kept:
-        raise EmptyResult(f"contracting {e} empties the feasible family")
-    return FlagMatroid(fm.n - 1, kept)
+    return flag_minor(fm, (e,), ())
 
 
 def chop(fm: FlagMatroid, size: int) -> FlagMatroid:

@@ -58,12 +58,6 @@ class FieldPrime:
         if not (2 <= self.p < 2 ** 16) or not _is_prime(self.p):
             raise NotPrime(f"{self.p} is not a prime in [2, 2^16)")
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
 
 @lru_cache(maxsize=8)  # p comes from the input, so the memo has a bound
 def field(p: int) -> FieldPrime:
@@ -107,10 +101,6 @@ class GFMatrix:
 
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __str__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-        return f"GF({self.p})[{body}]"
 
 
 def matrix(p: int, rows: Sequence[Sequence[int]], cols: int | None = None) -> GFMatrix:
@@ -166,9 +156,11 @@ def vstack(a: GFMatrix, b: GFMatrix) -> GFMatrix:
 
 
 def prefix_rows(a: GFMatrix, d: int) -> GFMatrix:
-    """The top d rows of a."""
+    """The top d rows of a; a itself when d is its row count."""
     if not (0 <= d <= a.rows):
         raise IndexOutOfRange(f"prefix {d} of a {a.rows}-row matrix")
+    if d == a.rows:
+        return a
     return GFMatrix(a.field, d, a.cols, a.entries[: d * a.cols])
 
 
@@ -185,20 +177,15 @@ def drop_col(a: GFMatrix, j: int) -> GFMatrix:
     return select_cols(a, [c for c in range(a.cols) if c != j])
 
 
-def rref(a: GFMatrix) -> tuple[GFMatrix, tuple[int, ...], GFMatrix]:
-    """Reduced row echelon form.
-
-    Returns (R, pivot columns, E) with E invertible and E @ a = R up to the
-    zero rows of R.  E records the full row transform (including the rows
-    that reduced to zero), so E @ a == R exactly.
-    """
+def rref(a: GFMatrix) -> tuple[GFMatrix, tuple[int, ...]]:
+    """Reduced row echelon form: (R, pivot columns), with R row-equivalent
+    to a and its zero rows last."""
     p = a.p
-    work = [list(a.row(i)) + [1 if k == i else 0 for k in range(a.rows)] for i in range(a.rows)]
-    width = a.cols
+    work = a.row_lists()
     pivots: list[int] = []
     r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, a.rows) if work[i][c] % p), None)
+    for c in range(a.cols):
+        pivot = next((i for i in range(r, a.rows) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
@@ -210,9 +197,7 @@ def rref(a: GFMatrix) -> tuple[GFMatrix, tuple[int, ...], GFMatrix]:
                 work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
-    rmat = matrix(p, [row[:width] for row in work], cols=width)
-    emat = matrix(p, [row[width:] for row in work], cols=a.rows)
-    return rmat, tuple(pivots), emat
+    return matrix(p, work, cols=a.cols), tuple(pivots)
 
 
 def rank(a: GFMatrix) -> int:
@@ -287,7 +272,7 @@ def column_bases(a: GFMatrix, r: int) -> Iterator[int]:
 
 def row_space_echelon(a: GFMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the row space: nonzero rows of the RREF."""
-    r, pivots, _ = rref(a)
+    r, pivots = rref(a)
     return tuple(r.row(i) for i in range(len(pivots)))
 
 
@@ -298,7 +283,7 @@ def kernel_basis(a: GFMatrix) -> list[tuple[int, ...]]:
     order, so the output is reproducible.
     """
     p = a.p
-    r, pivots, _ = rref(a)
+    r, pivots = rref(a)
     pivot_set = set(pivots)
     free = [j for j in range(a.cols) if j not in pivot_set]
     basis = []

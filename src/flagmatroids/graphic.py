@@ -12,8 +12,8 @@ from itertools import combinations
 from typing import Collection, Iterable, Optional, Sequence
 
 from . import flag_core as fl
+from . import gf_linalg as gl
 from . import matroid_core as mc
-from .bitset import iter_bits, mask_of
 from .errors import (
     BadPartition,
     ChainNotGrounded,
@@ -24,6 +24,7 @@ from .errors import (
     InternalError,
     TrivialLiftLayer,
 )
+from .lifts_majors import MajorStructure, lift_witness_sequence, verify_major
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,8 @@ class _UnionFind:
             x = self.parent[x]
         return x
 
-    def union(self, x: int, y: int) -> bool:
-        """False when x and y were already connected (a cycle would close)."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
+    def union(self, x: int, y: int) -> None:
+        self.parent[self.find(x)] = self.find(y)
 
 
 def _roots(g: MultiGraph, removed: Collection[int] = ()) -> set[int]:
@@ -131,26 +127,20 @@ def _roots(g: MultiGraph, removed: Collection[int] = ()) -> set[int]:
     return {uf.find(v) for v in range(g.vertices) if v not in removed}
 
 
-def _is_forest(g: MultiGraph, edge_mask: int) -> bool:
-    uf = _UnionFind(g.vertices)
-    for e in iter_bits(edge_mask):
-        u, v = g.edges[e]
-        if not uf.union(u, v):
-            return False
-    return True
-
-
 def cycle_matroid(g: MultiGraph) -> mc.Matroid:
-    """Matroid on the edge indices; independent = acyclic edge subsets."""
+    """Matroid on the edge indices; independent = acyclic edge subsets.
+
+    It is the column matroid over GF(2) of the vertex-edge incidence matrix
+    (Oxley, Matroid Theory, 5.1); a loop's column is zero.  The rows of a
+    component sum to zero, so one row per component is dropped, which
+    leaves vertices - components rows: at most one per edge."""
     if len(g.edges) > mc.MAX_GROUND:
         raise IndexOutOfRange(f"too many edges ({len(g.edges)})")
-    r = g.vertices - len(_roots(g))
-    bases = [
-        m
-        for m in (mask_of(c) for c in combinations(range(len(g.edges)), r))
-        if _is_forest(g, m)
+    roots = _roots(g)
+    rows = [
+        [(u == w) + (v == w) for u, v in g.edges] for w in range(g.vertices) if w not in roots
     ]
-    return mc.Matroid(len(g.edges), bases)
+    return mc.linear_matroid(gl.matrix(2, rows, cols=len(g.edges)))
 
 
 def quotient_graph(g: MultiGraph, partition: Iterable[Iterable[int]]) -> MultiGraph:
@@ -178,18 +168,22 @@ def graphic_flag(g: MultiGraph, chain: PartitionChain) -> fl.FlagMatroid:
 
 # --- graph surgery -------------------------------------------------------------
 
+def _identified(w: int, u: int, v: int) -> int:
+    """The label of vertex w once v and u are identified: max(u, v) goes to
+    min(u, v), and the vertices above it shift down."""
+    lo, hi = min(u, v), max(u, v)
+    if w == hi:
+        return lo
+    return w - 1 if w > hi else w
+
+
 def identify_vertices(g: MultiGraph, u: int, v: int) -> MultiGraph:
     """Merge v into u (keeping min(u,v)); vertices above max(u,v) shift down."""
     if u == v or not (0 <= u < g.vertices and 0 <= v < g.vertices):
         raise IndexOutOfRange(f"bad vertex pair ({u}, {v})")
-    lo, hi = min(u, v), max(u, v)
-
-    def relabel(w: int) -> int:
-        if w == hi:
-            return lo
-        return w - 1 if w > hi else w
-
-    return MultiGraph(g.vertices - 1, tuple((relabel(a), relabel(b)) for a, b in g.edges))
+    return MultiGraph(
+        g.vertices - 1, tuple((_identified(a, u, v), _identified(b, u, v)) for a, b in g.edges)
+    )
 
 
 def vertex_identifications(g: MultiGraph) -> list[MultiGraph]:
@@ -199,17 +193,10 @@ def vertex_identifications(g: MultiGraph) -> list[MultiGraph]:
 
 def _transport_partition(cells: Partition, u: int, v: int, n: int) -> Partition:
     """Partition after identifying v into u, merging the two incident cells."""
-    lo, hi = min(u, v), max(u, v)
-
-    def relabel(w: int) -> int:
-        if w == hi:
-            return lo
-        return w - 1 if w > hi else w
-
     merged: list[set[int]] = []
     joint: set[int] = set()
     for cell in cells:
-        image = {relabel(w) for w in cell}
+        image = {_identified(w, u, v) for w in cell}
         if u in cell or v in cell:
             joint |= image
         else:
@@ -288,8 +275,6 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
     (H, MajorStructure); block X_i holds the edges bridging partitions i and
     i+1, so contracting X_i..X_{k-1} collapses each cell of partition i.
     """
-    from .lifts_majors import MajorStructure, verify_major
-
     if len(_roots(g)) != 1:
         raise GraphNotConnected("apply connectify first")
     parts = chain.partitions
@@ -461,8 +446,6 @@ def counterexample_harness(config: CounterexampleConfig) -> HarnessReport:
     (e) the top graph is 3-connected.  Step (a) failures raise
     ConfigInconsistent; later steps are recorded in the report.
     """
-    from .lifts_majors import lift_witness_sequence
-
     steps: list[HarnessStep] = []
 
     # (a) consistency

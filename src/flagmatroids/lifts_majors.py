@@ -275,10 +275,9 @@ def verify_major(q: mc.Matroid, blocks: Sequence[Iterable[int]], fm: fl.FlagMatr
     return True
 
 
-def search_major(
-    fm: fl.FlagMatroid, extra: Optional[int] = None, budget: int = 20000
-) -> Optional[MajorStructure]:
-    """A major of fm on fm.n + extra elements, or None if it has none.
+def search_major(fm: fl.FlagMatroid, budget: int = 20000) -> Optional[MajorStructure]:
+    """A major of fm, or None if it has none.  It has one extra element per
+    rank between the bottom and top layers.
 
     With one extra element the major is forced: the coextension of the two
     layers, built directly, which counts against the budget.  Otherwise it
@@ -291,8 +290,6 @@ def search_major(
     """
     layers = fm.layers
     ranks = [m.rank for m in layers]
-    if extra not in (None, ranks[-1] - ranks[0]):
-        return None
     extra = ranks[-1] - ranks[0]
     if extra == 0:
         return MajorStructure(layers[0], ())
@@ -309,7 +306,7 @@ def search_major(
     def grow(q: mc.Matroid) -> Optional[mc.Matroid]:
         nonlocal remaining
         added = q.n - n
-        if added == extra:
+        if added == len(block_of):
             return q
         below = layers[block_of[added]]
         for fam in mc.single_element_extensions(q):

@@ -92,23 +92,17 @@ class FlagRepresentation:
 
 def flag_from_matrix(a: gl.GFMatrix, levels: Sequence[int]) -> fl.FlagMatroid:
     """The flag matroid whose layers are the column matroids of the row
-    prefixes at the given levels."""
+    prefixes at the given levels; the levels are checked by
+    `FlagRepresentation`."""
     lv = tuple(levels)
-    if not lv or any(x >= y for x, y in zip(lv, lv[1:])):
-        raise RankDeficientPrefix("levels must be strictly increasing and nonempty")
-    if lv[0] < 0 or lv[-1] > a.rows:
+    if lv and (min(lv) < 0 or max(lv) > a.rows):
         raise RankDeficientPrefix("levels outside the row range")
-    layers = []
-    for d in lv:
-        prefix = gl.prefix_rows(a, d)
-        if gl.rank(prefix) != d:
-            raise RankDeficientPrefix(f"prefix {d} is rank deficient", level=d)
-        layers.append(mc.linear_matroid(prefix))
-    return fl.from_sequence(layers)
+    return represented_flag(FlagRepresentation(gl.prefix_rows(a, lv[-1] if lv else 0), lv))
 
 
 def represented_flag(rep: FlagRepresentation) -> fl.FlagMatroid:
-    return flag_from_matrix(rep.matrix, rep.levels)
+    """The flag of a representation, whose prefixes were checked when it was built."""
+    return fl.from_sequence([mc.linear_matroid(gl.prefix_rows(rep.matrix, d)) for d in rep.levels])
 
 
 def represents(rep: FlagRepresentation, fm: fl.FlagMatroid) -> bool:
@@ -307,7 +301,7 @@ def _column_scaling(a: gl.GFMatrix, b: gl.GFMatrix) -> Optional[list[int]]:
     component gets s = 1, as do zero columns, which makes s's inverse on
     the pivot columns lexicographically least.  Every entry is then checked.
     """
-    (xa, lead, _), (xb, lead_b, _) = gl.rref(a), gl.rref(b)
+    (xa, lead), (xb, lead_b) = gl.rref(a), gl.rref(b)
     if lead != lead_b or len(lead) != a.rows:
         return None
     if any(bool(x) != bool(y) for x, y in zip(xa.entries, xb.entries)):
@@ -537,7 +531,7 @@ def _rref_bands(cur: gl.GFMatrix, nxt: mc.Matroid) -> Iterator[gl.GFMatrix]:
     p, n = cur.p, cur.cols
     g = nxt.rank - cur.rows
     bases = nxt.basis_set
-    _, lead, _ = gl.rref(cur)
+    _, lead = gl.rref(cur)
     positions = [j for j in range(n) if j not in lead]
     zero = {j for j, e in enumerate(positions) if not any(cur.col(e))}
     pivot_mask = mask_of(lead)

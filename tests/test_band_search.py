@@ -74,7 +74,7 @@ def reference_search_levelwise(fm, p):
     for nxt in layers[1:]:
         target = nxt.rank
         g = target - cur.rows
-        _, pivots, _ = gl.rref(cur)
+        _, pivots = gl.rref(cur)
         positions = [j for j in range(n) if j not in pivots]
         if p ** (g * len(positions)) > 1 << 22:
             raise Refused(f"band space too large at rank {target}")

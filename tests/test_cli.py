@@ -6,6 +6,7 @@ import pytest
 from conftest import random_prefix_chain_matrix
 from flagmatroids import cli
 from flagmatroids import flag_core as fl
+from flagmatroids import gf_linalg as gl
 from flagmatroids import jsonio as io
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
@@ -54,6 +55,31 @@ def test_from_matrix_and_uniform_rep(capture, corpus):
     code, out, _ = capture("uniform-rep", "--r", "2", "--n", "4", "--p", "3")
     assert code == 1
     assert json.loads(out)["error"] == "FieldTooSmall"
+
+
+@pytest.mark.parametrize("levels", [
+    "",  # empty
+    "1,1",  # repeated
+    "2,1",  # decreasing
+    "-1",  # negative
+    "-1,2",  # negative below a valid level
+    "1,4",  # above the 3 rows of the Fano matrix
+    "4",  # a single level above them
+])
+def test_from_matrix_rejects_malformed_levels(capture, corpus, levels):
+    code, out, _ = capture("from-matrix", corpus["fano.json"], f"--levels={levels}")
+    assert code == 2
+    assert json.loads(out)["error"] == "RankDeficientPrefix"
+
+
+def test_from_matrix_rejects_a_rank_deficient_prefix(capture, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(io.dumps(io.matrix_json(gl.matrix(2, [[1, 0, 1], [1, 0, 1]]))))
+    assert capture("from-matrix", str(path), "--levels", "1")[0] == 0
+    for levels in ("1,2", "2"):
+        code, out, _ = capture("from-matrix", str(path), "--levels", levels)
+        assert code == 2
+        assert json.loads(out)["error"] == "RankDeficientPrefix"
 
 
 def test_uniform_rep_bounds_the_shape_before_building_rows(capture):

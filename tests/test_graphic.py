@@ -9,7 +9,7 @@ from flagmatroids import flag_core as fl
 from flagmatroids import graphic as gr
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import elements_of
+from flagmatroids.bitset import elements_of, mask_of
 from flagmatroids.errors import (
     BadPartition,
     ChainNotGrounded,
@@ -57,6 +57,67 @@ def test_cycle_matroid_examples():
     assert spanning_tree_count(gr.complete_graph(4)) == 16
     assert gr.cycle_matroid(gr.multigraph(1, [(0, 0)])) == mc.uniform(0, 1)
     assert gr.cycle_matroid(gr.multigraph(2, [(0, 1), (0, 1)])) == mc.uniform(1, 2)
+
+
+class ReferenceUnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        """False when x and y were already connected (a cycle would close)."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True
+
+
+def reference_cycle_matroid(g):
+    """The forest definition: the bases are the edge subsets of size
+    vertices - components that close no cycle, found among all subsets."""
+    uf = ReferenceUnionFind(g.vertices)
+    for u, v in g.edges:
+        uf.union(u, v)
+    r = g.vertices - len({uf.find(v) for v in range(g.vertices)})
+
+    def is_forest(edges):
+        uf = ReferenceUnionFind(g.vertices)
+        return all(uf.union(*g.edges[e]) for e in edges)
+
+    m = len(g.edges)
+    return mc.Matroid(m, [mask_of(c) for c in combinations(range(m), r) if is_forest(c)])
+
+
+def test_cycle_matroid_matches_the_forest_definition():
+    """The GF(2) incidence matrix gives the forest matroid on seeded
+    multigraphs with loops, parallel edges and several components, and on
+    graphs with more than 32 vertices, whose matrix keeps one row per edge
+    at most."""
+    rng = random.Random(2201)
+    graphs = [
+        gr.multigraph(1, []),
+        gr.multigraph(3, [(0, 0), (1, 1)]),
+        gr.multigraph(100, []),
+        gr.multigraph(40, [(2 * i, 2 * i + 1) for i in range(20)]),
+        gr.multigraph(40, [(0, i) for i in range(1, 21)]),
+        gr.multigraph(36, [(i, i + 1) for i in range(10)] + [(20, 21), (21, 20), (30, 30)]),
+    ]
+    graphs += [
+        random_multigraph(rng, rng.randint(1, 7), rng.randint(0, 10)) for _ in range(300)
+    ]
+    graphs += [
+        random_connected_multigraph(rng, rng.randint(2, 6), rng.randint(0, 5)) for _ in range(100)
+    ]
+    assert any(u == v for g in graphs for u, v in g.edges)
+    assert any(len(set(g.edges)) < len(g.edges) for g in graphs)
+    for g in graphs:
+        assert gr.cycle_matroid(g) == reference_cycle_matroid(g), g
 
 
 def test_quotient_matroid_examples():
