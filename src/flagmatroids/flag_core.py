@@ -6,9 +6,10 @@ sequential representation).  Construction always re-validates the layered
 conditions; the axiomatic checker `check_flag_axioms` is the independent
 brute-force route used by tests and the CLI.
 
-Layer and lift verdicts are memoized on the raw mask families, which makes
-exhaustive sweeps over all families on a small ground set cheap; each memo
-holds at most MEMO_SIZE entries.
+Each distinct layer is checked once: `_layer_check` memoizes its exchange
+witness or, for a basis family, its `flat_bits` (2^n bits, 128 KB at n = 20),
+so a lift test is one AND of two memoized bitsets and sweeps over every family
+on a small ground set are cheap.  Each memo holds at most MEMO_SIZE entries.
 """
 
 from __future__ import annotations
@@ -65,18 +66,17 @@ MEMO_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _layer_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
-    """None for a basis family, else its first basis exchange witness."""
-    if mc.Matroid(n, layer).is_matroid:
-        return None
-    return mc.basis_exchange_witness(layer)
+def _layer_check(n: int, layer: tuple[int, ...]) -> tuple[Optional[tuple], Optional[int]]:
+    """(None, flat bitset) for a basis family, else (first exchange witness, None)."""
+    m = mc.Matroid(n, layer)
+    if m.is_matroid:
+        return None, m.flat_bits
+    return mc.basis_exchange_witness(layer), None
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _lift_witness(n: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> Optional[int]:
-    """First flat of the lower layer matroid that is not a flat of the upper
-    one, or None when the upper matroid is a lift of the lower."""
-    return mc.first_unlifted(mc.Matroid(n, lower).flat_bits, mc.Matroid(n, upper).flat_bits)
+    """First flat of the lower basis family's matroid not flat in the upper's, or None."""
+    return mc.first_unlifted(_layer_check(n, lower)[1], _layer_check(n, upper)[1])
 
 
 def layered_witness(n: int, family: Iterable[int]) -> Optional[tuple[str, object]]:
@@ -89,13 +89,14 @@ def _canonical_layered_witness(n: int, masks: tuple[int, ...]) -> Optional[tuple
     """`layered_witness` of a family already in `canonical` form."""
     if not masks:
         return ("layer", (0, None))
-    groups = _group_by_size(masks)
+    groups, flats = _group_by_size(masks), []
     for size, layer in groups:
-        w = _layer_witness(n, layer)
+        w, flat = _layer_check(n, layer)
         if w is not None:
             return ("layer", (size, w))
-    for (s1, lower), (s2, upper) in zip(groups, groups[1:]):
-        w = _lift_witness(n, lower, upper)
+        flats.append(flat)
+    for (s1, _), (s2, _), lower, upper in zip(groups, groups[1:], flats, flats[1:]):
+        w = mc.first_unlifted(lower, upper)
         if w is not None:
             return ("lift", ((s1, s2), w))
     return None

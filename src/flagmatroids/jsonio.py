@@ -65,6 +65,20 @@ def _element_set(xs: Any, what: str, n: int) -> list[int]:
     return [min(e, n) for e in out]
 
 
+def _element_mask(xs: Any, what: str, n: int) -> int:
+    """The mask of `_element_set(xs, what, n)`, built in one pass when xs is
+    an array of distinct integers in 0..n-1 and from `_element_set` else."""
+    mask = 0
+    for x in _array(xs, what):
+        if type(x) is not int or not 0 <= x < n:
+            break
+        mask |= 1 << x
+    else:
+        if mask.bit_count() == len(xs):
+            return mask
+    return mask_of(_element_set(xs, what, n))
+
+
 def _mask_family(masks) -> list[list[int]]:
     return [list(elements_of(m)) for m in masks]
 
@@ -88,7 +102,7 @@ def load_matroid(doc: Any, max_ground: int = mc.MAX_GROUND) -> mc.Matroid:
     elements, any other document at most `mc.MAX_GROUND`."""
     _require(doc, ("n", "bases"), "matroid")
     n = _ground_size(doc, max_ground)
-    bases = [_element_set(b, "basis", n) for b in _array(doc["bases"], "bases")]
+    bases = [_element_mask(b, "basis", n) for b in _array(doc["bases"], "bases")]
     return mc.matroid_from_bases(n, bases)
 
 
@@ -101,18 +115,18 @@ def flag_json(fm: fl.FlagMatroid) -> dict:
 def load_flag(doc: Any) -> fl.FlagMatroid:
     _require(doc, ("n", "feasible"), "flag matroid")
     n = _ground_size(doc)
-    return fl.flag_matroid(n, _feasible_lists(doc, n))
+    return fl.FlagMatroid(n, _feasible_masks(doc, n))
 
 
-def _feasible_lists(doc: dict, n: int) -> list[list[int]]:
-    return [_element_set(f, "feasible set", n) for f in _array(doc["feasible"], "feasible")]
+def _feasible_masks(doc: dict, n: int) -> list[int]:
+    return [_element_mask(f, "feasible set", n) for f in _array(doc["feasible"], "feasible")]
 
 
 def load_raw_family(doc: Any) -> tuple[int, list[int]]:
     """Ground size and mask family without flag validation (for `axioms`)."""
     _require(doc, ("n", "feasible"), "set family")
     n = _ground_size(doc)
-    fam = [mask_of(s) for s in _feasible_lists(doc, n)]
+    fam = _feasible_masks(doc, n)
     if any(m >> n for m in fam):
         raise InvalidInput("feasible set outside the ground set")
     return n, fam

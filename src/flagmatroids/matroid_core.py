@@ -317,9 +317,9 @@ def basis_exchange_witness(masks: Iterable[int]) -> Optional[tuple[int, int, int
     return None
 
 
-def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
-    """Validated construction from explicit basis sets."""
-    m = Matroid(n, map(mask_of, bases))
+def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
+    """Validated construction from explicit basis sets, as element lists or masks."""
+    m = Matroid(n, (b if isinstance(b, int) else mask_of(b) for b in bases))
     if not m.is_matroid:
         witness = basis_exchange_witness(m.bases)
         raise ConstructionFailed(

@@ -252,8 +252,6 @@ def test_cryptomorphism_exhaustive_n3():
 
 def test_every_memo_is_bounded():
     memos = [f for f in vars(fl).values() if hasattr(f, "cache_info")]
-    assert {f.__name__ for f in memos} >= {
-        "_layer_witness", "_lift_witness", "_axiom1_witness", "_axiom2_witness",
-    }
+    assert {f.__name__ for f in memos} == {"_layer_check", "_axiom1_witness", "_axiom2_witness"}
     for f in memos:
         assert f.cache_info().maxsize is not None, f.__name__
