@@ -4,28 +4,44 @@ Matrices are immutable, tiny (at most 32 x 32) and stored as flat row-major
 tuples of ints reduced mod p.  Everything is plain integer arithmetic:
 determinism and exactness matter more than speed at this scale.
 
-Column independence has two elimination kernels, so that questions about
-many column subsets never build a matrix per subset.  `column_bases` walks
-the column subsets in `combinations` order as a DFS that carries a partially
-row-reduced copy of the matrix.  Taking column j picks the first remaining
-row that is nonzero at j as j's pivot row and clears column j from the other
-remaining rows, so every taken column is zero on the remaining rows; a later
-column is then independent of the taken ones iff some remaining row is
-nonzero at it.  A branch is dropped as soon as that fails or too few columns
-or rows remain.  `independent_columns` tests one short list by keeping an
-independent set as normalised (pivot, vector) pairs (`_absorb`):
-vector[pivot] == 1, and each stored vector is zero at every earlier pivot,
-so reducing a new column against them in order leaves it zero at every
-pivot, and it is independent iff the remainder is nonzero.  `rank` absorbs
-the rows the same way.
+Column independence has two elimination kernels and one hyperplane pass,
+so that questions about many column subsets never build a matrix per
+subset.  `column_bases` lists the independent r-sets in `combinations`
+order, by one of two paths picked from (p, n, r) alone:
+
+- `_dfs_bases` walks the column subsets as a DFS that carries a partially
+  row-reduced copy of the matrix.  Taking column j picks the first
+  remaining row that is nonzero at j as j's pivot row and clears column j
+  from the other remaining rows, so every taken column is zero on the
+  remaining rows; a later column is then independent of the taken ones iff
+  some remaining row is nonzero at it.  A branch is dropped as soon as that
+  fails or too few columns or rows remain, and a caller that stops reading
+  stops the walk.  It answers every field, every r and every row count.
+- `_hyperplane_bases` answers an r x n matrix over GF(2)/GF(3) asked for
+  its r-sets in one pass: an r-set is a basis iff it lies in no hyperplane,
+  and the hyperplanes are the zero sets of the (p^r - 1)/(p - 1) normals,
+  each a few bitwise operations on column masks.  It pays only when the
+  normals and its 2^n-bit ints cost less than the DFS's C(n + 1, r) nodes;
+  `_hyperplanes_pay` is that rule.  It runs to the end before the first set
+  is read.
+
+`independent_columns` tests one short list by keeping an independent set as
+normalised (pivot, vector) pairs (`_absorb`): vector[pivot] == 1, and each
+stored vector is zero at every earlier pivot, so reducing a new column
+against them in order leaves it zero at every pivot, and it is independent
+iff the remainder is nonzero.  `rank` absorbs the rows the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
+from .bitset import size_masks
 from .errors import (
     FieldMismatch,
     IndexOutOfRange,
@@ -238,9 +254,40 @@ def column_bases(a: GFMatrix, r: int) -> Iterator[int]:
     bases of the column matroid; r > rank(a) yields nothing and r == 0
     yields the empty set.
 
+    A full-width question (r == a.rows) over GF(2)/GF(3) on a shape where
+    `_hyperplanes_pay` holds is answered by `_hyperplane_bases` in one
+    pass; every other question by `_dfs_bases`."""
+    if r == a.rows and _hyperplanes_pay(a.p, a.cols, r):
+        return iter(_hyperplane_bases(a.p, a.cols, [a.row(i) for i in range(r)]))
+    return _dfs_bases(a, r)
+
+
+def _hyperplanes_pay(p: int, n: int, r: int) -> bool:
+    """Whether `_hyperplane_bases` beats `_dfs_bases` on an r x n matrix
+    over GF(p) asked for its r-sets, judged from the shape alone.
+
+    On a matrix whose r-sets are mostly bases the DFS visits
+    sum_k C(n - r + k, k) = C(n + 1, r) nodes, each a row reduction.  In
+    the same unit, measured over GF(2)/GF(3) shapes up to 20 columns, the
+    hyperplane pass costs about 1/r per normal, (p^r - 1)/(p - 1) of them,
+    1/48 per bit of its 2^n-bit ints and 12 per call.  r <= 2 always stays
+    on the DFS, and so does a narrow question on a wide matrix, such as
+    r = 5 of 20 columns, where the 2^n term decides.  Past 21 columns the
+    2^n-byte table would pass 2 MB, so those stay on the DFS too."""
+    if p not in (2, 3) or r < 3 or n > _HYPERPLANE_MAX_COLS:
+        return False
+    normals = (p ** r - 1) // (p - 1)
+    return normals // r + (1 << n) // 48 + 12 <= comb(n + 1, r)
+
+
+def _dfs_bases(a: GFMatrix, r: int) -> Iterator[int]:
+    """`column_bases` as a DFS over the columns.
+
     Each DFS node holds the rows not yet used as pivots, with every taken
     column eliminated from them: a push costs O(rows * n), and a candidate
-    column is tested by reading one entry per remaining row."""
+    column is tested by reading one entry per remaining row.  A branch is
+    dropped at the first column that fails, so a caller that stops early
+    pays only for the sets it read."""
     p, n = a.p, a.cols
 
     def walk(start: int, mask: int, need: int, rows: list[Sequence[int]]) -> Iterator[int]:
@@ -268,6 +315,111 @@ def column_bases(a: GFMatrix, r: int) -> Iterator[int]:
             yield from walk(j + 1, mask | 1 << j, need - 1, rest)
 
     return walk(0, 0, r, [a.row(i) for i in range(a.rows)])
+
+
+# `_hyperplane_bases` caps: the widest matrix it takes, and the most
+# elements whose r-sets it reads through one memoized `_lex_reader`
+_HYPERPLANE_MAX_COLS = 21
+_LEX_TABLE_COLS = 12
+
+
+def _hyperplane_bases(p: int, n: int, rows: list[Sequence[int]]) -> list[int]:
+    """The bases of the column matroid of the r x n matrix with these rows
+    over GF(2) or GF(3), r >= 1, in `combinations(range(n), r)` order.
+
+    An r-set of columns is a basis iff it spans the column space, that is
+    iff it lies in no hyperplane (Oxley, Matroid Theory), and the
+    hyperplanes are the zero sets {j : x.c_j = 0} of the normals x.  Those
+    come from `_zero_sets` and are down-closed in a 2^n-bit int by
+    `matroid_core._down_closure`, which also builds
+    `Matroid.independent_bits`, so the r-sets left unmarked are the bases.
+    If the rows are dependent, some normal is zero on every column,
+    everything is marked and nothing is returned, as the DFS returns
+    nothing.
+
+    The read-out splits each set into its elements below w = n - m, with
+    m = min(n, _LEX_TABLE_COLS), and the rest.  Sets whose low parts differ
+    are in the order `_subset_order(w)` puts those parts in, and sets with
+    the same low part in the order of their high parts, which
+    `_lex_reader(m, k)` lists; so each low part costs one strided slice of
+    the one-byte-per-set table and one memoized read of it."""
+    from . import matroid_core as mc  # matroid_core imports this module
+
+    r = len(rows)
+    marks = mc._down_closure(n, _zero_sets(p, n, rows))
+    free = mc._bit_bytes(((1 << (1 << n)) - 1) ^ marks, n)
+    m = min(n, _LEX_TABLE_COLS)
+    w = n - m
+    if w == 0:
+        sets, read = _lex_reader(n, r)
+        return list(compress(sets, read(free)))
+    highs = {}  # per high-part size k: its sets shifted into place, and their reader
+    for k in range(max(r - w, 0), min(m, r) + 1):
+        sets, read = _lex_reader(m, k)
+        highs[k] = ([s << w for s in sets], read)
+    out: list[int] = []
+    for low in _subset_order(w):
+        high = highs.get(r - low.bit_count())
+        if high:
+            placed, read = high
+            out += map(low.__or__, compress(placed, read(free[low :: 1 << w])))
+    return out
+
+
+def _zero_sets(p: int, n: int, rows: list[Sequence[int]]) -> list[int]:
+    """The zero set of every normal x (leading coordinate 1) of the rows,
+    as column masks, with the products x.c_j bit-sliced over the columns.
+
+    Over GF(2) a product vector is the mask of columns where it is 1, and
+    adding a row is an XOR.  Over GF(3) it is the pair (ones, twos) of
+    masks; adding (b1, b2) to (a1, a2) takes
+    t = (a1 | b2) ^ (a2 | b1), ones = (a2 | b2) ^ t, twos = (a1 | b1) ^ t,
+    and twice a row swaps its masks.  For each leading row, the products
+    are doubled (tripled) by each later row in turn."""
+    full = (1 << n) - 1
+    out: list[int] = []
+    if p == 2:
+        masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+        for lead, first in enumerate(masks):
+            dots = [first]
+            for b in masks[lead + 1 :]:
+                dots += [d ^ b for d in dots]
+            out += [full ^ d for d in dots]
+        return out
+    ones = [sum(1 << j for j, x in enumerate(row) if x == 1) for row in rows]
+    twos = [sum(1 << j for j, x in enumerate(row) if x == 2) for row in rows]
+    for lead in range(len(rows)):
+        dots = [(ones[lead], twos[lead])]
+        for b1, b2 in zip(ones[lead + 1 :], twos[lead + 1 :]):
+            more = []
+            for a1, a2 in dots:
+                t = (a1 | b2) ^ (a2 | b1)
+                more.append(((a2 | b2) ^ t, (a1 | b1) ^ t))
+                t = (a1 | b1) ^ (a2 | b2)
+                more.append(((a2 | b1) ^ t, (a1 | b2) ^ t))
+            dots += more
+        out += [full ^ (a1 | a2) for a1, a2 in dots]
+    return out
+
+
+@lru_cache(maxsize=_HYPERPLANE_MAX_COLS - _LEX_TABLE_COLS + 1)
+def _subset_order(w: int) -> tuple[int, ...]:
+    """Every subset of {0..w-1}, each set before those that lack the least
+    element of their symmetric difference: the sets holding 0 first."""
+    if w == 0:
+        return (0,)
+    rest = _subset_order(w - 1)
+    return tuple(1 | s << 1 for s in rest) + tuple(s << 1 for s in rest)
+
+
+@lru_cache(maxsize=(_LEX_TABLE_COLS + 1) * (_LEX_TABLE_COLS + 2) // 2)
+def _lex_reader(m: int, k: int) -> tuple[tuple[int, ...], itemgetter]:
+    """`size_masks(m, k)` and an itemgetter that reads a table at those
+    masks in that order, for m <= _LEX_TABLE_COLS: C(m, k) masks, 8,191
+    over all (m, k).  One index more keeps the read a tuple when there is
+    one mask; `compress` stops at the end of the masks."""
+    sets = tuple(size_masks(m, k))
+    return sets, itemgetter(*sets, 0)
 
 
 def row_space_echelon(a: GFMatrix) -> tuple[tuple[int, ...], ...]:

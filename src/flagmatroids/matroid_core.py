@@ -45,7 +45,6 @@ MAX_GROUND = 20  # the largest ground set of a loaded document or a flag
 # A lift witness of a flag on n elements has n + 1 (lifts_majors), so a
 # matroid built inside the library may have one element more.
 MAX_MATROID_GROUND = MAX_GROUND + 1
-_ONE = ord("1")  # a set bit in the base-2 digit string of independent_bits
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -78,6 +77,20 @@ def _size_bits(n: int) -> tuple[int, ...]:
     low = _size_bits(n - 1) + (0,)
     half = 1 << (n - 1)
     return (low[0],) + tuple(low[k] | low[k - 1] << half for k in range(1, n + 1))
+
+
+def _down_closure(n: int, masks: Iterable[int]) -> int:
+    """The 2^n-bit int with bit S set iff S lies inside one of the masks.
+
+    The masks are set one bit each in a bytearray read as one int, then
+    every set S passes its bit to S - e, one element at a time."""
+    marked = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        marked[m >> 3] |= 1 << (m & 7)
+    bits = int.from_bytes(marked, "little")
+    for e, has in enumerate(_element_bits(n)):
+        bits |= (bits & has) >> (1 << e)
+    return bits
 
 
 def _bit_bytes(bits: int, n: int) -> bytes:
@@ -133,13 +146,7 @@ class Matroid:
     @cached_property
     def independent_bits(self) -> int:
         """Bit S set iff S is independent: the down-closure of the bases."""
-        digits = bytearray(b"0") * (1 << self.n)
-        for b in self.bases:
-            digits[b] = _ONE
-        bits = int(digits[::-1], 2)
-        for e, has in enumerate(_element_bits(self.n)):
-            bits |= (bits & has) >> (1 << e)
-        return bits
+        return _down_closure(self.n, self.bases)
 
     @cached_property
     def rank_levels(self) -> tuple[int, ...]:
@@ -188,18 +195,21 @@ class Matroid:
     def moved_bits(self) -> tuple[int, ...]:
         """Per element e, the 2^n-bit int with bit S set iff S holds e or
         r(S + e) > r(S): its clear bits are the S whose closure gains e.
+        `_each_moved` builds them."""
+        return tuple(self._each_moved())
+
+    def _each_moved(self) -> Iterator[int]:
+        """The `moved_bits` entries, one element at a time.
 
         For S without e, bit S of A_k >> 2^e is bit S + e of A_k, so S + e
         raises the rank iff some level holds S + e but not S."""
         levels = self.rank_levels
-        out = []
         for e, has in enumerate(_element_bits(self.n)):
             step = 1 << e
             raised = 0
             for level in levels:
                 raised |= (level >> step) & ~level
-            out.append(has | raised)
-        return tuple(out)
+            yield has | raised
 
     @cached_property
     def flat_bits(self) -> int:
@@ -220,18 +230,25 @@ class Matroid:
         r(S + e + f) = r(S).  With stay_e = {S without e : r(S + e) = r(S)},
         bit S of stay_f >> 2^e is bit S + e of stay_f, so the axiom fails
         for e < f exactly at the bits of stay_e & stay_f & ~(stay_f >> 2^e).
-        That is O(n^2) big-int ANDs and no loop over the bases; the n stay
-        bitsets live only for this call.
+        That is O(n^2) big-int ANDs and no loop over the bases.  Element f's
+        moved bitset is built only once every pair below f has passed, so a
+        family that fails early pays for few of them; the n stay bitsets
+        live only for this call, and the moved ones are kept as
+        `moved_bits` only when every pair passed.
         """
         everything = (1 << (1 << self.n)) - 1
-        stay = []
-        for moved in self.moved_bits:
-            stay_f = everything ^ moved
+        cached = self.__dict__.get("moved_bits")
+        moved: list[int] = []
+        stay: list[int] = []
+        for moved_f in self._each_moved() if cached is None else cached:
+            stay_f = everything ^ moved_f
             for e, stay_e in enumerate(stay):
                 both = stay_e & stay_f
                 if both & (stay_f >> (1 << e)) != both:
                     return False
+            moved.append(moved_f)
             stay.append(stay_f)
+        self.__dict__["moved_bits"] = tuple(moved)
         return True
 
     @cached_property
@@ -369,11 +386,16 @@ def uniform(r: int, n: int) -> Matroid:
 
 
 def linear_matroid(a: gl.GFMatrix) -> Matroid:
-    """Column matroid of a matrix over GF(p)."""
+    """Column matroid of a matrix over GF(p).  A matrix with dependent rows
+    is replaced by the nonzero rows of its RREF, which have the same column
+    matroid, so `column_bases` is asked for full-width sets."""
     n = a.cols
     if n > MAX_GROUND:
         raise IndexOutOfRange(f"too many columns ({n})")
-    return Matroid(n, gl.column_bases(a, gl.rank(a)))
+    r = gl.rank(a)
+    if r < a.rows:
+        a = gl.prefix_rows(gl.rref(a)[0], r)
+    return Matroid(n, gl.column_bases(a, r))
 
 
 # --- derived quantities -----------------------------------------------------

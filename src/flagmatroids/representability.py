@@ -568,7 +568,10 @@ def _rref_bands(cur: gl.GFMatrix, nxt: mc.Matroid) -> Iterator[gl.GFMatrix]:
 
 def _level_matches(a: gl.GFMatrix, level: int, layer: mc.Matroid) -> bool:
     """True iff the column matroid of a's top `level` rows has exactly the
-    bases of `layer`, a rank-`level` matroid; stops at the first mismatch."""
+    bases of `layer`, a rank-`level` matroid.  On the DFS path of
+    `gl.column_bases` it stops at the first mismatch; on the hyperplane path
+    (wide GF(2)/GF(3) layers) every basis is found before the first is
+    compared."""
     got = gl.column_bases(gl.prefix_rows(a, level), level)
     return all(b == want for b, want in zip_longest(got, layer.bases))
 

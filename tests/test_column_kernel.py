@@ -8,19 +8,30 @@ computation per column subset, a nonsingularity check per square minor, and
 the pairwise search for an exchange element.  `column_bases` itself is also
 checked against the DFS it replaced, which reduces every candidate column
 against the taken ones with `_absorb`; it must yield the same masks in the
-same order.  `representability.represents` must agree with comparing the
-represented flag.  The fast versions must return exactly what they return,
-witnesses included.  Hypothesis settings come from the `tier1` profile in
-conftest.py.
+same order.  That holds on both of its paths: the DFS, and the hyperplane
+pass that a full-width GF(2)/GF(3) question takes when
+`gl._hyperplanes_pay` says so, which is checked on every such shape up to
+12 columns, on the 20-column matrix of the CI smoke run, on shapes either
+side of the selection rule, and through `_level_matches` on GF(3) bands
+that it must reject.  `representability.represents` must agree with
+comparing the represented flag.  The fast versions must return exactly
+what they return, witnesses included.  Hypothesis settings come from the
+`tier1` profile in conftest.py.
 """
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gf_matrices, oracle_rank_mod_p, random_representation
+from conftest import (
+    gf_matrices,
+    oracle_rank_mod_p,
+    random_prefix_chain_matrix,
+    random_representation,
+)
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import matroid_core as mc
@@ -253,3 +264,157 @@ def test_represents_agrees_with_comparing_the_represented_flag():
             for _, fm, _ in near:
                 assert rp.represents(r, fm) == (rp.represented_flag(r) == fm)
     assert min(told_apart.values()) >= 100, told_apart
+
+
+# --- the hyperplane path of column_bases ---------------------------------------
+
+# [I_10 | A] over GF(2), the `m20.json` of the CI smoke run
+M20 = [
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1],
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1],
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1],
+    [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1],
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0],
+]
+
+
+def _variant(rng, p, r, n, kind):
+    """A random r x n matrix over GF(p), changed as `kind` says: "zero"
+    clears one or two columns, "parallel" makes a column a nonzero multiple
+    of another, "dependent" makes a row a combination of the others."""
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+    if kind == "zero":
+        for j in rng.sample(range(n), min(n, rng.randint(1, 2))):
+            for row in rows:
+                row[j] = 0
+    elif kind == "parallel" and n > 1:
+        j, k = rng.sample(range(n), 2)
+        c = rng.randrange(1, p)
+        for row in rows:
+            row[k] = row[j] * c % p
+    elif kind == "dependent":
+        i = rng.randrange(r)
+        coeffs = [rng.randrange(p) for _ in range(r)]
+        rows[i] = [
+            sum(c * row[j] for c, row in zip(coeffs, rows) if row is not rows[i]) % p
+            for j in range(n)
+        ]
+    return gl.matrix(p, rows, cols=n)
+
+
+def _assert_both_paths_match_the_reference(a):
+    r = a.rows
+    want = list(reference_column_bases(a, r))
+    got = gl.column_bases(a, r)
+    assert iter(got) is got
+    assert list(got) == want
+    assert gl._hyperplane_bases(a.p, a.cols, [a.row(i) for i in range(r)]) == want
+    return want
+
+
+def test_hyperplane_path_matches_the_reference_on_every_small_shape():
+    """Every GF(2)/GF(3) shape with 3 <= r <= 7 and r <= n <= 12, r = n
+    included, with zero columns, parallel columns and dependent rows.  Both
+    sides of the selection rule occur, so `column_bases` runs both paths,
+    and the hyperplane pass is also run directly on every shape."""
+    rng = random.Random(2024)
+    sides = Counter()
+    for p in (2, 3):
+        for r in range(3, 8):
+            for n in range(r, 13):
+                sides[gl._hyperplanes_pay(p, n, r)] += 1
+                for kind in ("plain", "zero", "parallel", "dependent"):
+                    a = _variant(rng, p, r, n, kind)
+                    want = _assert_both_paths_match_the_reference(a)
+                    if gl.rank(a) < r:
+                        assert want == []
+    assert sides[True] >= 40 and sides[False] >= 10, sides
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3]), st.integers(3, 7), st.data())
+def test_hyperplane_path_matches_the_reference_on_drawn_matrices(p, r, data):
+    n = data.draw(st.integers(r, 12))
+    kind = data.draw(st.sampled_from(["plain", "zero", "parallel", "dependent"]))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    _assert_both_paths_match_the_reference(_variant(rng, p, r, n, kind))
+
+
+def test_dependent_rows_yield_nothing_on_the_hyperplane_path():
+    a = gl.matrix(2, M20[:5] + [[(x + y) % 2 for x, y in zip(M20[0], M20[1])]])
+    assert gl._hyperplanes_pay(2, 20, 6)
+    assert list(gl.column_bases(a, 6)) == []
+    top = [[1, 0, 0, 1, 2, 1, 0, 2, 1], [0, 1, 0, 2, 1, 1, 1, 0, 2]]
+    b = gl.matrix(3, top + [[(x + 2 * y) % 3 for x, y in zip(*top)]])
+    assert gl._hyperplanes_pay(3, 9, 3) and gl.rank(b) == 2
+    assert list(gl.column_bases(b, 3)) == []
+
+
+def test_selection_rule_sides():
+    pay = gl._hyperplanes_pay
+    # the wide strata of the benchmark, and the CI matrix's prefixes
+    bulk = [(2, 11, 6), (2, 10, 5), (2, 10, 4), (3, 10, 5), (3, 9, 5), (3, 9, 4)]
+    bulk += [(2, 20, 9), (2, 20, 10)]
+    for shape in bulk:
+        assert pay(*shape), shape
+    # r <= 2, GF(5)/GF(7), a narrow question on a wide matrix, and past 21 columns
+    dfs = [(2, 10, 2), (3, 9, 1), (5, 10, 5), (7, 10, 5), (2, 20, 5), (2, 22, 11), (3, 32, 16)]
+    for shape in dfs:
+        assert not pay(*shape), shape
+    # the border at 20 columns (r = 5 / 6) and at 3 rows (n = 4 / 5)
+    assert not pay(2, 20, 5) and pay(2, 20, 6)
+    assert not pay(2, 4, 3) and pay(2, 5, 3)
+
+
+def test_the_20_column_ci_matrix_on_both_sides_of_the_rule():
+    """Level 10 of `m20.json` takes the hyperplane path, level 5 the DFS;
+    both yield what the absorb DFS yields."""
+    a = gl.matrix(2, M20)
+    for level, bulk in ((10, True), (5, False)):
+        assert gl._hyperplanes_pay(2, 20, level) is bulk
+        prefix = gl.prefix_rows(a, level)
+        got = gl.column_bases(prefix, level)
+        assert iter(got) is got
+        assert list(got) == list(reference_column_bases(prefix, level))
+
+
+def test_level_matches_rejects_gf3_bands_as_the_reference_does():
+    """The bands that the search builds over GF(3) from a 2-row
+    representation toward a rank-5 layer on 9 elements, a hyperplane-path
+    shape: the layer of a random matrix, and families one basis away from
+    it.  `_level_matches` must accept a band iff its column bases are the
+    layer's, and both answers must occur."""
+    assert gl._hyperplanes_pay(3, 9, 5)
+    rng = random.Random(35)
+    told = Counter()
+    while told[True] < 3 or told[False] < 50:
+        a = random_prefix_chain_matrix(rng, 3, 5, 9)
+        cur = gl.prefix_rows(a, 2)
+        for layer in _near_families(reference_linear_matroid(a)):
+            for band in islice(rp._rref_bands(cur, layer), 12):
+                want = list(reference_column_bases(band, 5)) == list(layer.bases)
+                assert rp._level_matches(band, 5, layer) == want
+                told[want] += 1
+
+
+def test_linear_matroid_asks_for_full_width_sets_when_rows_are_dependent(monkeypatch):
+    """A matrix with a repeated row is replaced by its nonzero RREF rows, so
+    its column matroid also takes the hyperplane path, and is the matroid
+    of the matrix without the repeat."""
+    a = gl.matrix(2, M20[:6])
+    want = mc.linear_matroid(a)
+    calls = []
+    hyperplane_bases = gl._hyperplane_bases
+
+    def counted(p, n, rows):
+        calls.append(len(rows))
+        return hyperplane_bases(p, n, rows)
+
+    monkeypatch.setattr(gl, "_hyperplane_bases", counted)
+    assert mc.linear_matroid(gl.matrix(2, M20[:6] + M20[2:3])) == want
+    assert calls == [6]

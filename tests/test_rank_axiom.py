@@ -56,6 +56,41 @@ def test_large_families():
     assert all(layer.is_matroid for layer in fm.layers)
 
 
+def test_moved_bits_are_kept_only_when_every_pair_passed(monkeypatch):
+    """`is_matroid` builds an element's moved bitset only once the pairs
+    below it have passed, and keeps the tuple as `moved_bits` only for a
+    basis family.  On every family on at most 4 elements the verdict is
+    `basis_exchange_witness`'s, and `moved_bits`, `flat_bits` and the
+    verdict read the same whichever of them is asked first."""
+    for n in range(5):
+        for r in range(n + 1):
+            pool = size_masks(n, r)
+            for pick in range(1, 1 << len(pool)):
+                fam = [pool[i] for i in range(len(pool)) if pick >> i & 1]
+                m = mc.Matroid(n, tuple(fam))
+                ok = m.is_matroid
+                assert ok == (mc.basis_exchange_witness(fam) is None), (n, fam)
+                assert ("moved_bits" in vars(m)) == ok
+                other = mc.Matroid(n, tuple(fam))
+                assert other.moved_bits == m.moved_bits
+                assert other.flat_bits == m.flat_bits
+                assert other.is_matroid == ok
+    built = []
+    each_moved = mc.Matroid._each_moved
+
+    def counted(self):
+        for moved in each_moved(self):
+            built.append(moved)
+            yield moved
+
+    monkeypatch.setattr(mc.Matroid, "_each_moved", counted)
+    halves = mc.Matroid(14, (0b1111111, 0b1111111 << 7))
+    assert not halves.is_matroid
+    assert 0 < len(built) < 14 and "moved_bits" not in vars(halves)
+    built.clear()
+    assert mc.uniform(7, 14).is_matroid and len(built) == 14
+
+
 def test_linear_matroids_with_one_basis_dropped_or_added():
     seen = set()
 
