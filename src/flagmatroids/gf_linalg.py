@@ -249,14 +249,15 @@ def independent_columns(p: int, vectors: Iterable[Sequence[int]]) -> bool:
 
 
 def column_bases(a: GFMatrix, r: int) -> Iterator[int]:
-    """Bit masks of the independent r-subsets of a's columns, lazily, in
-    `combinations(range(a.cols), r)` order.  With r == rank(a) these are the
-    bases of the column matroid; r > rank(a) yields nothing and r == 0
-    yields the empty set.
+    """Bit masks of the independent r-subsets of a's columns, as an
+    iterator, in `combinations(range(a.cols), r)` order.  With r == rank(a)
+    these are the bases of the column matroid; r > rank(a) yields nothing
+    and r == 0 yields the empty set.
 
     A full-width question (r == a.rows) over GF(2)/GF(3) on a shape where
     `_hyperplanes_pay` holds is answered by `_hyperplane_bases` in one
-    pass; every other question by `_dfs_bases`."""
+    pass, before the first mask is read; every other question lazily by
+    `_dfs_bases`."""
     if r == a.rows and _hyperplanes_pay(a.p, a.cols, r):
         return iter(_hyperplane_bases(a.p, a.cols, [a.row(i) for i in range(r)]))
     return _dfs_bases(a, r)
