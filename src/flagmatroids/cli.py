@@ -78,10 +78,6 @@ def _json_lists(fields: dict) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in fields.items()}
 
 
-def _ranks(fm: fl.FlagMatroid) -> list[int]:
-    return [m.rank for m in fm.layers]
-
-
 # --- verbs: each returns (exit code, document, summary) -------------------------
 
 
@@ -152,7 +148,7 @@ def _seqrep(args):
         "schema": "sequential-representation/1",
         "layers": [io.matroid_json(m) for m in fm.layers],
     }
-    return EXIT_YES, doc, f"{len(fm.layers)} layers, ranks {_ranks(fm)}"
+    return EXIT_YES, doc, f"{len(fm.layers)} layers, ranks {list(fm.cardinalities)}"
 
 
 def _minor(args):
@@ -164,7 +160,7 @@ def _minor(args):
 
 def _dual(args):
     out = fl.flag_dual(_flag(args))
-    return EXIT_YES, io.flag_json(out), f"dual with layer ranks {_ranks(out)}"
+    return EXIT_YES, io.flag_json(out), f"dual with layer ranks {list(out.cardinalities)}"
 
 
 def _from_matrix(args):
@@ -215,7 +211,7 @@ def _represent(args):
 
 def _graphic_flag(args):
     fm = gr.graphic_flag(*io.load_graphic_bundle(_read(args.file)))
-    return EXIT_YES, io.flag_json(fm), f"graphic flag with layer ranks {_ranks(fm)}"
+    return EXIT_YES, io.flag_json(fm), f"graphic flag with layer ranks {list(fm.cardinalities)}"
 
 
 def _graphic_major(args):

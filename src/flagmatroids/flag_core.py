@@ -74,11 +74,6 @@ def _layer_check(n: int, layer: tuple[int, ...]) -> tuple[Optional[tuple], Optio
     return mc.basis_exchange_witness(layer), None
 
 
-def _lift_witness(n: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> Optional[int]:
-    """First flat of the lower basis family's matroid not flat in the upper's, or None."""
-    return mc.first_unlifted(_layer_check(n, lower)[1], _layer_check(n, upper)[1])
-
-
 def layered_witness(n: int, family: Iterable[int]) -> Optional[tuple[str, object]]:
     """None if the family's layers are matroids chained by lifts, else the
     first failure: ("layer", (size, exchange witness)) or ("lift", (sizes, flat))."""

@@ -6,8 +6,8 @@ determinism and exactness matter more than speed at this scale.
 
 Column independence has two elimination kernels and one hyperplane pass,
 so that questions about many column subsets never build a matrix per
-subset.  `column_bases` lists the independent r-sets in `combinations`
-order, by one of two paths picked from (p, n, r) alone:
+subset.  `column_bases` lists the independent r-sets of an r x n matrix in
+`combinations` order, by one of two paths picked from p, n and r alone:
 
 - `_dfs_bases` walks the column subsets as a DFS that carries a partially
   row-reduced copy of the matrix.  Taking column j picks the first
@@ -15,12 +15,12 @@ order, by one of two paths picked from (p, n, r) alone:
   from the other remaining rows, so every taken column is zero on the
   remaining rows; a later column is then independent of the taken ones iff
   some remaining row is nonzero at it.  A branch is dropped as soon as that
-  fails or too few columns or rows remain, and a caller that stops reading
-  stops the walk.  It answers every field, every r and every row count.
-- `_hyperplane_bases` answers an r x n matrix over GF(2)/GF(3) asked for
-  its r-sets in one pass: an r-set is a basis iff it lies in no hyperplane,
-  and the hyperplanes are the zero sets of the (p^r - 1)/(p - 1) normals,
-  each a few bitwise operations on column masks.  It pays only when the
+  fails or too few columns remain, and a caller that stops reading stops
+  the walk.  It answers every field and every shape.
+- `_hyperplane_bases` answers an r x n matrix over GF(2)/GF(3) in one
+  pass: an r-set is a basis iff it lies in no hyperplane, and the
+  hyperplanes are the zero sets of the (p^r - 1)/(p - 1) normals, each a
+  few bitwise operations on column masks.  It pays only when the
   normals and its 2^n-bit ints cost less than the DFS's C(n + 1, r) nodes;
   `_hyperplanes_pay` is that rule.  It runs to the end before the first set
   is read.
@@ -248,24 +248,23 @@ def independent_columns(p: int, vectors: Iterable[Sequence[int]]) -> bool:
     return all(_absorb(basis, v, p) for v in vectors)
 
 
-def column_bases(a: GFMatrix, r: int) -> Iterator[int]:
-    """Bit masks of the independent r-subsets of a's columns, as an
-    iterator, in `combinations(range(a.cols), r)` order.  With r == rank(a)
-    these are the bases of the column matroid; r > rank(a) yields nothing
-    and r == 0 yields the empty set.
+def column_bases(a: GFMatrix) -> Iterator[int]:
+    """Bit masks of the independent r-subsets of a's columns, r = a.rows,
+    as an iterator, in `combinations(range(a.cols), r)` order.  With
+    independent rows these are the bases of the column matroid; dependent
+    rows yield nothing and a 0-row matrix yields the empty set.
 
-    A full-width question (r == a.rows) over GF(2)/GF(3) on a shape where
-    `_hyperplanes_pay` holds is answered by `_hyperplane_bases` in one
-    pass, before the first mask is read; every other question lazily by
-    `_dfs_bases`."""
-    if r == a.rows and _hyperplanes_pay(a.p, a.cols, r):
-        return iter(_hyperplane_bases(a.p, a.cols, [a.row(i) for i in range(r)]))
-    return _dfs_bases(a, r)
+    Over GF(2)/GF(3) on a shape where `_hyperplanes_pay` holds the answer
+    comes from `_hyperplane_bases` in one pass, before the first mask is
+    read; every other shape is answered lazily by `_dfs_bases`."""
+    if _hyperplanes_pay(a.p, a.cols, a.rows):
+        return iter(_hyperplane_bases(a.p, a.cols, [a.row(i) for i in range(a.rows)]))
+    return _dfs_bases(a)
 
 
 def _hyperplanes_pay(p: int, n: int, r: int) -> bool:
     """Whether `_hyperplane_bases` beats `_dfs_bases` on an r x n matrix
-    over GF(p) asked for its r-sets, judged from the shape alone.
+    over GF(p), judged from the shape alone.
 
     On a matrix whose r-sets are mostly bases the DFS visits
     sum_k C(n - r + k, k) = C(n + 1, r) nodes, each a row reduction.  In
@@ -281,23 +280,22 @@ def _hyperplanes_pay(p: int, n: int, r: int) -> bool:
     return normals // r + (1 << n) // 48 + 12 <= comb(n + 1, r)
 
 
-def _dfs_bases(a: GFMatrix, r: int) -> Iterator[int]:
+def _dfs_bases(a: GFMatrix) -> Iterator[int]:
     """`column_bases` as a DFS over the columns.
 
     Each DFS node holds the rows not yet used as pivots, with every taken
-    column eliminated from them: a push costs O(rows * n), and a candidate
-    column is tested by reading one entry per remaining row.  A branch is
-    dropped at the first column that fails, so a caller that stops early
-    pays only for the sets it read."""
+    column eliminated from them, so a set is complete once no row remains:
+    a push costs O(rows * n), and a candidate column is tested by reading
+    one entry per remaining row.  A branch is dropped at the first column
+    that fails, so a caller that stops early pays only for the sets it
+    read."""
     p, n = a.p, a.cols
 
-    def walk(start: int, mask: int, need: int, rows: list[Sequence[int]]) -> Iterator[int]:
-        if need == 0:
+    def walk(start: int, mask: int, rows: list[Sequence[int]]) -> Iterator[int]:
+        if not rows:
             yield mask
             return
-        if need > len(rows):
-            return
-        for j in range(start, n - need + 1):
+        for j in range(start, n - len(rows) + 1):
             for pivot in rows:
                 if pivot[j]:
                     break
@@ -313,9 +311,9 @@ def _dfs_bases(a: GFMatrix, r: int) -> Iterator[int]:
                     f = f * inv % p
                     row = [(x - f * y) % p for x, y in zip(row, pivot)]
                 rest.append(row)
-            yield from walk(j + 1, mask | 1 << j, need - 1, rest)
+            yield from walk(j + 1, mask | 1 << j, rest)
 
-    return walk(0, 0, r, [a.row(i) for i in range(a.rows)])
+    return walk(0, 0, [a.row(i) for i in range(a.rows)])
 
 
 # `_hyperplane_bases` caps: the widest matrix it takes, and the most

@@ -24,7 +24,7 @@ from .errors import (
     InternalError,
     TrivialLiftLayer,
 )
-from .lifts_majors import MajorStructure, lift_witness_sequence, verify_major
+from .lifts_majors import MajorStructure, is_full, lift_witness_sequence, verify_major
 
 
 @dataclass(frozen=True)
@@ -469,9 +469,7 @@ def counterexample_harness(config: CounterexampleConfig) -> HarnessReport:
     m1 = cycle_matroid(config.bottom)
     m3 = cycle_matroid(config.top)
     fm = fl.from_sequence([m1, m2, m3])
-    ranks = [m.rank for m in fm.layers]
-    full = all(b == a + 1 for a, b in zip(ranks, ranks[1:]))
-    steps.append(HarnessStep("b:full-flag", full, {"ranks": ranks}))
+    steps.append(HarnessStep("b:full-flag", is_full(fm), {"ranks": list(fm.cardinalities)}))
 
     # (c) lift witnesses are the plus-one-edge graphs, and both are graphic
     witness_mid = cycle_matroid(

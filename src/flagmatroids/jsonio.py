@@ -304,6 +304,10 @@ def load_config(doc: Any) -> gr.CounterexampleConfig:
     for name, colors in (("middle", mid_colors), ("top", top_colors)):
         if len(colors.get("red", ())) != 2:
             raise InvalidInput(f"config: {name} graph needs exactly two red vertices")
+    pairs = {name: tuple(_int_list(doc[name], name)) for name in ("bb_pair", "rb_pair")}
+    for name, pair in pairs.items():
+        if len(pair) != 2:
+            raise InvalidInput(f"config: {name} needs exactly two vertices")
     return gr.CounterexampleConfig(
         bottom=bottom,
         middle=middle,
@@ -312,8 +316,7 @@ def load_config(doc: Any) -> gr.CounterexampleConfig:
         top_merged_yellows=tuple(merged_colors.get("yellow", (0, 0))),
         top=top,
         top_reds=tuple(top_colors["red"]),
-        bb_pair=tuple(_int_list(doc["bb_pair"], "bb_pair")),
-        rb_pair=tuple(_int_list(doc["rb_pair"], "rb_pair")),
+        **pairs,
     )
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import flag_core as fl
 from . import gf_linalg as gl
 from . import matroid_core as mc
-from .bitset import elements_of, mask_of
+from .bitset import canonical, elements_of, mask_of
 from .errors import (
     BudgetExhausted,
     GroundSetMismatch,
@@ -155,15 +155,16 @@ def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
 
 def enumerate_elementary_coextensions(quot: mc.Matroid, lift: mc.Matroid) -> list[mc.Matroid]:
     """All matroids Q on {0..n} with Q/n == quot and Q\\n == lift, for
-    quot and lift of ranks r and r + 1: every single-element extension of
-    lift whose contraction by n is quot.  Unlike `_coextension`, this
-    does not assume that there is at most one.
+    quot and lift of ranks r and r + 1.  Each extension lift + n in which n
+    is not a coloop has the bases of lift plus X + n for the bases X of its
+    contraction by n, one of `mc.elementary_quotients(lift)`; Q is the one
+    whose contraction has quot's bases, built by `_coextension`.  Unlike
+    `_coextension` alone, this does not assume that there is at most one.
     """
     if quot.n != lift.n or lift.rank != quot.rank + 1:
         return []
-    n = quot.n
-    found = (mc.Matroid(n + 1, fam) for fam in mc.single_element_extensions(lift))
-    return [q for q in found if mc.minor(q, 1 << n, 0) == quot]
+    found = mc.elementary_quotients(lift, quot)
+    return [_coextension(quot, lift) for fam in found if canonical(fam) == quot.bases]
 
 
 @dataclass(frozen=True)
@@ -288,8 +289,7 @@ def search_major(fm: fl.FlagMatroid, budget: int = 20000) -> Optional[MajorStruc
     the block's end.  `budget` caps the extensions examined (else
     BudgetExhausted); the result is checked by `verify_major`.
     """
-    layers = fm.layers
-    ranks = [m.rank for m in layers]
+    layers, ranks = fm.layers, fm.cardinalities
     extra = ranks[-1] - ranks[0]
     if extra == 0:
         return MajorStructure(layers[0], ())

@@ -395,7 +395,7 @@ def linear_matroid(a: gl.GFMatrix) -> Matroid:
     r = gl.rank(a)
     if r < a.rows:
         a = gl.prefix_rows(gl.rref(a)[0], r)
-    return Matroid(n, gl.column_bases(a, r))
+    return Matroid(n, gl.column_bases(a))
 
 
 # --- derived quantities -----------------------------------------------------

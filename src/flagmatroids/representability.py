@@ -113,7 +113,7 @@ def represents(rep: FlagRepresentation, fm: fl.FlagMatroid) -> bool:
     return (
         rep.n == fm.n
         and rep.levels == fm.cardinalities
-        and all(_level_matches(rep.matrix, d, m) for d, m in zip(rep.levels, fm.layers))
+        and all(_level_matches(rep.matrix, m) for m in fm.layers)
     )
 
 
@@ -373,7 +373,7 @@ def matroid_representation(m: mc.Matroid, p: int) -> Optional[gl.GFMatrix]:
     for j, e in enumerate(rest):
         columns[e] = tuple(entries.get((i, j), 0) for i in range(r))
     out = gl.matrix(p, [[columns[e][i] for e in range(n)] for i in range(r)], cols=n)
-    return out if _level_matches(out, r, m) else None
+    return out if _level_matches(out, m) else None
 
 
 def _ternary_signs(
@@ -566,13 +566,12 @@ def _rref_bands(cur: gl.GFMatrix, nxt: mc.Matroid) -> Iterator[gl.GFMatrix]:
             yield gl.GFMatrix(cur.field, cur.rows + g, n, cur.entries + tuple(band))
 
 
-def _level_matches(a: gl.GFMatrix, level: int, layer: mc.Matroid) -> bool:
-    """True iff the column matroid of a's top `level` rows has exactly the
-    bases of `layer`, a rank-`level` matroid.  On the DFS path of
-    `gl.column_bases` it stops at the first mismatch; on the hyperplane path
-    (wide GF(2)/GF(3) layers) every basis is found before the first is
-    compared."""
-    got = gl.column_bases(gl.prefix_rows(a, level), level)
+def _level_matches(a: gl.GFMatrix, layer: mc.Matroid) -> bool:
+    """True iff the column matroid of a's top r rows has exactly the bases
+    of `layer`, a rank-r matroid.  On the DFS path of `gl.column_bases` it
+    stops at the first mismatch; on the hyperplane path (wide GF(2)/GF(3)
+    layers) every basis is found before the first is compared."""
+    got = gl.column_bases(gl.prefix_rows(a, layer.rank))
     return all(b == want for b, want in zip_longest(got, layer.bases))
 
 
@@ -616,7 +615,7 @@ def search_representation(
             if examined >= budget:
                 raise BudgetExhausted(f"{budget} bands examined")
             examined += 1
-            if _level_matches(cand, nxt.rank, nxt):
+            if _level_matches(cand, nxt):
                 found = extend(cand, depth + 1)
                 if found is not None or unique:
                     return found
@@ -669,16 +668,11 @@ def binary_forbidden_flags() -> tuple[tuple[str, fl.FlagMatroid], ...]:
 @lru_cache(maxsize=None)
 def ternary_forbidden_flags() -> tuple[tuple[str, fl.FlagMatroid], ...]:
     """(R) and the pairwise non-isomorphic (R/e, R\\e) for the four excluded
-    matroids; e ranges over elements that are neither loops nor coloops."""
-    f7 = mc.fano_matroid()
-    named = (
-        ("U_{2,5}", mc.uniform(2, 5)),
-        ("U_{3,5}", mc.uniform(3, 5)),
-        ("F_7", f7),
-        ("F_7^*", mc.dual(f7)),
-    )
+    matroids of `mc._ternary_excluded`, named in its order; e ranges over
+    elements that are neither loops nor coloops."""
+    names = ("U_{2,5}", "U_{3,5}", "F_7", "F_7^*")
     out: list[tuple[str, fl.FlagMatroid]] = []
-    for name, r in named:
+    for name, r in zip(names, mc._ternary_excluded()):
         out.append((f"({name})", fl.from_sequence([r])))
         pairs: list[fl.FlagMatroid] = []
         for e in range(r.n):
@@ -716,14 +710,15 @@ def forbidden_minor_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDeci
     return RepresentabilityDecision(p, True)
 
 
-def _pair_matrix(rmat: gl.GFMatrix, x: int) -> gl.GFMatrix:
-    """Matrix of (Q/x, Q\\x), levels (r - 1, r), from a representation of Q.
+def _pair_matrix(rmat: gl.GFMatrix) -> gl.GFMatrix:
+    """Matrix of (Q/x, Q\\x), levels (r - 1, r), from a representation of
+    Q whose last column is x.
 
     Row-reduces so that column x becomes the last unit vector; dropping that
     column gives the pair's matrix, whose top rows represent the
     contraction.  Its prefix ranks are not checked here.
     """
-    p, r = rmat.p, rmat.rows
+    p, r, x = rmat.p, rmat.rows, rmat.cols - 1
     rows = [list(rmat.row(i)) for i in range(r)]
     pivot = max(i for i in range(r) if rows[i][x] % p)
     rows[pivot], rows[r - 1] = rows[r - 1], rows[pivot]
@@ -733,8 +728,7 @@ def _pair_matrix(rmat: gl.GFMatrix, x: int) -> gl.GFMatrix:
         if rows[i][x]:
             f = rows[i][x]
             rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r - 1])]
-    pair_rows = [row[:x] + row[x + 1 :] for row in rows]
-    return gl.matrix(p, pair_rows, cols=rmat.cols - 1)
+    return gl.matrix(p, [row[:x] for row in rows], cols=x)
 
 
 def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecision:
@@ -771,7 +765,7 @@ def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecisi
         if rmat is None:
             lm.elementary_witness(low, high)
             return RepresentabilityDecision(p, False)
-        pair = _pair_matrix(rmat, fm.n)
+        pair = _pair_matrix(rmat)
         mat = pair if mat is None else _stitch(mat, pair)
     rep = FlagRepresentation(mat, fm.cardinalities)
     if not represents(rep, fm):

@@ -81,7 +81,7 @@ def reference_search_levelwise(fm, p):
         found = None
         for band in reference_rref_bands(p, positions, g, n):
             cand = gl.vstack(cur, gl.matrix(p, [list(r) for r in band], cols=n))
-            if rp._level_matches(cand, target, nxt):
+            if rp._level_matches(cand, nxt):
                 found = cand
                 break
         if found is None:
@@ -235,9 +235,9 @@ def test_binary_full_flags_check_one_band_per_layer(monkeypatch):
     calls = []
     level_matches = rp._level_matches
 
-    def counted(a, level, layer):
-        calls.append(level)
-        return level_matches(a, level, layer)
+    def counted(a, layer):
+        calls.append(layer.rank)
+        return level_matches(a, layer)
 
     monkeypatch.setattr(rp, "_level_matches", counted)
     rng = random.Random(2718)

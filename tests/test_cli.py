@@ -431,6 +431,19 @@ def test_counterexample(capture, corpus):
     assert capture("counterexample")[0] == 0  # built-in fixture
 
 
+@pytest.mark.parametrize("key", ["bb_pair", "rb_pair"])
+@pytest.mark.parametrize("pair", [[], [1], [1, 3, 4]])
+def test_counterexample_rejects_a_pair_without_two_vertices(capture, corpus, tmp_path, key, pair):
+    with open(corpus["config.json"]) as f:
+        doc = json.load(f)
+    doc[key] = pair
+    path = tmp_path / "bad_pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = capture("counterexample", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidInput"
+
+
 def test_deterministic_output(capture, corpus):
     for args in (
         ("is-representable", corpus["bf7.json"], "--p", "2"),

@@ -8,8 +8,9 @@ computation per column subset, a nonsingularity check per square minor, and
 the pairwise search for an exchange element.  `column_bases` itself is also
 checked against the DFS it replaced, which reduces every candidate column
 against the taken ones with `_absorb`; it must yield the same masks in the
-same order.  That holds on both of its paths: the DFS, and the hyperplane
-pass that a full-width GF(2)/GF(3) question takes when
+same order.  It lists the column sets as large as the row count, the only
+size its callers ask for.  That holds on both of its paths: the DFS, and
+the hyperplane pass that a GF(2)/GF(3) matrix takes when
 `gl._hyperplanes_pay` says so, which is checked on every such shape up to
 12 columns, on the 20-column matrix of the CI smoke run, on shapes either
 side of the selection rule, and through `_level_matches` on GF(3) bands
@@ -119,23 +120,22 @@ def test_linear_matroid_matches_reference(a):
 
 @settings(max_examples=100)
 @given(gf_matrices(max_n=7))
-def test_column_bases_match_reference_at_every_size(a):
-    for k in range(a.rows + 2):
-        want = [
-            mask_of(cols)
-            for cols in combinations(range(a.cols), k)
-            if oracle_rank_mod_p([[a.at(i, j) for j in cols] for i in range(a.rows)], a.p) == k
-        ]
-        assert list(gl.column_bases(a, k)) == want
+def test_column_bases_match_reference_at_the_row_count(a):
+    k = a.rows
+    want = [
+        mask_of(cols)
+        for cols in combinations(range(a.cols), k)
+        if oracle_rank_mod_p([[a.at(i, j) for j in cols] for i in range(a.rows)], a.p) == k
+    ]
+    assert list(gl.column_bases(a)) == want
 
 
 @settings(max_examples=300)
 @given(kernel_matrices())
 def test_column_bases_yield_what_the_absorb_dfs_yields(a):
-    for r in range(a.rows + 2):
-        got = gl.column_bases(a, r)
-        assert iter(got) is got
-        assert list(got) == list(reference_column_bases(a, r))
+    got = gl.column_bases(a)
+    assert iter(got) is got
+    assert list(got) == list(reference_column_bases(a, a.rows))
 
 
 @settings(max_examples=100)
@@ -167,11 +167,11 @@ def test_level_matches_matches_reference(a, data):
     level = data.draw(st.integers(0, min(a.rows, a.cols)))
     own = reference_linear_matroid(gl.prefix_rows(a, level))
     if own.rank == level:
-        assert rp._level_matches(a, level, own)
+        assert rp._level_matches(a, own)
     else:
         own = mc.uniform(level, a.cols)
     for layer in _near_families(own):
-        assert rp._level_matches(a, level, layer) == reference_level_matches(a, level, layer)
+        assert rp._level_matches(a, layer) == reference_level_matches(a, level, layer)
 
 
 @settings(max_examples=300)
@@ -310,7 +310,7 @@ def _variant(rng, p, r, n, kind):
 def _assert_both_paths_match_the_reference(a):
     r = a.rows
     want = list(reference_column_bases(a, r))
-    got = gl.column_bases(a, r)
+    got = gl.column_bases(a)
     assert iter(got) is got
     assert list(got) == want
     assert gl._hyperplane_bases(a.p, a.cols, [a.row(i) for i in range(r)]) == want
@@ -348,11 +348,11 @@ def test_hyperplane_path_matches_the_reference_on_drawn_matrices(p, r, data):
 def test_dependent_rows_yield_nothing_on_the_hyperplane_path():
     a = gl.matrix(2, M20[:5] + [[(x + y) % 2 for x, y in zip(M20[0], M20[1])]])
     assert gl._hyperplanes_pay(2, 20, 6)
-    assert list(gl.column_bases(a, 6)) == []
+    assert list(gl.column_bases(a)) == []
     top = [[1, 0, 0, 1, 2, 1, 0, 2, 1], [0, 1, 0, 2, 1, 1, 1, 0, 2]]
     b = gl.matrix(3, top + [[(x + 2 * y) % 3 for x, y in zip(*top)]])
     assert gl._hyperplanes_pay(3, 9, 3) and gl.rank(b) == 2
-    assert list(gl.column_bases(b, 3)) == []
+    assert list(gl.column_bases(b)) == []
 
 
 def test_selection_rule_sides():
@@ -378,7 +378,7 @@ def test_the_20_column_ci_matrix_on_both_sides_of_the_rule():
     for level, bulk in ((10, True), (5, False)):
         assert gl._hyperplanes_pay(2, 20, level) is bulk
         prefix = gl.prefix_rows(a, level)
-        got = gl.column_bases(prefix, level)
+        got = gl.column_bases(prefix)
         assert iter(got) is got
         assert list(got) == list(reference_column_bases(prefix, level))
 
@@ -398,7 +398,7 @@ def test_level_matches_rejects_gf3_bands_as_the_reference_does():
         for layer in _near_families(reference_linear_matroid(a)):
             for band in islice(rp._rref_bands(cur, layer), 12):
                 want = list(reference_column_bases(band, 5)) == list(layer.bases)
-                assert rp._level_matches(band, 5, layer) == want
+                assert rp._level_matches(band, layer) == want
                 told[want] += 1
 
 

@@ -1,7 +1,9 @@
 """Differential tests for the lift tests on `Matroid`.
 
 `is_lift` reads `flat_bits`, `coflat_bits`, `moved_bits` and
-`fundamental_circuits`, and `flag_core._lift_witness` reads `flat_bits`.
+`fundamental_circuits`, and `mc.first_unlifted` on the flat bitsets that
+`flag_core._layer_check` memoizes for each layer gives a flag's lift
+witness.
 The "bases" method runs `flag_core._unlifted_basis` on the fundamental
 circuit rows cached on both matroids; the memoized `_axiom2_witness` runs
 the same kernel on rows built for its raw layers by
@@ -9,7 +11,7 @@ the same kernel on rows built for its raw layers by
 axiom 2 of `check_flag_axioms`, and each G inside F costs one AND.  The
 references below are the loops these replaced: one closure per subset for
 the "flats" and "closures" methods, the "duals" method run on two freshly
-built dual matroids, the per-subset `_lift_witness`, the flats
+built dual matroids, the per-subset lift witness, the flats
 comprehension, and the basis-exchange loop that rebuilds both fundamental
 circuits for every (F, e, G), which checks both the lift test and the
 memoized `_axiom2_witness`.  The rows themselves are checked against the
@@ -107,9 +109,8 @@ def assert_pair_matches(lift, quot):
     for method in lm.LIFT_METHODS:
         assert lm.is_lift(lift, quot, method) == reference_is_lift(lift, quot, method), method
     n = lift.n
-    assert fl._lift_witness(n, quot.bases, lift.bases) == reference_lift_witness(
-        n, quot.bases, lift.bases
-    )
+    lower, upper = fl._layer_check(n, quot.bases)[1], fl._layer_check(n, lift.bases)[1]
+    assert mc.first_unlifted(lower, upper) == reference_lift_witness(n, quot.bases, lift.bases)
     by_bases = reference_by_bases(n, lift, quot)
     assert fl._axiom2_witness(n, quot.bases, lift.bases) == (
         None if by_bases is None else (mask_of(by_bases[1]), by_bases[2])

@@ -132,6 +132,33 @@ def test_coextensions_match_exhaustion_on_four_elements():
     assert found > 0
 
 
+def _coextensions_by_extension_walk(quot, lift):
+    """Reference: every single-element extension of lift, built as a
+    matroid on n + 1 elements and kept if its contraction by n is quot."""
+    if quot.n != lift.n or lift.rank != quot.rank + 1:
+        return []
+    n = quot.n
+    found = (mc.Matroid(n + 1, fam) for fam in mc.single_element_extensions(lift))
+    return [q for q in found if mc.minor(q, 1 << n, 0) == quot]
+
+
+def test_coextensions_match_the_extension_walk():
+    # every ordered pair of matroids on at most 4 elements, lifts or not
+    pairs = found = 0
+    for n in range(5):
+        pool = list(mc.enumerate_matroids(n))
+        for quot in pool:
+            for lift in pool:
+                hits = lm.enumerate_elementary_coextensions(quot, lift)
+                assert hits == _coextensions_by_extension_walk(quot, lift), (quot, lift)
+                pairs += 1
+                found += len(hits)
+    assert pairs == 4910 and found > 0
+    quot, lift = mc.uniform(2, 7), mc.uniform(3, 7)
+    hits = lm.enumerate_elementary_coextensions(quot, lift)
+    assert hits == _coextensions_by_extension_walk(quot, lift) and len(hits) == 1
+
+
 def test_coextension_at_seven_elements_builds_one_family():
     # the candidate pool has C(7, 3) = 35 sets, 2^35 families to exhaust
     quot, lift = mc.uniform(3, 7), mc.uniform(4, 7)

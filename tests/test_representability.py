@@ -421,6 +421,35 @@ def test_ternary_forbidden_list_shape():
     assert len(names) == 8
 
 
+def test_ternary_forbidden_flags_pinned_to_the_four_excluded_matroids():
+    """The names and flags of the list, built from the four excluded
+    ternary matroids written out here: (R), then (R/e, R\\e) for each e
+    that is neither a loop nor a coloop, up to flag isomorphism."""
+    f7 = mc.fano_matroid()
+    named = (
+        ("U_{2,5}", mc.uniform(2, 5)),
+        ("U_{3,5}", mc.uniform(3, 5)),
+        ("F_7", f7),
+        ("F_7^*", mc.dual(f7)),
+    )
+    want = []
+    for name, r in named:
+        want.append((f"({name})", fl.from_sequence([r])))
+        pairs = []
+        for e in range(r.n):
+            if r.loops_mask >> e & 1 or r.coloops_mask >> e & 1:
+                continue
+            cand = fl.from_sequence([mc.contract(r, e), mc.delete(r, e)])
+            if all(fl.flag_isomorphic(cand, seen) is None for seen in pairs):
+                pairs.append(cand)
+                want.append((f"({name}/e,{name}\\e)", cand))
+    assert rp.ternary_forbidden_flags() == tuple(want)
+    assert [name for name, _ in want] == [
+        "(U_{2,5})", "(U_{2,5}/e,U_{2,5}\\e)", "(U_{3,5})", "(U_{3,5}/e,U_{3,5}\\e)",
+        "(F_7)", "(F_7/e,F_7\\e)", "(F_7^*)", "(F_7^*/e,F_7^*\\e)",
+    ]
+
+
 def test_fillings_route(f7):
     g = fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])
     out = rp.is_representable_via_fillings(g, 2)
