@@ -183,11 +183,10 @@ def _decision_answer(fm, decision: rp.RepresentabilityDecision):
     """(exit code, document, summary) of a decision on fm.  A "yes" carries
     a representation certificate and a "no" of the minor search a
     forbidden-minor certificate; `validate` re-verifies either independently.
-    Any other "no" carries none, and an unknown answer (the filling budget
-    ran out) exits 3."""
+    Any other "no" (a flag that is not full, or the search method) carries
+    none.  A search that runs out of budget raises BudgetExhausted, whose
+    error document `run` writes with exit 3."""
     p = decision.p
-    if decision.representable is None:
-        return EXIT_UNKNOWN, {"representable": None, "p": p}, "filling budget exhausted"
     if decision.representable:
         doc = io.representation_certificate(fm, decision.certificate)
         return EXIT_YES, doc, f"representable over GF({p})"

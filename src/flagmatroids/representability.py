@@ -28,8 +28,9 @@ flag goes to the witness route first: it is polynomial and its "yes"
 carries the certificate.  The forbidden-minor search runs only after a
 "no", to name the excluded minor; if it finds none the two
 characterizations disagree, which is a fault (`InternalError`).  A flag
-that is not full is decided through its fillings, each by the witness
-route alone.  Every answer is a `RepresentabilityDecision`.
+that is not full is decided by the level-by-level search; its fillings,
+each decided by the witness route alone, run only as the cross-check of
+`--method all`.  Every answer is a `RepresentabilityDecision`.
 """
 
 from __future__ import annotations
@@ -520,13 +521,25 @@ def _rref_bands(cur: gl.GFMatrix, nxt: mc.Matroid) -> Iterator[gl.GFMatrix]:
       B - Pb_i + e is in `nxt.basis_set`.  A pivot choice that needs a
       nonzero left of a row's pivot is skipped; every other cell is fixed
       to 0 or ranges over 1..p-1.
+    - On the columns B - Pb_i - Pb_k + e + f, for band rows i < k and
+      columns e < f outside P and Pb, the band block holds the unit columns
+      of Pb - Pb_i - Pb_k and the band's columns e and f, so the
+      determinant is +-det(cur_P) * (band[i][e] band[k][f] -
+      band[i][f] band[k][e]).  That 2x2 minor is nonzero iff the set is in
+      `nxt.basis_set`.  It is tested as soon as its last cell, (k, f), is
+      filled, and a failing cell cuts every band that shares the cells
+      filled so far.  When (k, f) lies left of row k's pivot, so does
+      (k, e), the minor is 0 and the set is no basis: by basis exchange
+      B - Pb_k + e or B - Pb_k + f would be one, and the pivot choice would
+      have been skipped.
     - A column that is zero in every row of cur has its first nonzero band
       cell fixed to 1.  Scaling such a column leaves cur unchanged and keeps
       the band in RREF, and a column is nonzero in cur after the level that
       scales it, so no representation is lost.
 
-    So every band left out has a column matroid other than `nxt`, or is a
-    column scaling of a band that is kept.
+    So every band left out has a column matroid other than `nxt` (one that
+    `_level_matches` rejects), or is a column scaling of a band that is
+    kept.  The bands kept come in the same order as without the 2x2 rule.
     """
     p, n = cur.p, cur.cols
     g = nxt.rank - cur.rows
@@ -539,15 +552,16 @@ def _rref_bands(cur: gl.GFMatrix, nxt: mc.Matroid) -> Iterator[gl.GFMatrix]:
         full = pivot_mask | mask_of(positions[j] for j in pivots)
         if full not in bases:
             continue
+        others = [j for j in range(len(positions)) if j not in pivots]
         nonzero = {
             (i, j): full ^ 1 << positions[pivots[i]] | 1 << positions[j] in bases
             for i in range(g)
-            for j in range(len(positions))
-            if j not in pivots
+            for j in others
         }
         if any(nz for (i, j), nz in nonzero.items() if j < pivots[i]):
             continue
         free_cells = [(i, j) for i, j in nonzero if j > pivots[i]]
+        checks = _minor_checks(full, pivots, positions, others, free_cells, bases)
         first = {}
         for i, j in free_cells:
             if nonzero[i, j] and j in zero:
@@ -560,10 +574,74 @@ def _rref_bands(cur: gl.GFMatrix, nxt: mc.Matroid) -> Iterator[gl.GFMatrix]:
         for i in range(g):
             band[i * n + positions[pivots[i]]] = 1
         cells = [i * n + positions[j] for i, j in free_cells]
-        for values in product(*choices):
+        for values in _checked_product(choices, checks, p):
             for k, v in zip(cells, values):
                 band[k] = v
             yield gl.GFMatrix(cur.field, cur.rows + g, n, cur.entries + tuple(band))
+
+
+def _minor_checks(
+    full: int,
+    pivots: tuple[int, ...],
+    positions: list[int],
+    others: list[int],
+    free_cells: list[tuple[int, int]],
+    bases: frozenset[int],
+) -> list[list[tuple[int, int, int, bool]]]:
+    """The 2x2 rule of `_rref_bands` for one pivot choice, as checks per
+    free cell: cell t = (k, f) gets (a, b, c, want) for each row i < k and
+    column e < f in `others`, where a, b, c index the cells (i, e), (i, f)
+    and (k, e) in `free_cells`, or len(free_cells) for a cell left of its
+    row's pivot (always 0), and `want` says whether
+    full - Pb_i - Pb_k + e + f is a basis.  A cell (k, f) left of its
+    row's pivot gets no check (see `_rref_bands`)."""
+    slot = {cell: t for t, cell in enumerate(free_cells)}
+    zero = len(free_cells)
+    checks: list[list[tuple[int, int, int, bool]]] = [[] for _ in free_cells]
+    for k in range(1, len(pivots)):
+        for i in range(k):
+            rest = full ^ 1 << positions[pivots[i]] ^ 1 << positions[pivots[k]]
+            for e, f in combinations(others, 2):
+                t = slot.get((k, f))
+                if t is not None:
+                    want = rest | 1 << positions[e] | 1 << positions[f] in bases
+                    checks[t].append((slot.get((i, e), zero), slot.get((i, f), zero),
+                                      slot.get((k, e), zero), want))
+    return checks
+
+
+def _checked_product(
+    choices: list[Sequence[int]], checks: list[list[tuple[int, int, int, bool]]], p: int
+) -> Iterator[tuple[int, ...]]:
+    """The tuples x of `product(*choices)`, in its order, in which every
+    check (a, b, c, want) of each position t holds: x_a x_t - x_b x_c is
+    nonzero mod p iff `want`, where x at index len(choices) is 0.  A
+    depth-first walk fills positions up to the last that has a check, and
+    drops a prefix at its first failing position; the positions after it
+    come from `product`."""
+    size = len(choices)
+    last = max((t for t in range(size) if checks[t]), default=-1)
+    if last < 0:
+        yield from product(*choices)
+        return
+    tails = choices[last + 1:]
+    x = [0] * (size + 1)
+    stack = [iter(choices[0])]
+    while stack:
+        t = len(stack) - 1
+        for v in stack[t]:
+            if all(bool((x[a] * v - x[b] * x[c]) % p) == want for a, b, c, want in checks[t]):
+                break
+        else:
+            stack.pop()
+            continue
+        x[t] = v
+        if t < last:
+            stack.append(iter(choices[t + 1]))
+            continue
+        head = tuple(x[:t + 1])
+        for tail in product(*tails):
+            yield head + tail
 
 
 def _level_matches(a: gl.GFMatrix, layer: mc.Matroid) -> bool:
@@ -645,8 +723,11 @@ class ForbiddenMinorWitness:
 @dataclass(frozen=True)
 class RepresentabilityDecision:
     """A verdict over GF(p) and what certifies it: a representation on a
-    "yes", a listed forbidden minor on a "no" of the minor search.
-    `representable` is None when the filling budget ran out."""
+    "yes", a listed forbidden minor on a "no" of the minor search.  A "no"
+    of the witness route, the search or the fillings carries neither.
+    `representable` is None only from `is_representable_via_fillings`, when
+    its budget ran out; `decide` never returns it (its search raises
+    BudgetExhausted instead)."""
 
     p: int
     representable: Optional[bool]
@@ -797,12 +878,13 @@ def is_representable_via_fillings(
 
 # --- the decision ---------------------------------------------------------------------
 
-# the routes `decide` runs, in order, per method
+# the routes `decide` runs, in order, per method, on a full flag and on
+# one that is not full
 _ROUTES = {
-    "witness": ("witness", "minors"),
-    "minors": ("minors", "witness"),
-    "search": ("search",),
-    "all": ("minors", "witness", "search"),
+    "witness": (("witness", "minors"), ("search",)),
+    "minors": (("minors", "witness"), ("search",)),
+    "search": (("search",), ("search",)),
+    "all": (("minors", "witness", "search"), ("search", "fillings")),
 }
 
 
@@ -811,25 +893,34 @@ def decide(
 ) -> RepresentabilityDecision:
     """Decide whether fm is representable over GF(p), by `method`.
 
-    "search" runs `search_representation` alone, for p in SEARCH_FIELDS,
-    and `budget` caps the bands it examines.  Under another method a flag that is not full is decided by
-    `is_representable_via_fillings` within `budget`, and a full flag runs
-    the routes of `_ROUTES` in order, each called by its module-level name.
-    Except under "all", the first decision that carries a certificate (a
-    matrix, or a listed minor) ends the loop.  Routes that ran and disagree
-    raise InternalError; otherwise the first certified decision is returned.
+    "search" runs `search_representation` alone, for p in SEARCH_FIELDS.
+    Under another method, p must be 2 or 3.  A flag that is not full is
+    decided by `search_representation` too: binary and ternary layers are
+    uniquely representable, so the walk's first matching band is final.
+    Its "yes" carries the walk's matrix and its "no" no certificate; under
+    "all" `is_representable_via_fillings` runs after it as a cross-check
+    (its None, a budget that ran out, is no verdict).  A full flag runs
+    the routes of `_ROUTES` in order, each called by its module-level
+    name.  `budget` caps the bands the walk examines (else BudgetExhausted)
+    and the subclasses the fillings examine.  Except under "all", the
+    first decision that carries a certificate (a matrix, or a listed minor)
+    ends the loop.  Routes whose verdicts disagree raise InternalError;
+    otherwise the first certified decision is returned, or the first
+    decision when none is certified.
     """
-    routes = _ROUTES.get(method)
-    if routes is None:
+    if method not in _ROUTES:
         raise InvalidInput(f"unknown decision method {method!r}")
-    if method != "search" and not is_full(fm):
-        return is_representable_via_fillings(fm, p, budget)
+    if method != "search" and p not in (2, 3):
+        raise InvalidInput(f"method {method!r} supports p in (2, 3)")
+    routes = _ROUTES[method][not is_full(fm)]
     decisions = {}
     for route in routes:
         if route == "witness":
             decision = witness_route_decision(fm, p)
         elif route == "minors":
             decision = forbidden_minor_decision(fm, p)
+        elif route == "fillings":
+            decision = is_representable_via_fillings(fm, p, budget)
         else:
             rep = search_representation(fm, p, budget)
             decision = RepresentabilityDecision(p, rep is not None, certificate=rep)
@@ -837,6 +928,6 @@ def decide(
         if decision.certified and method != "all":
             break
     verdicts = {route: d.representable for route, d in decisions.items()}
-    if len(set(verdicts.values())) != 1:
+    if len(set(verdicts.values()) - {None}) != 1:
         raise InternalError(f"decision routes disagree: {verdicts}")
-    return next((d for d in decisions.values() if d.certified), decision)
+    return next((d for d in decisions.values() if d.certified), decisions[routes[0]])

@@ -18,11 +18,16 @@ with the size guard under which it refused to search (`Refused`):
   GF(5)/GF(7).  Wherever it answers, the walk must give the same verdict;
   its certificate may differ, and `search_representation` checks it with
   `represents`.
+
+`unpruned_rref_bands` is `_rref_bands` without its 2x2 rule (a band's
+2x2 minor on rows i < k and columns e < f is nonzero iff swapping both
+rows' pivots for e and f gives a basis).  The bands `_rref_bands` yields
+must be that sequence less only bands that `_level_matches` rejects.
 """
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import log2
 
 from conftest import all_flags, random_prefix_chain_matrix
@@ -31,7 +36,7 @@ from flagmatroids import gf_linalg as gl
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
 from flagmatroids.bitset import mask_of
-from flagmatroids.errors import Error
+from flagmatroids.errors import BudgetExhausted, Error
 from flagmatroids.lifts_majors import is_full
 
 
@@ -252,3 +257,108 @@ def test_binary_full_flags_check_one_band_per_layer(monkeypatch):
         rep = rp.search_representation(rp.flag_from_matrix(a, levels), 2)
         assert rep is not None and rep.levels == tuple(levels)
         assert calls == levels + levels
+
+
+def unpruned_rref_bands(cur, nxt):
+    """`rp._rref_bands` as it was before the 2x2 rule: pivot choices and
+    cells are pruned only by the bases that one swap reaches."""
+    p, n = cur.p, cur.cols
+    g = nxt.rank - cur.rows
+    bases = nxt.basis_set
+    _, lead = gl.rref(cur)
+    positions = [j for j in range(n) if j not in lead]
+    zero = {j for j, e in enumerate(positions) if not any(cur.col(e))}
+    pivot_mask = mask_of(lead)
+    for pivots in combinations(range(len(positions)), g):
+        full = pivot_mask | mask_of(positions[j] for j in pivots)
+        if full not in bases:
+            continue
+        nonzero = {
+            (i, j): full ^ 1 << positions[pivots[i]] | 1 << positions[j] in bases
+            for i in range(g)
+            for j in range(len(positions))
+            if j not in pivots
+        }
+        if any(nz for (i, j), nz in nonzero.items() if j < pivots[i]):
+            continue
+        free_cells = [(i, j) for i, j in nonzero if j > pivots[i]]
+        first = {}
+        for i, j in free_cells:
+            if nonzero[i, j] and j in zero:
+                first.setdefault(j, i)
+        choices = [
+            ((1,) if first.get(j) == i else range(1, p)) if nonzero[i, j] else (0,)
+            for i, j in free_cells
+        ]
+        band = [0] * (g * n)
+        for i in range(g):
+            band[i * n + positions[pivots[i]]] = 1
+        cells = [i * n + positions[j] for i, j in free_cells]
+        for values in product(*choices):
+            for k, v in zip(cells, values):
+                band[k] = v
+            yield gl.GFMatrix(cur.field, cur.rows + g, n, cur.entries + tuple(band))
+
+
+def test_the_2x2_rule_drops_only_bands_that_fail(monkeypatch):
+    """On every band call of the walk with a gap of 2 or more rows, on
+    seeded prefix flags over GF(3), GF(5) and GF(7), the pruned sequence is the unpruned one less bands that `_level_matches`
+    rejects, in the same order.  Both sequences are cut after `limit`
+    bands; a kept band comes no later in the pruned sequence than in the
+    unpruned one, so the cut prefixes still determine each other."""
+    calls, real = [], rp._rref_bands
+
+    def recorded(cur, nxt):
+        calls.append((cur, nxt))
+        return real(cur, nxt)
+
+    monkeypatch.setattr(rp, "_rref_bands", recorded)
+    limit = 2000
+    for p in (3, 5, 7):
+        calls.clear()
+        for fm in seeded_prefix_flags(p, 80, max_n=7):
+            try:
+                rp.search_representation(fm, p, budget=300)
+            except BudgetExhausted:
+                pass
+        pairs = [(cur, nxt) for cur, nxt in calls if nxt.rank - cur.rows >= 2]
+        unpruned_total = pruned_total = 0
+        for cur, nxt in pairs:
+            unpruned = list(islice(unpruned_rref_bands(cur, nxt), limit))
+            pruned = list(islice(real(cur, nxt), limit))
+            kept = set(pruned)
+            survivors = [band for band in unpruned if band in kept]
+            assert survivors == pruned[: len(survivors)]
+            if len(unpruned) < limit:
+                assert survivors == pruned
+            assert not any(rp._level_matches(band, nxt) for band in unpruned if band not in kept)
+            unpruned_total += len(unpruned)
+            pruned_total += len(pruned)
+        assert len(pairs) >= 10 and pruned_total < unpruned_total, p
+
+
+def standard_flag(q, n, r, levels, seed):
+    """The flag of [I_r | A] over GF(q), A drawn row by row."""
+    rng = random.Random(seed)
+    a = [[rng.randrange(q) for _ in range(n - r)] for _ in range(r)]
+    rows = [[int(i == j) for j in range(r)] + a[i] for i in range(r)]
+    return rp.flag_from_matrix(gl.matrix(q, rows), levels)
+
+
+def test_wide_gaps_are_decided_within_the_default_budget():
+    """Without the 2x2 rule the GF(3) bands of these gaps number 32,768
+    (both flags) and 262,144 ((U_{1,12}, U_{3,12})), past the default
+    budget of 10,000."""
+    def bands(fm, p):
+        cur = rp.matroid_representation(fm.layers[0], p)
+        return sum(1 for _ in rp._rref_bands(cur, fm.layers[1]))
+
+    binary = standard_flag(2, 16, 5, (2, 5), 1)
+    ternary = standard_flag(3, 12, 4, (1, 4), 2)
+    uniform = fl.from_sequence([mc.uniform(1, 12), mc.uniform(3, 12)])
+    assert (bands(binary, 3), bands(ternary, 3), bands(uniform, 3)) == (256, 64, 0)
+    assert rp.decide(binary, 3).representable is False
+    assert rp.is_representable_via_fillings(binary, 3).representable is False
+    yes = rp.decide(ternary, 3)
+    assert yes.representable and rp.represents(yes.certificate, ternary)
+    assert rp.decide(uniform, 3).representable is False

@@ -706,6 +706,23 @@ def test_a_refused_search_exits_3_on_every_verb(capture, corpus):
     assert more[0] == cli.EXIT_NO
 
 
+def test_a_flag_that_is_not_full_exits_3_with_the_search_document(capture, corpus):
+    """A flag that is not full is decided by the band walk under every
+    method, so a walk that runs out of budget writes the BudgetExhausted
+    document of `--method search`, with exit 3, under each of them.  The
+    second layer of (U_{1,16}, U_{2,16}, U_{4,16}) has 2^14 GF(3) bands."""
+    fm = fl.from_sequence([mc.uniform(1, 16), mc.uniform(2, 16), mc.uniform(4, 16)])
+    flags = [(corpus["write"]("u16gap.json", io.flag_json(fm)), "3", "500"),
+             (corpus["gap.json"], "2", "0")]
+    for path, p, budget in flags:
+        search = capture("is-representable", path, "--p", p, "--method", "search", "--budget", budget)
+        assert search[0] == cli.EXIT_UNKNOWN
+        assert json.loads(search[1])["error"] == "BudgetExhausted"
+        for method in ("witness", "minors", "all"):
+            got = capture("is-representable", path, "--p", p, "--method", method, "--budget", budget)
+            assert got[:2] == search[:2]
+
+
 def test_major_search_on_a_one_element_major_answers_and_verifies(capture, corpus):
     """(U_{1,15}, U_{2,15}) has a forced one-element major, U_{2,16}; it is
     built directly instead of after 2^15 - 1 other candidate families."""

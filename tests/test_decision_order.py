@@ -5,7 +5,9 @@ flag is decided by the witness route; the forbidden-minor search runs only
 to certify a "no".  The compositions it replaced (minor search first,
 witness route for the certificate; witness route first; the CLI's choice
 between search, fillings and the full-flag routes) are kept below as
-references: the decisions, fillings and CLI output must not change.
+references: the full-flag decisions, fillings and CLI output must not
+change.  A flag that is not full is now decided by the band walk, so its
+reference is the walk's decision, whose verdict must be the fillings'.
 `flag_has_minor` tries the deletion-only splits during its walk over the
 removed sets and the rest after one sort, and it must build exactly as many
 minors as the plain (|C|, C, D) enumeration of the surviving splits needs to
@@ -17,7 +19,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_full_flag, random_prefix_chain_matrix
+from conftest import all_flags, random_full_flag, random_prefix_chain_matrix
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import jsonio as io
@@ -64,14 +66,21 @@ def minors_first_fillings(fm, p, budget=10000):
     return rp.RepresentabilityDecision(p, False if search.complete else None)
 
 
+def walk_decision(fm, p):
+    rep = rp.search_representation(fm, p)
+    return rp.RepresentabilityDecision(p, rep is not None, certificate=rep)
+
+
 def composed_decision(fm, p, method):
-    """The choice the CLI made between the representation search, the
-    fillings route and the full-flag compositions, per `--method`."""
+    """The choice the CLI made between the representation search and the
+    full-flag compositions, per `--method`; a flag that is not full gets
+    the walk's decision, which must have the fillings' verdict."""
     if method == "search":
-        rep = rp.search_representation(fm, p)
-        return rp.RepresentabilityDecision(p, rep is not None, certificate=rep)
+        return walk_decision(fm, p)
     if not is_full(fm):
-        return minors_first_fillings(fm, p)
+        decision = walk_decision(fm, p)
+        assert decision.representable == minors_first_fillings(fm, p).representable
+        return decision
     if method == "witness":
         return witness_first_decision(fm, p)
     decision = minors_first_decision(fm, p)
@@ -196,6 +205,54 @@ def test_decide_matches_the_compositions_it_replaced():
         assert {True, False} <= verdicts
     with pytest.raises(rp.InvalidInput, match="unknown decision method"):
         rp.decide(SEEDED[0][0], 2, "fastest")
+
+
+def test_the_walk_decides_every_small_flag_that_is_not_full():
+    """Every flag on <= 4 elements that is not full, over GF(2) and GF(3):
+    the default route (the band walk) has the fillings' verdict, and each
+    "yes" certificate represents its flag."""
+    flags = [fm for n in range(5) for fm in all_flags(n) if not is_full(fm)]
+    verdicts = set()
+    for p in (2, 3):
+        for fm in flags:
+            got = rp.decide(fm, p)
+            assert got.representable == rp.is_representable_via_fillings(fm, p).representable
+            assert got.witness is None
+            if got.representable:
+                assert rp.represents(got.certificate, fm)
+            verdicts.add(got.representable)
+    assert verdicts == {True, False}
+
+
+def test_all_cross_checks_the_walk_with_the_fillings(monkeypatch):
+    """On a flag that is not full only "all" runs the fillings.  Their
+    verdict must be the walk's; their None (budget spent) is no verdict,
+    and the walk's own BudgetExhausted is raised as under "search"."""
+    gap = fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])
+    walk = walk_decision(gap, 2)
+    assert walk.representable
+    real = rp.is_representable_via_fillings
+
+    def refused(fm, p, budget):
+        raise AssertionError("fillings outside --method all")
+
+    monkeypatch.setattr(rp, "is_representable_via_fillings", refused)
+    for method in ("witness", "minors", "search"):
+        assert rp.decide(gap, 2, method) == walk
+    monkeypatch.setattr(rp, "is_representable_via_fillings", real)
+    assert rp.decide(gap, 2, "all") == walk
+    monkeypatch.setattr(rp, "is_representable_via_fillings",
+                        lambda fm, p, budget: rp.RepresentabilityDecision(p, None))
+    assert rp.decide(gap, 2, "all") == walk
+    monkeypatch.setattr(rp, "is_representable_via_fillings",
+                        lambda fm, p, budget: rp.RepresentabilityDecision(p, False))
+    with pytest.raises(rp.InternalError, match="decision routes disagree"):
+        rp.decide(gap, 2, "all")
+    for method in ("witness", "all"):
+        with pytest.raises(rp.BudgetExhausted):
+            rp.decide(gap, 2, method, budget=0)
+    with pytest.raises(rp.InvalidInput, match="supports p in"):
+        rp.decide(gap, 5)
 
 
 def test_a_yes_runs_no_minor_search(monkeypatch, f7):

@@ -394,12 +394,14 @@ def test_forbidden_minor_decisions(f7):
     assert d4.representable and rp.represented_flag(d4.certificate) == small
 
     # both full-flag routes refuse a flag that is not full; `decide` sends
-    # such a flag to the fillings route instead
+    # such a flag to the band walk instead, whose verdict is the fillings'
     gap = fl.from_sequence([mc.uniform(1, 3), mc.uniform(3, 3)])
     for route in (rp.witness_route_decision, rp.forbidden_minor_decision):
         with pytest.raises(NotFull):
             route(gap, 2)
-    assert rp.decide(gap, 2) == rp.is_representable_via_fillings(gap, 2)
+    got = rp.decide(gap, 2)
+    assert got.representable == rp.is_representable_via_fillings(gap, 2).representable
+    assert got.certificate == rp.search_representation(gap, 2)
 
 
 def test_witness_route_matches_minors_route():
