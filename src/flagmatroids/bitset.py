@@ -80,9 +80,11 @@ def order_key(mask: int) -> int:
 
 def canonical(masks: Iterable[int]) -> tuple[int, ...]:
     """Each set of the family once, by cardinality, then lexicographic: the
-    form `Matroid` and `FlagMatroid` store.  A set reaching past element 23
-    is outside every ground set: IndexOutOfRange."""
-    return tuple(sorted(set(masks), key=order_key))
+    form `Matroid` and `FlagMatroid` store; a tuple already in it is returned
+    itself, so a layer memo's key and its `Matroid` share one tuple.  A set
+    reaching past element 23 is outside every ground set: IndexOutOfRange."""
+    out = tuple(sorted(set(masks), key=order_key))
+    return masks if masks == out else out
 
 
 def squeeze(mask: int, removed: int) -> int:

@@ -7,9 +7,9 @@ conditions; the axiomatic checker `check_flag_axioms` is the independent
 brute-force route used by tests and the CLI.
 
 Each distinct layer is checked once: `_layer_check` memoizes its exchange
-witness or, for a basis family, its `flat_bits` (2^n bits, 128 KB at n = 20),
-so a lift test is one AND of two memoized bitsets and sweeps over every family
-on a small ground set are cheap.  Each memo holds at most MEMO_SIZE entries.
+witness or, for a basis family, the checked `Matroid` that every flag's `layers`
+share, with its `flat_bits` (2^n bits, 128 KB at n = 20), so a lift test is one
+AND of two memoized bitsets.  Each memo holds at most MEMO_SIZE entries.
 """
 
 from __future__ import annotations
@@ -61,17 +61,15 @@ def _group_by_size(masks: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-# Memo bound: far above the working set of any sweep or decision, yet finite.
+# Counts entries, far above any working set; an entry grows with n and its caches.
 MEMO_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _layer_check(n: int, layer: tuple[int, ...]) -> tuple[Optional[tuple], Optional[int]]:
-    """(None, flat bitset) for a basis family, else (first exchange witness, None)."""
+def _layer_check(n: int, layer: tuple[int, ...]) -> tuple[Optional[tuple], Optional[mc.Matroid]]:
+    """(None, checked Matroid) for a basis family, else (exchange witness, None)."""
     m = mc.Matroid(n, layer)
-    if m.is_matroid:
-        return None, m.flat_bits
-    return mc.basis_exchange_witness(layer), None
+    return (None, m) if m.is_matroid else (mc.basis_exchange_witness(layer), None)
 
 
 def layered_witness(n: int, family: Iterable[int]) -> Optional[tuple[str, object]]:
@@ -84,14 +82,14 @@ def _canonical_layered_witness(n: int, masks: tuple[int, ...]) -> Optional[tuple
     """`layered_witness` of a family already in `canonical` form."""
     if not masks:
         return ("layer", (0, None))
-    groups, flats = _group_by_size(masks), []
+    groups, layers = _group_by_size(masks), []
     for size, layer in groups:
-        w, flat = _layer_check(n, layer)
+        w, m = _layer_check(n, layer)
         if w is not None:
             return ("layer", (size, w))
-        flats.append(flat)
-    for (s1, _), (s2, _), lower, upper in zip(groups, groups[1:], flats, flats[1:]):
-        w = mc.first_unlifted(lower, upper)
+        layers.append(m)
+    for (s1, _), (s2, _), lower, upper in zip(groups, groups[1:], layers, layers[1:]):
+        w = mc.first_unlifted(lower.flat_bits, upper.flat_bits)
         if w is not None:
             return ("lift", ((s1, s2), w))
     return None
@@ -143,8 +141,8 @@ class FlagMatroid:
 
     @cached_property
     def layers(self) -> tuple[mc.Matroid, ...]:
-        """The sequential representation (M_1, ..., M_k)."""
-        return tuple(mc.Matroid(self.n, layer) for _, layer in _group_by_size(self.feasible))
+        """The sequential representation (M_1, ..., M_k): the memo's matroids."""
+        return tuple(_layer_check(self.n, layer)[1] for _, layer in _group_by_size(self.feasible))
 
     @cached_property
     def feasible_set(self) -> frozenset[int]:

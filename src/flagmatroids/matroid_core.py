@@ -110,10 +110,10 @@ class Matroid:
     O(n*r) shifts and ANDs: `independent_table` and `rank_table`, read-only
     `bytes` with one byte per subset, and `flat_bits` (bit S set iff S is a
     flat) and `coflat_bits` (bit S set iff S is a flat of the dual), so no
-    dual matroid is built to test duals.  `flat_bits`, `is_matroid` (whether
-    the bases satisfy basis exchange) and the closures lift test all read
-    the per-element bitsets of `moved_bits`, and `fundamental_circuits` is
-    read off the basis family.
+    dual matroid is built to test duals.  `is_matroid` (basis exchange) keeps
+    the AND of the per-element `moved_bits` as `flat_bits` on a "yes"; the
+    closures lift test, or `flat_bits` of an unchecked matroid, caches the
+    tuple.  `fundamental_circuits` is read off the basis family.
     """
 
     n: int
@@ -139,7 +139,7 @@ class Matroid:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @property  # built per read, so a layer held by the flag memo keeps no copy
     def basis_set(self) -> frozenset[int]:
         return frozenset(self.bases)
 
@@ -232,23 +232,22 @@ class Matroid:
         for e < f exactly at the bits of stay_e & stay_f & ~(stay_f >> 2^e).
         That is O(n^2) big-int ANDs and no loop over the bases.  Element f's
         moved bitset is built only once every pair below f has passed, so a
-        family that fails early pays for few of them; the n stay bitsets
-        live only for this call, and the moved ones are kept as
-        `moved_bits` only when every pair passed.
+        family that fails early pays for few of them.  The stay and moved
+        bitsets live only for this call; when every pair passed, the AND of
+        the moved ones is kept as `flat_bits` beside the rank levels.
         """
         everything = (1 << (1 << self.n)) - 1
-        cached = self.__dict__.get("moved_bits")
-        moved: list[int] = []
+        flat = everything
         stay: list[int] = []
-        for moved_f in self._each_moved() if cached is None else cached:
+        for moved_f in self._each_moved():
             stay_f = everything ^ moved_f
             for e, stay_e in enumerate(stay):
                 both = stay_e & stay_f
                 if both & (stay_f >> (1 << e)) != both:
                     return False
-            moved.append(moved_f)
+            flat &= moved_f
             stay.append(stay_f)
-        self.__dict__["moved_bits"] = tuple(moved)
+        self.__dict__["flat_bits"] = flat
         return True
 
     @cached_property

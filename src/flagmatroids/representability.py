@@ -93,8 +93,8 @@ class FlagRepresentation:
 
 def flag_from_matrix(a: gl.GFMatrix, levels: Sequence[int]) -> fl.FlagMatroid:
     """The flag matroid whose layers are the column matroids of the row
-    prefixes at the given levels; the levels are checked by
-    `FlagRepresentation`."""
+    prefixes at the given levels: `FlagRepresentation` checks each prefix's
+    rank, and `represented_flag` lists their column bases."""
     lv = tuple(levels)
     if lv and (min(lv) < 0 or max(lv) > a.rows):
         raise RankDeficientPrefix("levels outside the row range")
@@ -102,8 +102,9 @@ def flag_from_matrix(a: gl.GFMatrix, levels: Sequence[int]) -> fl.FlagMatroid:
 
 
 def represented_flag(rep: FlagRepresentation) -> fl.FlagMatroid:
-    """The flag of a representation, whose prefixes were checked when it was built."""
-    return fl.from_sequence([mc.linear_matroid(gl.prefix_rows(rep.matrix, d)) for d in rep.levels])
+    """The flag of the prefixes' column bases, listed once `FlagMatroid` has checked n."""
+    prefixes = [gl.prefix_rows(rep.matrix, d) for d in rep.levels]
+    return fl.FlagMatroid(rep.n, (b for a in prefixes for b in gl.column_bases(a)))
 
 
 def represents(rep: FlagRepresentation, fm: fl.FlagMatroid) -> bool:
@@ -355,7 +356,7 @@ def matroid_representation(m: mc.Matroid, p: int) -> Optional[gl.GFMatrix]:
     r, n = m.rank, m.n
     if r == 0:
         return gl.matrix(p, [], cols=n)
-    first = m.bases[0]
+    first, bases = m.bases[0], m.basis_set
     base = elements_of(first)
     rest = [e for e in range(n) if not first >> e & 1]
 
@@ -364,7 +365,7 @@ def matroid_representation(m: mc.Matroid, p: int) -> Optional[gl.GFMatrix]:
         of `rest` is nonsingular: B with those rows' elements swapped for
         those columns' is a basis."""
         swapped = first ^ mask_of(base[i] for i in rows) | mask_of(rest[j] for j in cols)
-        return swapped in m.basis_set
+        return swapped in bases
 
     entries = {(i, j): 1 for i in range(r) for j in range(len(rest)) if is_basis((i,), (j,))}
     if p == 3:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -80,6 +81,27 @@ def test_from_matrix_rejects_a_rank_deficient_prefix(capture, tmp_path):
         code, out, _ = capture("from-matrix", str(path), "--levels", levels)
         assert code == 2
         assert json.loads(out)["error"] == "RankDeficientPrefix"
+
+
+@pytest.mark.parametrize("rows, cols, levels", [(2, 21, "1,2"), (16, 32, "8,16")])
+def test_from_matrix_refuses_a_wide_matrix_at_once(
+    capture, tmp_path, monkeypatch, rows, cols, levels
+):
+    """A matrix wider than a flag's ground set is an input error, given
+    before any column basis is listed (C(32, 16) would never finish)."""
+    path = tmp_path / "wide.json"
+    eye = gl.matrix(2, [[int(i == j) for j in range(cols)] for i in range(rows)])
+    path.write_text(io.dumps(io.matrix_json(eye)))
+    listed = []
+    column_bases = gl.column_bases
+    monkeypatch.setattr(gl, "column_bases", lambda a: listed.append(a) or column_bases(a))
+    start = time.perf_counter()
+    code, out, _ = capture("from-matrix", str(path), "--levels", levels)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and not listed
+    assert json.loads(out) == {
+        "error": "IndexOutOfRange", "detail": f"ground set size {cols} outside 0..20",
+    }
 
 
 def test_uniform_rep_bounds_the_shape_before_building_rows(capture):

@@ -1,9 +1,9 @@
 """Differential tests for the lift tests on `Matroid`.
 
 `is_lift` reads `flat_bits`, `coflat_bits`, `moved_bits` and
-`fundamental_circuits`, and `mc.first_unlifted` on the flat bitsets that
-`flag_core._layer_check` memoizes for each layer gives a flag's lift
-witness.
+`fundamental_circuits`, and `mc.first_unlifted` on the `flat_bits` of the
+checked matroids that `flag_core._layer_check` memoizes for each layer
+gives a flag's lift witness.
 The "bases" method runs `flag_core._unlifted_basis` on the fundamental
 circuit rows cached on both matroids; the memoized `_axiom2_witness` runs
 the same kernel on rows built for its raw layers by
@@ -109,7 +109,8 @@ def assert_pair_matches(lift, quot):
     for method in lm.LIFT_METHODS:
         assert lm.is_lift(lift, quot, method) == reference_is_lift(lift, quot, method), method
     n = lift.n
-    lower, upper = fl._layer_check(n, quot.bases)[1], fl._layer_check(n, lift.bases)[1]
+    lower = fl._layer_check(n, quot.bases)[1].flat_bits
+    upper = fl._layer_check(n, lift.bases)[1].flat_bits
     assert mc.first_unlifted(lower, upper) == reference_lift_witness(n, quot.bases, lift.bases)
     by_bases = reference_by_bases(n, lift, quot)
     assert fl._axiom2_witness(n, quot.bases, lift.bases) == (

@@ -1,8 +1,9 @@
 """Loading a flag costs one JSON pass and one rank computation per layer.
 
 `flag_core._layer_check` memoizes each distinct layer's exchange witness
-and flat bitset, and the lift test between adjacent layers is one AND of two
-memoized bitsets.  `jsonio._element_mask` builds each feasible set's mask in
+or checked `Matroid`, which `FlagMatroid.layers` returns, and the lift test
+between adjacent layers is one AND of the two matroids' memoized
+`flat_bits`.  `jsonio._element_mask` builds each feasible set's mask in
 one pass.  The references below are the code these replaced: a fresh
 `Matroid` per layer and per lift, and the list parser that checked every
 element, then repeats, then clamped.  The library must give exactly what the
@@ -13,16 +14,18 @@ error documents.
 from __future__ import annotations
 
 import json
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_flags
+from conftest import all_flags, random_prefix_chain_matrix
 from flagmatroids import flag_core as fl
 from flagmatroids import jsonio as io
 from flagmatroids import matroid_core as mc
+from flagmatroids import representability as rp
 from flagmatroids.bitset import elements_of, mask_of, size_masks
 from flagmatroids.errors import EmptyResult, InvalidInput, LayerNotMatroid, NotALift
 
@@ -40,6 +43,34 @@ def test_each_distinct_layer_is_ranked_once():
     assert fl._layer_check.cache_info().misses == 3
     fl.FlagMatroid(4, shares_two)
     assert fl._layer_check.cache_info().misses == 4
+
+
+def test_layers_are_the_memo_matroids(corpus):
+    """Each layer of a valid flag is the memo's object: two flags that share
+    a layer share it, reading `layers` adds no memo miss, and the matroid
+    keeps the canonical tuple it is given."""
+    flags = [
+        io.load_flag(json.loads((corpus["dir"] / name).read_text()))
+        for name in ("iu23.json", "bf7.json", "chain3.json", "gap.json")
+    ]
+    rng = random.Random(27)
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            a = random_prefix_chain_matrix(rng, p, rng.randint(1, 4), rng.randint(4, 8))
+            if a is not None:
+                flags.append(rp.flag_from_matrix(a, range(rng.randint(0, 1), a.rows + 1)))
+    assert len(flags) > 20
+    seen = {}
+    for fm in flags:
+        misses = fl._layer_check.cache_info().misses
+        layers = fm.layers
+        assert fl._layer_check.cache_info().misses == misses
+        for m in layers:
+            assert m is fl._layer_check(fm.n, m.bases)[1]
+            assert seen.setdefault((fm.n, m.bases), m) is m
+            # a canonical tuple is kept, not copied, so the memo key is the bases
+            assert mc.Matroid(fm.n, m.bases).bases is m.bases
+    assert flags[0].layers[1] is flags[2].layers[1]  # U_{2,3} in both
 
 
 def reference_layered_witness(n, family):

@@ -56,12 +56,13 @@ def test_large_families():
     assert all(layer.is_matroid for layer in fm.layers)
 
 
-def test_moved_bits_are_kept_only_when_every_pair_passed(monkeypatch):
+def test_flat_bits_are_kept_only_when_every_pair_passed(monkeypatch):
     """`is_matroid` builds an element's moved bitset only once the pairs
-    below it have passed, and keeps the tuple as `moved_bits` only for a
-    basis family.  On every family on at most 4 elements the verdict is
-    `basis_exchange_witness`'s, and `moved_bits`, `flat_bits` and the
-    verdict read the same whichever of them is asked first."""
+    below it have passed, and keeps their AND as `flat_bits` only for a
+    basis family; it never caches the per-element `moved_bits`.  On every
+    family on at most 4 elements the verdict is `basis_exchange_witness`'s,
+    and `moved_bits`, `flat_bits` and the verdict read the same whichever of
+    them is asked first."""
     for n in range(5):
         for r in range(n + 1):
             pool = size_masks(n, r)
@@ -70,7 +71,8 @@ def test_moved_bits_are_kept_only_when_every_pair_passed(monkeypatch):
                 m = mc.Matroid(n, tuple(fam))
                 ok = m.is_matroid
                 assert ok == (mc.basis_exchange_witness(fam) is None), (n, fam)
-                assert ("moved_bits" in vars(m)) == ok
+                assert "moved_bits" not in vars(m)
+                assert ("flat_bits" in vars(m)) == ok
                 other = mc.Matroid(n, tuple(fam))
                 assert other.moved_bits == m.moved_bits
                 assert other.flat_bits == m.flat_bits

@@ -3,7 +3,12 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import random_full_flag, random_gf_matrix, random_representation
+from conftest import (
+    random_full_flag,
+    random_gf_matrix,
+    random_prefix_chain_matrix,
+    random_representation,
+)
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import lifts_majors as lm
@@ -39,6 +44,25 @@ def test_flag_from_matrix_consecutive_levels_is_full():
     fm = rp.flag_from_matrix(a, (1, 2, 3))
     assert lm.is_full(fm)
     assert [m.rank for m in fm.layers] == [1, 2, 3]
+
+
+def reference_represented_flag(rep):
+    """The construction `represented_flag` replaced: one linear matroid per
+    prefix, chained by `from_sequence`."""
+    return fl.from_sequence([mc.linear_matroid(gl.prefix_rows(rep.matrix, d)) for d in rep.levels])
+
+
+def test_represented_flag_matches_the_linear_matroid_chain():
+    rng = random.Random(27)
+    reps = []
+    for p in (2, 3, 5, 7):
+        reps += [random_representation(rng, p) for _ in range(15)]
+        a = random_prefix_chain_matrix(rng, p, 3, 6)
+        reps += [rp.FlagRepresentation(a, (0, 3)), rp.FlagRepresentation(a, (0, 1, 2, 3))]
+    reps += [rp.uniform_flag_representation(0, 3, p) for p in (2, 3, 5, 7)]
+    assert any(rep.levels[0] == 0 for rep in reps)
+    for rep in reps:
+        assert rp.represented_flag(rep) == reference_represented_flag(rep), rep
 
 
 def test_flag_representation_validates():
