@@ -15,7 +15,6 @@ AND of two memoized bitsets.  Each memo holds at most MEMO_SIZE entries.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -40,6 +39,7 @@ from .errors import (
     OverlappingSets,
     RankCollision,
 )
+from .frozen import Frozen
 
 
 def _split_key(cmask: int, dmask: int) -> int:
@@ -95,24 +95,26 @@ def _canonical_layered_witness(n: int, masks: tuple[int, ...]) -> Optional[tuple
     return None
 
 
-@dataclass(frozen=True)
-class FlagMatroid:
-    """Ground-set size plus the feasible masks, stored in `canonical` form
+class FlagMatroid(Frozen):
+    """Immutable: ground-set size plus the feasible masks, in `canonical` form
     whatever iterable is given, so equal families make equal flags."""
 
     n: int
     feasible: tuple[int, ...]
 
-    def __post_init__(self):
-        if not (0 <= self.n <= mc.MAX_GROUND):
-            raise IndexOutOfRange(f"ground set size {self.n} outside 0..{mc.MAX_GROUND}")
-        feasible = canonical(self.feasible)
-        object.__setattr__(self, "feasible", feasible)
+    def __init__(self, n: int, feasible: Iterable[int]):
+        self.__post_init__(n, feasible)
+
+    def __post_init__(self, n, feasible):
+        if not (0 <= n <= mc.MAX_GROUND):
+            raise IndexOutOfRange(f"ground set size {n} outside 0..{mc.MAX_GROUND}")
+        feasible = canonical(feasible)
         if not feasible:
             raise EmptyResult("a flag matroid needs at least one feasible set")
-        if any(f >> self.n for f in feasible):
+        if any(f >> n for f in feasible):
             raise IndexOutOfRange("feasible set outside the ground set")
-        bad = _canonical_layered_witness(self.n, feasible)
+        self.__dict__.update(n=n, feasible=feasible)
+        bad = _canonical_layered_witness(n, feasible)
         if bad is None:
             return
         kind, payload = bad

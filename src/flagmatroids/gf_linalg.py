@@ -34,7 +34,6 @@ iff the remainder is nonzero.  `rank` absorbs the rows the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import comb
@@ -49,6 +48,7 @@ from .errors import (
     NotPrime,
     RankDeficient,
 )
+from .frozen import Frozen
 
 MAX_DIM = 32
 
@@ -64,15 +64,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldPrime:
-    """A prime field GF(p) with 2 <= p < 2**16."""
+class FieldPrime(Frozen):
+    """Immutable: a prime field GF(p) with 2 <= p < 2**16."""
 
     p: int
 
-    def __post_init__(self):
-        if not (2 <= self.p < 2 ** 16) or not _is_prime(self.p):
-            raise NotPrime(f"{self.p} is not a prime in [2, 2^16)")
+    def __init__(self, p: int):
+        if not (2 <= p < 2 ** 16) or not _is_prime(p):
+            raise NotPrime(f"{p} is not a prime in [2, 2^16)")
+        self.__dict__["p"] = p
 
 
 @lru_cache(maxsize=8)  # p comes from the input, so the memo has a bound
@@ -86,8 +86,7 @@ def check_shape(rows: int, cols: int) -> None:
         raise MatrixTooLarge(f"{rows}x{cols} exceeds {MAX_DIM}x{MAX_DIM}")
 
 
-@dataclass(frozen=True)
-class GFMatrix:
+class GFMatrix(Frozen):
     """Immutable rows x cols matrix over GF(p), entries row-major in [0, p)."""
 
     field: FieldPrime
@@ -95,12 +94,16 @@ class GFMatrix:
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        check_shape(self.rows, self.cols)
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, field: FieldPrime, rows: int, cols: int, entries: tuple[int, ...]):
+        self.__post_init__(field, rows, cols, entries)
+
+    def __post_init__(self, field, rows, cols, entries):
+        check_shape(rows, cols)
+        if len(entries) != rows * cols:
             raise IndexOutOfRange("entry count does not match shape")
-        if any(not (0 <= e < self.field.p) for e in self.entries):
+        if entries and (min(entries) < 0 or max(entries) >= field.p):
             raise IndexOutOfRange("entry not reduced mod p")
+        self.__dict__.update(field=field, rows=rows, cols=cols, entries=entries)
 
     @property
     def p(self) -> int:

@@ -7,9 +7,8 @@ keep the edge indexing, so quotient matroids share one ground set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from . import flag_core as fl
 from . import gf_linalg as gl
@@ -24,23 +23,21 @@ from .errors import (
     InternalError,
     TrivialLiftLayer,
 )
+from .frozen import Frozen
 from .lifts_majors import MajorStructure, is_full, lift_witness_sequence, verify_major
 
 
-@dataclass(frozen=True)
-class MultiGraph:
-    """Vertex count plus an ordered list of unordered endpoint pairs."""
+class MultiGraph(Frozen):
+    """Immutable: vertex count plus ordered edges, endpoint pairs smaller first."""
 
     vertices: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.vertices and 0 <= v < self.vertices):
+    def __init__(self, vertices: int, edges: tuple[tuple[int, int], ...]):
+        for u, v in edges:
+            if not (0 <= u < vertices and 0 <= v < vertices):
                 raise IndexOutOfRange(f"edge ({u},{v}) outside vertex range")
-        object.__setattr__(
-            self, "edges", tuple((min(u, v), max(u, v)) for u, v in self.edges)
-        )
+        self.__dict__.update(vertices=vertices, edges=tuple((min(e), max(e)) for e in edges))
 
 
 def multigraph(vertices: int, edges: Iterable[Sequence[int]]) -> MultiGraph:
@@ -82,16 +79,16 @@ def _refines(coarse: Partition, fine: Partition) -> bool:
     return all(len({cell_of[v] for v in cell}) == 1 for cell in fine)
 
 
-@dataclass(frozen=True)
-class PartitionChain:
-    """Vertex partitions, coarsest first, each refined by the next."""
+class PartitionChain(Frozen):
+    """Immutable: vertex partitions, coarsest first, each refined by the next."""
 
     partitions: tuple[Partition, ...]
 
-    def __post_init__(self):
-        for coarse, fine in zip(self.partitions, self.partitions[1:]):
+    def __init__(self, partitions: tuple[Partition, ...]):
+        for coarse, fine in zip(partitions, partitions[1:]):
             if not _refines(coarse, fine):
                 raise BadPartition("consecutive partitions are not a refinement")
+        self.__dict__["partitions"] = partitions
 
 
 def chain_of(n: int, partitions: Iterable[Iterable[Iterable[int]]]) -> PartitionChain:
@@ -365,8 +362,7 @@ def is_three_connected_simple(g: MultiGraph) -> bool:
     return all(len(_roots(g, cut)) == 1 for cut in combinations(range(g.vertices), 2))
 
 
-@dataclass(frozen=True)
-class CounterexampleConfig:
+class CounterexampleConfig(NamedTuple):
     """Four graphs on one edge set.  `top` carries the finest layer; merging
     its reds must give `top_merged`; `middle` is a different graph with the
     same cycle matroid as `top_merged`, and merging its reds must give
@@ -419,15 +415,13 @@ def reference_counterexample_config() -> CounterexampleConfig:
     )
 
 
-@dataclass(frozen=True)
-class HarnessStep:
+class HarnessStep(NamedTuple):
     name: str
     ok: bool
     detail: dict
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(NamedTuple):
     steps: tuple[HarnessStep, ...]
     verdict: str
 

@@ -14,7 +14,6 @@ for a pair on {0..n-1} lives on {0..n} with the new element at index n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -167,8 +166,7 @@ def enumerate_elementary_coextensions(quot: mc.Matroid, lift: mc.Matroid) -> lis
     return [_coextension(quot, lift) for fam in found if canonical(fam) == quot.bases]
 
 
-@dataclass(frozen=True)
-class LiftWitnessSequence:
+class LiftWitnessSequence(NamedTuple):
     """One single-element coextension per consecutive layer pair."""
 
     witnesses: tuple[tuple[mc.Matroid, int], ...]
@@ -192,8 +190,7 @@ def lift_witness_sequence(fm: fl.FlagMatroid) -> LiftWitnessSequence:
 
 # --- fillings ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FillingSearch:
+class FillingSearch(NamedTuple):
     fillings: tuple[fl.FlagMatroid, ...]
     complete: bool
 
@@ -243,8 +240,7 @@ def enumerate_fillings(fm: fl.FlagMatroid, budget: int = 10000) -> FillingSearch
 
 # --- majors -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MajorStructure:
+class MajorStructure(NamedTuple):
     """A matroid on E + X plus the ordered partition of the extra elements."""
 
     matroid: mc.Matroid

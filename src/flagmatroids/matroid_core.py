@@ -19,7 +19,6 @@ elements, as flags do, and raise IndexOutOfRange above that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -40,6 +39,7 @@ from .errors import (
     IndexOutOfRange,
     OverlappingSets,
 )
+from .frozen import Frozen
 
 MAX_GROUND = 20  # the largest ground set of a loaded document or a flag
 # A lift witness of a flag on n elements has n + 1 (lifts_majors), so a
@@ -98,10 +98,9 @@ def _bit_bytes(bits: int, n: int) -> bytes:
     return format(bits, f"0{1 << n}b")[::-1].encode().translate(_DIGIT_BYTES)
 
 
-@dataclass(frozen=True)
-class Matroid:
-    """Ground-set size plus the basis masks, stored in `canonical` form
-    whatever iterable is given, so equal families make equal matroids.
+class Matroid(Frozen):
+    """Immutable: ground-set size plus the basis masks, stored in `canonical`
+    form whatever iterable is given, so equal families make equal matroids.
 
     Derived data is computed on first use and cached on the instance.  The
     rank function is held as 2^n-bit ints: `independent_bits` (bit S set
@@ -119,17 +118,20 @@ class Matroid:
     n: int
     bases: tuple[int, ...]
 
-    def __post_init__(self):
-        if not (0 <= self.n <= MAX_MATROID_GROUND):
-            raise IndexOutOfRange(f"ground set size {self.n} outside 0..{MAX_MATROID_GROUND}")
-        bases = canonical(self.bases)
-        object.__setattr__(self, "bases", bases)
+    def __init__(self, n: int, bases: Iterable[int]):
+        self.__post_init__(n, bases)
+
+    def __post_init__(self, n, bases):
+        if not (0 <= n <= MAX_MATROID_GROUND):
+            raise IndexOutOfRange(f"ground set size {n} outside 0..{MAX_MATROID_GROUND}")
+        bases = canonical(bases)
         if not bases:
             raise ConstructionFailed("a matroid has at least one basis")
-        if any(b >> self.n for b in bases):
+        if any(b >> n for b in bases):
             raise IndexOutOfRange("basis element outside the ground set")
         if bases[0].bit_count() != bases[-1].bit_count():
             raise ConstructionFailed("bases of unequal cardinality")
+        self.__dict__.update(n=n, bases=bases)
 
     @property
     def rank(self) -> int:

@@ -35,10 +35,9 @@ each decided by the witness route alone, run only as the cross-check of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product, zip_longest
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import flag_core as fl
 from . import gf_linalg as gl
@@ -60,27 +59,27 @@ from .errors import (
     RankDeficientPrefix,
     SingleLevel,
 )
+from .frozen import Frozen
 from .lifts_majors import MajorStructure, is_full, verify_major
 
 SEARCH_FIELDS = (2, 3, 5, 7)
 
 
-@dataclass(frozen=True)
-class FlagRepresentation:
-    """Full-row-rank matrix plus the levels d_1 < ... < d_k = row count."""
+class FlagRepresentation(Frozen):
+    """Immutable: full-row-rank matrix plus the levels d_1 < ... < d_k = row count."""
 
     matrix: gl.GFMatrix
     levels: tuple[int, ...]
 
-    def __post_init__(self):
-        lv = self.levels
-        if not lv or any(x >= y for x, y in zip(lv, lv[1:])):
+    def __init__(self, matrix: gl.GFMatrix, levels: tuple[int, ...]):
+        if not levels or any(x >= y for x, y in zip(levels, levels[1:])):
             raise RankDeficientPrefix("levels must be strictly increasing and nonempty")
-        if lv[0] < 0 or lv[-1] != self.matrix.rows:
+        if levels[0] < 0 or levels[-1] != matrix.rows:
             raise RankDeficientPrefix("top level must equal the row count")
-        for d in lv:
-            if gl.rank(gl.prefix_rows(self.matrix, d)) != d:
+        for d in levels:
+            if gl.rank(gl.prefix_rows(matrix, d)) != d:
                 raise RankDeficientPrefix(f"prefix {d} is rank deficient", level=d)
+        self.__dict__.update(matrix=matrix, levels=levels)
 
     @property
     def p(self) -> int:
@@ -711,8 +710,7 @@ def search_representation(
 
 # --- forbidden-minor and witness routes ------------------------------------------------
 
-@dataclass(frozen=True)
-class ForbiddenMinorWitness:
+class ForbiddenMinorWitness(NamedTuple):
     target_name: str
     target: fl.FlagMatroid
     contract: tuple[int, ...]
@@ -721,8 +719,7 @@ class ForbiddenMinorWitness:
     bijection: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RepresentabilityDecision:
+class RepresentabilityDecision(NamedTuple):
     """A verdict over GF(p) and what certifies it: a representation on a
     "yes", a listed forbidden minor on a "no" of the minor search.  A "no"
     of the witness route, the search or the fillings carries neither.

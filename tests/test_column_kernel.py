@@ -151,8 +151,8 @@ def _near_families(layer):
     """`layer` and rank-preserving changes of it: one basis dropped, one
     non-basis added, one swapped, and the uniform family."""
     n, r = layer.n, layer.rank
-    bases = list(layer.bases)
-    others = [s for s in size_masks(n, r) if s not in layer.basis_set]
+    bases, basis_set = list(layer.bases), layer.basis_set
+    others = [s for s in size_masks(n, r) if s not in basis_set]
     fams = [bases, size_masks(n, r)]
     if len(bases) > 1:
         fams += [bases[:-1], bases[1:]]

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import FANO_ROWS, oracle_rank_mod_p, random_gf_matrix
 from flagmatroids import gf_linalg as gl
-from flagmatroids.errors import MatrixTooLarge, NotPrime, RankDeficient
+from flagmatroids.errors import IndexOutOfRange, MatrixTooLarge, NotPrime, RankDeficient
 
 
 def test_field_rejects_non_primes():
@@ -26,6 +26,20 @@ def test_every_memo_is_bounded():
 def test_matrix_cap():
     with pytest.raises(MatrixTooLarge):
         gl.zero(2, 33, 1)
+
+
+@pytest.mark.parametrize("entries", [(0, -1), (3, 0), (1, 7)], ids=["negative", "p", "past-p"])
+def test_matrix_entries_must_be_reduced(entries):
+    with pytest.raises(IndexOutOfRange, match="^entry not reduced mod p$"):
+        gl.GFMatrix(gl.field(3), 1, 2, entries)
+
+
+def test_matrix_entry_checks_at_the_edges():
+    assert gl.GFMatrix(gl.field(3), 1, 2, (0, 2)).entries == (0, 2)
+    empty = gl.GFMatrix(gl.field(3), 0, 4, ())
+    assert (empty.rows, empty.cols, empty.entries) == (0, 4, ())
+    with pytest.raises(IndexOutOfRange, match="^entry count does not match shape$"):
+        gl.GFMatrix(gl.field(3), 0, 4, (0,))
 
 
 def test_rank_examples(fano):

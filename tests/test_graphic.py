@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import combinations, permutations
 
@@ -350,7 +349,7 @@ def test_counterexample_harness_reference():
 
 def test_counterexample_harness_negative_control():
     cfg = gr.reference_counterexample_config()
-    broken = dataclasses.replace(cfg, top=gr.MultiGraph(cfg.top.vertices, cfg.top.edges[:-1]))
+    broken = cfg._replace(top=gr.MultiGraph(cfg.top.vertices, cfg.top.edges[:-1]))
     with pytest.raises(ConfigInconsistent):
         gr.counterexample_harness(broken)
 

@@ -69,11 +69,12 @@ def reference_by_bases(n, lift, quot):
         return sum(1 << f for f in iter_bits(be) if be ^ (1 << f) in bases)
 
     full = (1 << n) - 1
+    lift_bases, quot_bases = lift.basis_set, quot.basis_set
     for b in lift.bases:
         for e in iter_bits(full & ~b):
-            upper = fset(lift.basis_set, b, e)
+            upper = fset(lift_bases, b, e)
             if not any(
-                fset(quot.basis_set, bq, e) & ~upper == 0
+                fset(quot_bases, bq, e) & ~upper == 0
                 for bq in quot.bases
                 if not bq & ~b
             ):

@@ -177,8 +177,9 @@ def test_is_isomorphic(f7, fano):
     bij = mc.is_isomorphic(shuffled, f7)
     assert bij is not None
     # the found bijection maps bases onto bases
+    f7_bases = f7.basis_set
     for b in shuffled.bases:
-        assert mask_of(bij[e] for e in elements_of(b)) in f7.basis_set
+        assert mask_of(bij[e] for e in elements_of(b)) in f7_bases
 
 
 def first_bijection(n, family, other):
@@ -274,8 +275,9 @@ def test_has_minor_witness_replays():
     assert hit == ((0,), (), (0, 1, 2, 3))
     c, d, bij = hit
     minor = mc.minor(u35, c, d)
+    target_bases = target.basis_set
     for b in minor.bases:
-        assert mask_of(bij[e] for e in elements_of(b)) in target.basis_set
+        assert mask_of(bij[e] for e in elements_of(b)) in target_bases
 
 
 def test_fixture_classifications(f7):

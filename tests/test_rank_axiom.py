@@ -104,7 +104,8 @@ def test_linear_matroids_with_one_basis_dropped_or_added():
         if len(m.bases) > 1:
             drop = data.draw(st.sampled_from(m.bases))
             families.append([b for b in m.bases if b != drop])
-        others = [s for s in size_masks(m.n, m.rank) if s not in m.basis_set]
+        basis_set = m.basis_set
+        others = [s for s in size_masks(m.n, m.rank) if s not in basis_set]
         if others:
             families.append(list(m.bases) + [data.draw(st.sampled_from(others))])
         for fam in families:
