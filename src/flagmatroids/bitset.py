@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import IndexOutOfRange
 
@@ -97,3 +97,50 @@ def squeeze(mask: int, removed: int) -> int:
     for pos in reversed(elements_of(removed)):
         mask = mask & ((1 << pos) - 1) | (mask >> (pos + 1)) << pos
     return mask
+
+
+def least_bijection(n: int, fits: Callable[[list[int], int], bool]) -> Optional[tuple[int, ...]]:
+    """The lexicographically least bijection of {0..n-1} that `fits` admits
+    at every placement, or None.  Element d = len(image) goes on the least
+    free target t with fits(image, t); when no target is left, d - 1 moves
+    on to its next.  `image` is the explicit stack, so no recursion limit
+    bounds n."""
+    image: list[int] = []
+    free, t = (1 << n) - 1, 0
+    while len(image) < n:
+        rest = free >> t
+        if rest:
+            t += (rest & -rest).bit_length() - 1
+            if fits(image, t):
+                image.append(t)
+                free ^= 1 << t
+                t = 0
+            else:
+                t += 1
+        elif image:
+            t = image.pop()
+            free |= 1 << t
+            t += 1
+        else:
+            return None
+    return tuple(image)
+
+
+def family_fits(family: Iterable[int], other: Iterable[int]) -> Callable[[list[int], int], bool]:
+    """The `least_bijection` check carrying a family of masks onto the other:
+    d goes on t iff each S of {0..d} holding d is in the family exactly when
+    its image is (the caller compares the empty set).  table[S] is the image
+    of S for S below 2^d; each call cuts it back to 2^d entries and a fitting
+    placement doubles it, so a candidate costs 2^d lookups."""
+    ours, theirs, table = set(family), set(other), [0]
+
+    def fits(image: list[int], t: int) -> bool:
+        d = len(image)
+        del table[1 << d:]
+        images = [s | 1 << t for s in table]
+        if any((s in ours) != (i in theirs) for s, i in zip(range(1 << d, 2 << d), images)):
+            return False
+        table.extend(images)
+        return True
+
+    return fits

@@ -10,6 +10,8 @@ Each distinct layer is checked once: `_layer_check` memoizes its exchange
 witness or, for a basis family, the checked `Matroid` that every flag's `layers`
 share, with its `flat_bits` (2^n bits, 128 KB at n = 20), so a lift test is one
 AND of two memoized bitsets.  Each memo holds at most MEMO_SIZE entries.
+Isomorphism screens by sizes and per-layer degrees, then runs the bijection
+search of `bitset` that matroid isomorphism and graph matching share.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from . import matroid_core as mc
 from .bitset import (
     canonical,
     elements_of,
+    family_fits,
     iter_bits,
+    least_bijection,
     mask_of,
     meet_counts,
     order_key,
@@ -145,10 +149,6 @@ class FlagMatroid(Frozen):
     def layers(self) -> tuple[mc.Matroid, ...]:
         """The sequential representation (M_1, ..., M_k): the memo's matroids."""
         return tuple(_layer_check(self.n, layer)[1] for _, layer in _group_by_size(self.feasible))
-
-    @cached_property
-    def feasible_set(self) -> frozenset[int]:
-        return frozenset(self.feasible)
 
 
 def flag_matroid(n: int, family: Iterable[Iterable[int]]) -> FlagMatroid:
@@ -362,16 +362,13 @@ def flag_rank(fm: FlagMatroid, subset: int | Iterable[int]) -> Optional[int]:
 def _flag_degrees(fm: FlagMatroid) -> tuple[tuple[int, ...], ...]:
     """Per element, the tuple of per-layer membership counts."""
     groups = _group_by_size(fm.feasible)
-    out = []
-    for e in range(fm.n):
-        bit = 1 << e
-        out.append(tuple(sum(1 for s in layer if s & bit) for _, layer in groups))
-    return tuple(out)
+    return tuple(tuple(sum(s >> e & 1 for s in layer) for _, layer in groups) for e in range(fm.n))
 
 
 def flag_isomorphic(fm: FlagMatroid, other: FlagMatroid) -> Optional[tuple[int, ...]]:
     """Lexicographically least ground-set bijection carrying the feasible
-    family onto the other's, or None."""
+    family onto the other's, or None: `least_bijection` over the families,
+    each element placed only on a target of equal per-layer degrees."""
     if fm.n != other.n or fm.cardinalities != other.cardinalities:
         return None
     groups_a = _group_by_size(fm.feasible)
@@ -381,55 +378,17 @@ def flag_isomorphic(fm: FlagMatroid, other: FlagMatroid) -> Optional[tuple[int, 
     deg_a, deg_b = _flag_degrees(fm), _flag_degrees(other)
     if sorted(deg_a) != sorted(deg_b):
         return None
-    n = fm.n
-    fa, fb = fm.feasible_set, other.feasible_set
-    assigned: list[int] = []
-    used = [False] * n
-
-    def extend(depth: int) -> bool:
-        if depth == n:
-            return True
-        for t in range(n):
-            if used[t] or deg_b[t] != deg_a[depth]:
-                continue
-            assigned.append(t)
-            used[t] = True
-            ok = True
-            for sub in range(1 << depth):
-                src = sub | (1 << depth)
-                img = 1 << t
-                rest = sub
-                i = 0
-                while rest:
-                    if rest & 1:
-                        img |= 1 << assigned[i]
-                    rest >>= 1
-                    i += 1
-                if (src in fa) != (img in fb):
-                    ok = False
-                    break
-            if ok and extend(depth + 1):
-                return True
-            assigned.pop()
-            used[t] = False
-        return False
-
-    if extend(0):
-        return tuple(assigned)
-    return None
+    family = family_fits(fm.feasible, other.feasible)
+    return least_bijection(
+        fm.n, lambda image, t: deg_b[t] == deg_a[len(image)] and family(image, t)
+    )
 
 
 def relabel_flag(fm: FlagMatroid, perm: Sequence[int]) -> FlagMatroid:
     """Apply the ground-set bijection perm[i] -> image of i."""
     if sorted(perm) != list(range(fm.n)):
         raise IndexOutOfRange("not a permutation of the ground set")
-    out = []
-    for f in fm.feasible:
-        m = 0
-        for e in iter_bits(f):
-            m |= 1 << perm[e]
-        out.append(m)
-    return FlagMatroid(fm.n, out)
+    return FlagMatroid(fm.n, (mask_of(perm[e] for e in elements_of(f)) for f in fm.feasible))
 
 
 def flag_has_minor(

@@ -2,7 +2,8 @@
 
 Edges are identified by list index, which is the ground-set order of every
 matroid built here; loops and parallel edges are allowed.  Quotient graphs
-keep the edge indexing, so quotient matroids share one ground set.
+keep the edge indexing, so quotient matroids share one ground set.  Graphs
+are matched edge by edge by the bijection search of `bitset`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 from . import flag_core as fl
 from . import gf_linalg as gl
 from . import matroid_core as mc
+from .bitset import least_bijection
 from .errors import (
     BadPartition,
     ChainNotGrounded,
@@ -329,27 +331,19 @@ def strip_major_edges(g_major: MultiGraph, blocks: Sequence[Iterable[int]]) -> M
 
 def graphs_match(a: MultiGraph, b: MultiGraph) -> Optional[tuple[int, ...]]:
     """The lexicographically least vertex bijection under which edge i of a
-    equals edge i of b, or None.  Vertices are placed in order, each on the
-    least free target first, and an edge is checked once both ends are."""
+    equals edge i of b, or None.  `least_bijection` places the vertices in
+    order, and an edge is checked when its later end is placed."""
     if a.vertices != b.vertices or len(a.edges) != len(b.edges):
         return None
-    checks: list[list] = [[] for _ in range(a.vertices)]  # by the edge's later end
+    checks: dict[int, list] = {}  # by the edge's later end
     for (u, v), target in zip(a.edges, b.edges):
-        checks[max(u, v)].append((u, v, set(target)))
-    image: list[int] = []
+        checks.setdefault(v, []).append((u, set(target)))
 
-    def place(w: int) -> bool:
-        if w == a.vertices:
-            return True
-        for t in range(a.vertices):
-            image.append(t)
-            if t not in image[:-1] and all({image[u], image[v]} == to for u, v, to in checks[w]):
-                if place(w + 1):
-                    return True
-            image.pop()
-        return False
+    def fits(image: list[int], t: int) -> bool:
+        d = len(image)
+        return all({t, image[u] if u < d else t} == to for u, to in checks.get(d, ()))
 
-    return tuple(image) if place(0) else None
+    return least_bijection(a.vertices, fits)
 
 
 def is_three_connected_simple(g: MultiGraph) -> bool:

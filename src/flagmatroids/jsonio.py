@@ -19,6 +19,8 @@ from .errors import IndexOutOfRange, InvalidInput, OverlappingSets
 from .lifts_majors import LiftWitnessSequence, MajorStructure
 from .representability import FlagRepresentation, ForbiddenMinorWitness
 
+MAX_VERTICES = 2 * mc.MAX_GROUND  # the most vertices that MAX_GROUND edges touch
+
 
 def dumps(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -238,6 +240,8 @@ def graph_json(g: gr.MultiGraph, colors: Optional[dict] = None) -> dict:
 def load_graph(doc: Any) -> tuple[gr.MultiGraph, dict]:
     _require(doc, ("vertices", "edges"), "graph")
     vertices = _int(doc["vertices"], "vertices")
+    if vertices > MAX_VERTICES:
+        raise IndexOutOfRange(f"vertex count {vertices} outside 0..{MAX_VERTICES}")
     edges = [_int_list(e, "edge") for e in _array(doc["edges"], "edges")]
     if any(len(e) != 2 for e in edges):
         raise InvalidInput("graph: every edge is a pair of vertices")

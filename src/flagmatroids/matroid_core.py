@@ -11,10 +11,11 @@ Operations whose outputs are always matroids (duals, minors, linear and
 graphic constructions) trust themselves.
 
 Isomorphism and minor search first compare sizes, ranks and basis counts,
-and answer None when those rule a match out.  Otherwise they treat a
-matroid as the flag matroid whose one layer is its basis family and run the
-`flag_core` search on it, so they accept matroids of at most MAX_GROUND = 20
-elements, as flags do, and raise IndexOutOfRange above that.
+and answer None when those rule a match out.  Isomorphism then runs the
+`bitset` bijection search on the basis sets of any two `Matroid`s (up to 21
+elements).  Minor search runs the `flag_core` search on the one-layer basis
+flags, so it takes at most MAX_GROUND = 20 elements, as flags do, and
+raises IndexOutOfRange above that.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from . import gf_linalg as gl
 from .bitset import (
     canonical,
     elements_of,
+    family_fits,
     iter_bits,
+    least_bijection,
     mask_of,
     order_key,
     size_masks,
@@ -512,19 +515,15 @@ def contract(m: Matroid, e: int) -> Matroid:
 
 
 # --- isomorphism and minor search --------------------------------------------
-# Both run the flag_core search on the one-layer basis flags; flag_core
-# imports this module, so they import it at call time.
 
 def is_isomorphic(m: Matroid, other: Matroid) -> Optional[tuple[int, ...]]:
     """Lexicographically least ground-set bijection mapping bases onto bases,
     or None.  Matroids that differ in size, rank or basis count are None at
-    once; others need at most MAX_GROUND elements, as for flags (else
-    IndexOutOfRange)."""
+    once; others are searched by `least_bijection` on their basis sets,
+    for every `Matroid`, so up to MAX_MATROID_GROUND elements."""
     if (m.n, m.rank, len(m.bases)) != (other.n, other.rank, len(other.bases)):
         return None
-    from .flag_core import basis_flag, flag_isomorphic
-
-    return flag_isomorphic(basis_flag(m), basis_flag(other))
+    return least_bijection(m.n, family_fits(m.bases, other.bases))
 
 
 def has_minor_isomorphic_to(
@@ -543,6 +542,7 @@ def has_minor_isomorphic_to(
     """
     if target.n > m.n or target.rank > m.rank or target.n - target.rank > m.n - m.rank:
         return None
+    # flag_core imports this module, so it is imported at call time
     from .flag_core import basis_flag, flag_has_minor
 
     hit = flag_has_minor(basis_flag(m), basis_flag(target))

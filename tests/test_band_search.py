@@ -104,7 +104,7 @@ def reference_search_columns(fm, p):
     n = fm.n
     if r * max(n - 1, 1) * log2(p) > 24:
         raise Refused("column space exceeds 2^24")
-    feas = fm.feasible_set
+    feas = frozenset(fm.feasible)
     unit_col = None
     if 1 in levels:
         singles = [j for j in range(n) if (1 << j) in feas]

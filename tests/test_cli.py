@@ -8,9 +8,11 @@ from conftest import random_prefix_chain_matrix
 from flagmatroids import cli
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
+from flagmatroids import graphic as gr
 from flagmatroids import jsonio as io
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
+from flagmatroids.errors import IndexOutOfRange
 
 
 def test_validate_and_axioms(capture, corpus):
@@ -464,6 +466,28 @@ def test_counterexample_rejects_a_pair_without_two_vertices(capture, corpus, tmp
     code, out, _ = capture("counterexample", str(path))
     assert code == 2
     assert json.loads(out)["error"] == "InvalidInput"
+
+
+def test_counterexample_refuses_a_graph_above_the_vertex_bound(capture, corpus):
+    """The fixture with 10^9 - 3 isolated vertices added to each graph (so
+    the bottom has 10^9) exits 2 before anything is built per vertex; the
+    loader takes MAX_VERTICES vertices and no more."""
+    doc = io.config_json(gr.reference_counterexample_config())
+    for key in ("bottom", "middle", "top_merged", "top"):
+        doc[key]["vertices"] += 10**9 - 3
+    path = corpus["write"]("huge_graphs.json", json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = capture("counterexample", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, json.loads(out)) == (2, {
+        "error": "IndexOutOfRange",
+        "detail": f"vertex count {10**9} outside 0..{io.MAX_VERTICES}",
+    })
+    assert io.MAX_VERTICES >= 2 * mc.MAX_GROUND
+    edge = {"vertices": io.MAX_VERTICES, "edges": [[0, io.MAX_VERTICES - 1]]}
+    assert io.load_graph(edge)[0].vertices == io.MAX_VERTICES
+    with pytest.raises(IndexOutOfRange):
+        io.load_graph(dict(edge, vertices=io.MAX_VERTICES + 1))
 
 
 def test_deterministic_output(capture, corpus):

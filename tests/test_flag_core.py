@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_flag
+from conftest import random_flag, random_prefix_chain_matrix
 from flagmatroids import flag_core as fl
 from flagmatroids import matroid_core as mc
+from flagmatroids import representability as rp
 from flagmatroids.bitset import elements_of, mask_of
 from flagmatroids.errors import (
     EmptyResult,
@@ -224,6 +225,17 @@ def test_flag_isomorphic():
     bij = fl.flag_isomorphic(bf, moved)
     assert bij is not None
     assert fl.relabel_flag(bf, bij) == moved
+
+
+def test_flag_isomorphic_maps_a_relabelled_eighteen_element_flag():
+    """A full GF(3) flag on 18 elements with levels 1..5, against a seeded
+    relabelling of itself: the bijection found carries one onto the other."""
+    rng = random.Random(1818)
+    fm = rp.flag_from_matrix(random_prefix_chain_matrix(rng, 3, 5, 18), range(1, 6))
+    other = fl.relabel_flag(fm, rng.sample(range(18), 18))
+    bij = fl.flag_isomorphic(fm, other)
+    assert bij is not None
+    assert fl.relabel_flag(fm, bij) == other
 
 
 def test_flag_has_minor_examples(f7):

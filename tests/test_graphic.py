@@ -394,6 +394,23 @@ def test_graphs_match_agrees_with_trying_every_permutation():
     assert 2000 < matched < 2900
 
 
+def test_graphs_match_places_thousands_of_vertices():
+    """A 3,000-vertex path with loops and parallel edges, its edges in
+    shuffled order, against its rotation v -> v + 1: the path's edges force
+    every image, so the rotation is the only bijection, hence the least.
+    The search places one vertex per level, far past the recursion limit."""
+    rng = random.Random(3000)
+    n = 3000
+    edges = [(v, v + 1) for v in range(n - 1)]
+    edges += [(v, v) for v in rng.sample(range(n), 50)]
+    edges += [(v, v + 1) for v in rng.sample(range(n - 1), 50)]
+    rng.shuffle(edges)
+    rotate = tuple((v + 1) % n for v in range(n))
+    a = gr.multigraph(n, edges)
+    b = gr.multigraph(n, [(rotate[u], rotate[v]) for u, v in edges])
+    assert gr.graphs_match(a, b) == rotate
+
+
 def reference_is_three_connected_simple(g):
     """At least 4 vertices, and connected with no vertex, any one vertex or
     any two vertices removed."""

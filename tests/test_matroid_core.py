@@ -258,6 +258,31 @@ def test_size_screens_answer_as_the_basis_flag_searches():
     assert all(screened.values()) and all(found.values()), (screened, found)
 
 
+def test_is_isomorphic_builds_no_flag_matroid(monkeypatch):
+    """Over the pairs of the size-screen test, `is_isomorphic` searches the
+    two basis sets and builds no FlagMatroid; the flag searches it is
+    compared with still build theirs."""
+    built = {"inside": 0, "outside": 0}
+    where = ["outside"]
+    post_init, is_isomorphic = fl.FlagMatroid.__post_init__, mc.is_isomorphic
+
+    def counted_post_init(self, n, feasible):
+        built[where[0]] += 1
+        post_init(self, n, feasible)
+
+    def marked_is_isomorphic(m, other):
+        where[0] = "inside"
+        try:
+            return is_isomorphic(m, other)
+        finally:
+            where[0] = "outside"
+
+    monkeypatch.setattr(fl.FlagMatroid, "__post_init__", counted_post_init)
+    monkeypatch.setattr(mc, "is_isomorphic", marked_is_isomorphic)
+    test_size_screens_answer_as_the_basis_flag_searches()
+    assert built["inside"] == 0 and built["outside"] > 0, built
+
+
 def test_has_minor(f7):
     assert mc.has_minor_isomorphic_to(f7, mc.uniform(2, 4)) is None
     hit = mc.has_minor_isomorphic_to(mc.uniform(2, 5), mc.uniform(2, 4))

@@ -93,7 +93,7 @@ def test_uniform_representation_every_subset_feasible():
         fm = rp.represented_flag(rep)
         for k in range(1, r + 1):
             for cols in combinations(range(n), k):
-                assert mask_of(cols) in fm.feasible_set
+                assert mask_of(cols) in fm.feasible
 
 
 def test_dual_representation_examples(fano):
