@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import IndexOutOfRange
@@ -126,21 +126,39 @@ def least_bijection(n: int, fits: Callable[[list[int], int], bool]) -> Optional[
     return tuple(image)
 
 
-def family_fits(family: Iterable[int], other: Iterable[int]) -> Callable[[list[int], int], bool]:
-    """The `least_bijection` check carrying a family of masks onto the other:
-    d goes on t iff each S of {0..d} holding d is in the family exactly when
-    its image is (the caller compares the empty set).  table[S] is the image
-    of S for S below 2^d; each call cuts it back to 2^d entries and a fitting
-    placement doubles it, so a candidate costs 2^d lookups."""
-    ours, theirs, table = set(family), set(other), [0]
+def family_bijection(n: int, family: Iterable[int], other: Iterable[int]) -> Optional[tuple[int, ...]]:
+    """The lexicographically least bijection of {0..n-1} carrying the family
+    of masks onto the other, or None.  An element's degree counts the sets
+    of each size holding it; unequal degree multisets are None at once, and
+    `least_bijection` puts d only on a t of equal degree such that each S of
+    {0..d} holding d is in the family iff its image is: the family's sets
+    with largest element d land in the other, which has as many sets holding
+    t inside the image of {0..d}.  Nothing of size 2^d is kept."""
+    ours, theirs = set(family), set(other)
+
+    def degrees(sets: set[int]) -> list[list[tuple[int, int]]]:
+        sizes = sorted({s.bit_count() for s in sets})
+        held = [Counter(chain.from_iterable(elements_of(s) for s in sets if s.bit_count() == k))
+                for k in sizes]
+        return [[(k, c[e]) for k, c in zip(sizes, held)] for e in range(n)]
+
+    deg_a, deg_b = degrees(ours), degrees(theirs)
+    if sorted(deg_a) != sorted(deg_b) or (0 in ours) != (0 in theirs):
+        return None
+    heads: list[list[int]] = [[] for _ in range(n)]  # S - {d} by the largest element d
+    for s in filter(None, ours):
+        heads[s.bit_length() - 1].append(s ^ 1 << s.bit_length() - 1)
+    # per placed prefix: its heads' images, and the other's sets off its image by t alone
+    prefix, before, ends = None, [], Counter()
 
     def fits(image: list[int], t: int) -> bool:
-        d = len(image)
-        del table[1 << d:]
-        images = [s | 1 << t for s in table]
-        if any((s in ours) != (i in theirs) for s, i in zip(range(1 << d, 2 << d), images)):
+        nonlocal prefix, before, ends
+        if deg_b[t] != deg_a[len(image)]:
             return False
-        table.extend(images)
-        return True
+        if prefix != image:
+            prefix, bits = image[:], [1 << x for x in image]
+            before = [sum(map(bits.__getitem__, elements_of(s))) for s in heads[len(image)]]
+            ends = Counter(r for r in map((~sum(bits)).__and__, theirs) if not r & r - 1)
+        return ends[1 << t] == len(before) and all(p | 1 << t in theirs for p in before)
 
-    return fits
+    return least_bijection(n, fits)

@@ -10,8 +10,8 @@ Each distinct layer is checked once: `_layer_check` memoizes its exchange
 witness or, for a basis family, the checked `Matroid` that every flag's `layers`
 share, with its `flat_bits` (2^n bits, 128 KB at n = 20), so a lift test is one
 AND of two memoized bitsets.  Each memo holds at most MEMO_SIZE entries.
-Isomorphism screens by sizes and per-layer degrees, then runs the bijection
-search of `bitset` that matroid isomorphism and graph matching share.
+Isomorphism screens by layer sizes, then runs `bitset.family_bijection`,
+as matroid isomorphism does.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from . import matroid_core as mc
 from .bitset import (
     canonical,
     elements_of,
-    family_fits,
+    family_bijection,
     iter_bits,
-    least_bijection,
     mask_of,
     meet_counts,
     order_key,
@@ -359,29 +358,14 @@ def flag_rank(fm: FlagMatroid, subset: int | Iterable[int]) -> Optional[int]:
 
 # --- isomorphism and minor search --------------------------------------------------
 
-def _flag_degrees(fm: FlagMatroid) -> tuple[tuple[int, ...], ...]:
-    """Per element, the tuple of per-layer membership counts."""
-    groups = _group_by_size(fm.feasible)
-    return tuple(tuple(sum(s >> e & 1 for s in layer) for _, layer in groups) for e in range(fm.n))
-
-
 def flag_isomorphic(fm: FlagMatroid, other: FlagMatroid) -> Optional[tuple[int, ...]]:
     """Lexicographically least ground-set bijection carrying the feasible
-    family onto the other's, or None: `least_bijection` over the families,
-    each element placed only on a target of equal per-layer degrees."""
-    if fm.n != other.n or fm.cardinalities != other.cardinalities:
+    family onto the other's, or None: after the cardinality and layer-size
+    screens, `family_bijection` over the two families."""
+    sizes = [[len(layer) for _, layer in _group_by_size(f.feasible)] for f in (fm, other)]
+    if fm.n != other.n or fm.cardinalities != other.cardinalities or sizes[0] != sizes[1]:
         return None
-    groups_a = _group_by_size(fm.feasible)
-    groups_b = _group_by_size(other.feasible)
-    if [(s, len(l)) for s, l in groups_a] != [(s, len(l)) for s, l in groups_b]:
-        return None
-    deg_a, deg_b = _flag_degrees(fm), _flag_degrees(other)
-    if sorted(deg_a) != sorted(deg_b):
-        return None
-    family = family_fits(fm.feasible, other.feasible)
-    return least_bijection(
-        fm.n, lambda image, t: deg_b[t] == deg_a[len(image)] and family(image, t)
-    )
+    return family_bijection(fm.n, fm.feasible, other.feasible)
 
 
 def relabel_flag(fm: FlagMatroid, perm: Sequence[int]) -> FlagMatroid:

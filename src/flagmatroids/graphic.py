@@ -335,9 +335,9 @@ def graphs_match(a: MultiGraph, b: MultiGraph) -> Optional[tuple[int, ...]]:
     order, and an edge is checked when its later end is placed."""
     if a.vertices != b.vertices or len(a.edges) != len(b.edges):
         return None
-    checks: dict[int, list] = {}  # by the edge's later end
+    checks: dict[int, list] = {}  # (earlier end, target) by the edge's later end
     for (u, v), target in zip(a.edges, b.edges):
-        checks.setdefault(v, []).append((u, set(target)))
+        checks.setdefault(max(u, v), []).append((min(u, v), set(target)))
 
     def fits(image: list[int], t: int) -> bool:
         d = len(image)

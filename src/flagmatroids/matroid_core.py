@@ -11,8 +11,8 @@ Operations whose outputs are always matroids (duals, minors, linear and
 graphic constructions) trust themselves.
 
 Isomorphism and minor search first compare sizes, ranks and basis counts,
-and answer None when those rule a match out.  Isomorphism then runs the
-`bitset` bijection search on the basis sets of any two `Matroid`s (up to 21
+and answer None when those rule a match out.  Isomorphism then runs
+`bitset.family_bijection` on the basis sets of any two `Matroid`s (up to 21
 elements).  Minor search runs the `flag_core` search on the one-layer basis
 flags, so it takes at most MAX_GROUND = 20 elements, as flags do, and
 raises IndexOutOfRange above that.
@@ -27,9 +27,8 @@ from . import gf_linalg as gl
 from .bitset import (
     canonical,
     elements_of,
-    family_fits,
+    family_bijection,
     iter_bits,
-    least_bijection,
     mask_of,
     order_key,
     size_masks,
@@ -519,11 +518,11 @@ def contract(m: Matroid, e: int) -> Matroid:
 def is_isomorphic(m: Matroid, other: Matroid) -> Optional[tuple[int, ...]]:
     """Lexicographically least ground-set bijection mapping bases onto bases,
     or None.  Matroids that differ in size, rank or basis count are None at
-    once; others are searched by `least_bijection` on their basis sets,
+    once; others are searched by `family_bijection` on their basis sets,
     for every `Matroid`, so up to MAX_MATROID_GROUND elements."""
     if (m.n, m.rank, len(m.bases)) != (other.n, other.rank, len(other.bases)):
         return None
-    return least_bijection(m.n, family_fits(m.bases, other.bases))
+    return family_bijection(m.n, m.bases, other.bases)
 
 
 def has_minor_isomorphic_to(

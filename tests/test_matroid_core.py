@@ -1,5 +1,7 @@
 import inspect
 import random
+import time
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -281,6 +283,35 @@ def test_is_isomorphic_builds_no_flag_matroid(monkeypatch):
     monkeypatch.setattr(mc, "is_isomorphic", marked_is_isomorphic)
     test_size_screens_answer_as_the_basis_flag_searches()
     assert built["inside"] == 0 and built["outside"] > 0, built
+
+
+def test_degree_screen_answers_at_once_where_only_degrees_differ():
+    """U_{7,13} plus a loop and U_{6,13} plus a coloop agree in size, rank
+    and basis count (1,716) but not in element degrees; without the degree
+    screen no basis is complete until depth 6, so the search would make
+    about 2.2 million placements before answering."""
+    a = mc.Matroid(14, mc.uniform(7, 13).bases)
+    b = mc.Matroid(14, [s | 1 << 13 for s in mc.uniform(6, 13).bases])
+    assert (a.n, a.rank, len(a.bases)) == (b.n, b.rank, len(b.bases))
+    start = time.perf_counter()
+    assert mc.is_isomorphic(a, b) is None and mc.is_isomorphic(b, a) is None
+    assert fl.flag_isomorphic(fl.basis_flag(a), fl.basis_flag(b)) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_isomorphism_keeps_no_table_of_subset_images():
+    """On 21 elements, U_{1,21} against its reversal is one search down a
+    path; it must not keep an image for each subset of the placed elements
+    (2^20 ints at the last placement)."""
+    a = mc.uniform(1, 21)
+    b = mc.Matroid(21, [mask_of(20 - e for e in elements_of(s)) for s in a.bases])
+    tracemalloc.start()
+    try:
+        assert mc.is_isomorphic(a, b) == tuple(range(21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_has_minor(f7):
