@@ -16,11 +16,17 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def _byte_elements(k: int) -> tuple[tuple[int, ...], ...]:
+    """The elements of each byte b placed at bits 8k..8k+7, by doubling: the
+    bytes 2^i..2^(i+1)-1 are those below 2^i with element 8k + i added."""
+    out = [()]
+    for e in range(8 * k, 8 * k + 8):
+        out += [t + (e,) for t in out]
+    return tuple(out)
+
+
 # _BYTE_ELEMENTS[k][b]: the elements of the byte b placed at bits 8k..8k+7
-_BYTE_ELEMENTS = tuple(
-    tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
-    for k in range(3)
-)
+_BYTE_ELEMENTS = tuple(map(_byte_elements, range(3)))
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
@@ -56,12 +62,21 @@ def meet_counts(masks: Iterable[int], within: int) -> dict[int, int]:
     return Counter(map(within.__and__, masks))
 
 
+def _order_bytes(k: int) -> list[int]:
+    """(|b| << 24) + ((255 - bitreverse8(b)) << 8 * (2 - k)) for each byte b,
+    by doubling: adding bit i to b adds one to |b| and clears bit 7 - i of
+    255 - bitreverse8(b)."""
+    shift = 8 * (2 - k)
+    out = [255 << shift]
+    for i in range(8):
+        step = (1 << 24) - (1 << 7 - i << shift)
+        out += [key + step for key in out]
+    return out
+
+
 # _ORDER_BYTES[k][b]: the share of byte k of S (bits 8k..8k+7) in its
 # `order_key`, (|b| << 24) + ((255 - bitreverse8(b)) << 8 * (2 - k)).
-_ORDER_BYTES = tuple(
-    [b.bit_count() << 24 | (255 - int(f"{b:08b}"[::-1], 2)) << 8 * (2 - k) for b in range(256)]
-    for k in range(3)
-)
+_ORDER_BYTES = tuple(map(_order_bytes, range(3)))
 
 
 def order_key(mask: int) -> int:

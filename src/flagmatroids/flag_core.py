@@ -210,10 +210,16 @@ def _axiom2_witness(
 
 
 def check_flag_axioms(n: int, family: Iterable[Iterable[int] | int]) -> AxiomReport:
-    """Brute-force check of the two feasible-set axioms, exactly as stated."""
+    """Brute-force check of the two feasible-set axioms, exactly as stated.
+    A ground set outside 0..MAX_GROUND, or a set reaching past it, is
+    IndexOutOfRange, as for `FlagMatroid`."""
+    if not (0 <= n <= mc.MAX_GROUND):
+        raise IndexOutOfRange(f"ground set size {n} outside 0..{mc.MAX_GROUND}")
     masks = canonical(s if isinstance(s, int) else mask_of(s) for s in family)
     if not masks:
         return AxiomReport(False, axiom=0, witness={"reason": "empty family"})
+    if max(masks) >> n:
+        raise IndexOutOfRange("feasible set outside the ground set")
     groups = _group_by_size(masks)
     for size, layer in groups:
         w = _axiom1_witness(n, layer)

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import flag_core as fl
 from . import gf_linalg as gl
 from . import matroid_core as mc
-from .bitset import canonical, elements_of, mask_of
+from .bitset import elements_of, mask_of
 from .errors import (
     BudgetExhausted,
     GroundSetMismatch,
@@ -150,20 +150,6 @@ def elementary_witness(quot: mc.Matroid, lift: mc.Matroid) -> mc.Matroid:
     if not verify_quotient_pair(q, [n], quot, lift):
         raise InternalError("witness minors do not reproduce the pair")
     return q
-
-
-def enumerate_elementary_coextensions(quot: mc.Matroid, lift: mc.Matroid) -> list[mc.Matroid]:
-    """All matroids Q on {0..n} with Q/n == quot and Q\\n == lift, for
-    quot and lift of ranks r and r + 1.  Each extension lift + n in which n
-    is not a coloop has the bases of lift plus X + n for the bases X of its
-    contraction by n, one of `mc.elementary_quotients(lift)`; Q is the one
-    whose contraction has quot's bases, built by `_coextension`.  Unlike
-    `_coextension` alone, this does not assume that there is at most one.
-    """
-    if quot.n != lift.n or lift.rank != quot.rank + 1:
-        return []
-    found = mc.elementary_quotients(lift, quot)
-    return [_coextension(quot, lift) for fam in found if canonical(fam) == quot.bases]
 
 
 class LiftWitnessSequence(NamedTuple):

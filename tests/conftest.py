@@ -1,5 +1,6 @@
 """Shared fixtures: brute-force oracles, seeded random generators, every
-flag on a few elements (`all_flags`), and the CLI harness (`capture` runs
+flag on a few elements (`all_flags`), every elementary coextension of a
+pair (`enumerate_elementary_coextensions`), and the CLI harness (`capture` runs
 one verb in-process, `corpus` writes the small documents the CLI tests
 read).
 
@@ -23,7 +24,9 @@ from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import graphic as gr
 from flagmatroids import jsonio as io
+from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
+from flagmatroids.bitset import canonical
 from flagmatroids.representability import FlagRepresentation
 
 # Every property test is deterministic: examples come from a fixed
@@ -319,3 +322,18 @@ def all_flags(n):
 
     extend([])
     return out
+
+
+def enumerate_elementary_coextensions(quot: mc.Matroid, lift: mc.Matroid) -> list[mc.Matroid]:
+    """All matroids Q on {0..n} with Q/n == quot and Q\\n == lift, for
+    quot and lift of ranks r and r + 1.  Each extension lift + n in which n
+    is not a coloop has the bases of lift plus X + n for the bases X of its
+    contraction by n, one of `mc.elementary_quotients(lift)`; Q is the one
+    whose contraction has quot's bases, built by `lm._coextension`.  Unlike
+    `lm.elementary_witness`, this does not assume that there is at most
+    one, and it has no budget: (U_{3,8}, U_{4,8}) takes over a minute.
+    """
+    if quot.n != lift.n or lift.rank != quot.rank + 1:
+        return []
+    found = mc.elementary_quotients(lift, quot)
+    return [lm._coextension(quot, lift) for fam in found if canonical(fam) == quot.bases]

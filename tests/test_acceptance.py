@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import (
+    enumerate_elementary_coextensions,
     random_full_flag,
     random_flag,
     random_prefix_chain_matrix,
@@ -303,7 +304,7 @@ def test_criterion_09_lift_witness_uniqueness():
         flags += 1
         layers = fm.layers
         for low, high in zip(layers, layers[1:]):
-            hits = lm.enumerate_elementary_coextensions(low, high)
+            hits = enumerate_elementary_coextensions(low, high)
             expected = lm.elementary_witness(low, high)
             if hits != [expected]:
                 failures += 1

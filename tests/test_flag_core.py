@@ -10,6 +10,7 @@ from flagmatroids import representability as rp
 from flagmatroids.bitset import elements_of, mask_of
 from flagmatroids.errors import (
     EmptyResult,
+    IndexOutOfRange,
     LastLayer,
     LayerNotMatroid,
     NotALift,
@@ -36,6 +37,19 @@ def test_check_flag_axioms_examples():
 def test_axiom1_failure_witness():
     report = fl.check_flag_axioms(4, [(0, 1), (2, 3)])
     assert not report.ok and report.axiom == 1
+
+
+@pytest.mark.parametrize(
+    "n, family",
+    [(2, [[0, 3]]), (2, [8]), (-1, [[0]]), (30, [[0]])],
+    ids=["element-past-n", "mask-past-n", "negative-n", "n-past-max-ground"],
+)
+def test_check_flag_axioms_refuses_what_flag_matroid_refuses(n, family):
+    # the checker answers only on the ground sets a FlagMatroid accepts
+    with pytest.raises(IndexOutOfRange):
+        fl.check_flag_axioms(n, family)
+    with pytest.raises(IndexOutOfRange):
+        fl.FlagMatroid(n, [s if isinstance(s, int) else mask_of(s) for s in family])
 
 
 def test_from_feasible_sets_examples(f7):

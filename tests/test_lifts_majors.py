@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import all_flags
+from conftest import all_flags, enumerate_elementary_coextensions
 from flagmatroids import flag_core as fl
 from flagmatroids import graphic as gr
 from flagmatroids import lifts_majors as lm
@@ -94,7 +94,7 @@ def _bits(mask):
 
 
 def test_coextension_uniqueness_pair():
-    hits = lm.enumerate_elementary_coextensions(mc.uniform(1, 3), mc.uniform(2, 3))
+    hits = enumerate_elementary_coextensions(mc.uniform(1, 3), mc.uniform(2, 3))
     assert len(hits) == 1
     assert hits[0] == lm.elementary_witness(mc.uniform(1, 3), mc.uniform(2, 3))
 
@@ -126,7 +126,7 @@ def test_coextensions_match_exhaustion_on_four_elements():
     found = 0
     for quot in pool:
         for lift in pool:
-            hits = lm.enumerate_elementary_coextensions(quot, lift)
+            hits = enumerate_elementary_coextensions(quot, lift)
             assert hits == _coextensions_by_exhaustion(quot, lift), (quot, lift)
             found += len(hits)
     assert found > 0
@@ -149,25 +149,25 @@ def test_coextensions_match_the_extension_walk():
         pool = list(mc.enumerate_matroids(n))
         for quot in pool:
             for lift in pool:
-                hits = lm.enumerate_elementary_coextensions(quot, lift)
+                hits = enumerate_elementary_coextensions(quot, lift)
                 assert hits == _coextensions_by_extension_walk(quot, lift), (quot, lift)
                 pairs += 1
                 found += len(hits)
     assert pairs == 4910 and found > 0
     quot, lift = mc.uniform(2, 7), mc.uniform(3, 7)
-    hits = lm.enumerate_elementary_coextensions(quot, lift)
+    hits = enumerate_elementary_coextensions(quot, lift)
     assert hits == _coextensions_by_extension_walk(quot, lift) and len(hits) == 1
 
 
 def test_coextension_at_seven_elements_builds_one_family():
     # the candidate pool has C(7, 3) = 35 sets, 2^35 families to exhaust
     quot, lift = mc.uniform(3, 7), mc.uniform(4, 7)
-    assert lm.enumerate_elementary_coextensions(quot, lift) == [lm.elementary_witness(quot, lift)]
+    assert enumerate_elementary_coextensions(quot, lift) == [lm.elementary_witness(quot, lift)]
     # one basis {0, 1, 2}, the rest loops: rank 3, but {3..6} is a flat
     # of it and not of U_{4,7}
     loops = mc.Matroid(7, (mask_of([0, 1, 2]),))
     assert loops.rank == 3 and not lm.is_lift(lift, loops).ok
-    assert lm.enumerate_elementary_coextensions(loops, lift) == []
+    assert enumerate_elementary_coextensions(loops, lift) == []
 
 
 def test_lift_witness_sequence():

@@ -7,7 +7,8 @@ boundaries by bisection, and `bitset.squeeze` shifts out one removed
 position per step.  The references below are the implementations these
 replaced: the lowest-bit loop, the `to_bytes`/`translate` formula, the
 `groupby` walk and the per-bit re-indexing loop.  The library must return exactly what they return.
-Negative masks raise instead of looping forever.
+Negative masks raise instead of looping forever.  The two byte tables are
+built by doubling; the comprehensions they replaced are kept as references.
 """
 
 import random
@@ -16,6 +17,7 @@ from itertools import groupby
 import pytest
 
 from conftest import random_flag
+from flagmatroids import bitset
 from flagmatroids import flag_core as fl
 from flagmatroids.bitset import canonical, elements_of, iter_bits, order_key, squeeze
 from flagmatroids.errors import IndexOutOfRange
@@ -60,6 +62,19 @@ def reference_group_by_size(masks):
         out.append((size, tuple(masks[start:stop])))
         start = stop
     return out
+
+
+def test_byte_tables_match_their_comprehensions():
+    byte_elements = tuple(
+        tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+        for k in range(3)
+    )
+    order_bytes = tuple(
+        [b.bit_count() << 24 | (255 - int(f"{b:08b}"[::-1], 2)) << 8 * (2 - k) for b in range(256)]
+        for k in range(3)
+    )
+    assert bitset._BYTE_ELEMENTS == byte_elements
+    assert bitset._ORDER_BYTES == order_bytes
 
 
 def seeded_masks(bits, count, seed):
