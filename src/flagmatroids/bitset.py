@@ -10,9 +10,15 @@ from .errors import IndexOutOfRange
 
 
 def mask_of(elements: Iterable[int]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
+    """The mask of the elements; a negative element is IndexOutOfRange."""
+    m = e = 0
+    try:
+        for e in elements:
+            m |= 1 << e
+    except ValueError:  # the shift refuses a negative count
+        if e < 0:
+            raise IndexOutOfRange(f"negative element {e}") from None
+        raise
     return m
 
 

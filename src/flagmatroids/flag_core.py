@@ -9,7 +9,8 @@ brute-force route used by tests and the CLI.
 Each distinct layer is checked once: `_layer_check` memoizes its exchange
 witness or, for a basis family, the checked `Matroid` that every flag's `layers`
 share, with its `flat_bits` (2^n bits, 128 KB at n = 20), so a lift test is one
-AND of two memoized bitsets.  Each memo holds at most MEMO_SIZE entries.
+AND of two memoized bitsets; axiom 2 of `check_flag_axioms` reads the same
+matroids' fundamental circuits.  Each memo holds at most MEMO_SIZE entries.
 Isomorphism screens by layer sizes, then runs `bitset.family_bijection`,
 as matroid isomorphism does.
 """
@@ -36,6 +37,7 @@ from .errors import (
     EmptyInterval,
     EmptyResult,
     IndexOutOfRange,
+    InternalError,
     LastLayer,
     LayerNotMatroid,
     NotALift,
@@ -178,35 +180,16 @@ def _axiom1_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, 
     return None
 
 
-def _unlifted_basis(
-    lower: Sequence[int], lower_rows: Sequence[tuple[int, ...]],
-    upper: Sequence[int], upper_rows: Sequence[tuple[int, ...]],
-) -> Optional[tuple[int, int]]:
-    """The first (F, e), F in upper and e outside F, for which no G in lower
-    inside F has its fundamental circuit of e inside F's, or None.
-
-    The rows are `mc.fundamental_circuits` of each family, so each G is
-    tested with one AND.  This is axiom 2 between two layers
-    (`_axiom2_witness`) and the "bases" test of `lifts_majors.is_lift`,
-    lower being the quotient's bases and upper the lift's.
-    """
-    for f, row in zip(upper, upper_rows):
-        inside = [low for g, low in zip(lower, lower_rows) if not g & ~f]
-        for e, up in enumerate(row):
-            # up is empty exactly for e in F
-            if up and all(low[e] & ~up for low in inside):
-                return (f, e)
-    return None
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _axiom2_witness(
     n: int, lower: tuple[int, ...], upper: tuple[int, ...]
 ) -> Optional[tuple[int, int]]:
-    """`_unlifted_basis` of two layers."""
-    return _unlifted_basis(
-        lower, mc.fundamental_circuits(n, lower), upper, mc.fundamental_circuits(n, upper)
-    )
+    """`mc.unlifted_basis` of two layers' matroids from `_layer_check`.  Both
+    passed axiom 1, so a layer it calls no matroid is an InternalError."""
+    (_, quot), (_, lift) = _layer_check(n, lower), _layer_check(n, upper)
+    if quot is None or lift is None:
+        raise InternalError("a layer that passed axiom 1 fails basis exchange")
+    return mc.unlifted_basis(quot, lift)
 
 
 def check_flag_axioms(n: int, family: Iterable[Iterable[int] | int]) -> AxiomReport:

@@ -125,13 +125,12 @@ def _feasible_masks(doc: dict, n: int) -> list[int]:
 
 
 def load_raw_family(doc: Any) -> tuple[int, list[int]]:
-    """Ground size and mask family without flag validation (for `axioms`)."""
+    """Ground size and mask family without flag validation (for `axioms`).
+    A set past the ground set is left to `check_flag_axioms`, which
+    refuses it as `FlagMatroid` does."""
     _require(doc, ("n", "feasible"), "set family")
     n = _ground_size(doc)
-    fam = _feasible_masks(doc, n)
-    if any(m >> n for m in fam):
-        raise InvalidInput("feasible set outside the ground set")
-    return n, fam
+    return n, _feasible_masks(doc, n)
 
 
 # --- matrices and representations ------------------------------------------------

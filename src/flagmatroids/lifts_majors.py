@@ -52,9 +52,7 @@ def _lift_by_closures(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
 
 
 def _lift_by_bases(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
-    fe = fl._unlifted_basis(
-        quot.bases, quot.fundamental_circuits, lift.bases, lift.fundamental_circuits
-    )
+    fe = mc.unlifted_basis(quot, lift)
     return None if fe is None else ("basis", elements_of(fe[0]), fe[1])
 
 
@@ -77,15 +75,14 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
       witness is the least flat of quot that is not one of lift, read from
       `quot.flat_bits & ~lift.flat_bits`.
     - "duals": quot* is a lift of lift*, so every flat of lift* is a flat
-      of quot*.  Dual flats come from the corank r*(S) = |S| - r(E) +
-      r(E - S) through `coflat_bits`; the witness is the least flat of
-      lift* that is not one of quot*.
+      of quot*: the "flats" test on the duals' flats, `coflat_bits`.  The
+      witness is the least flat of lift* that is not one of quot*.
     - "closures": cl_lift(X) is a subset of cl_quot(X) for every X; the
       witness is the least X where it is not.
     - "bases": for every basis B of lift and e outside B there is a basis
       B' of quot inside B whose fundamental circuit of e lies inside the
       fundamental circuit of e in B; the witness is the first (B, e)
-      without one.  The circuits are read from `fundamental_circuits`.
+      without one, read by `mc.unlifted_basis` as axiom 2 is.
 
     "all" evaluates the four; if they disagree that is a fault in the
     program, and InternalError is raised.
@@ -262,14 +259,14 @@ def search_major(fm: fl.FlagMatroid, budget: int = 20000) -> Optional[MajorStruc
     """A major of fm, or None if it has none.  It has one extra element per
     rank between the bottom and top layers.
 
-    With one extra element the major is forced: the coextension of the two
-    layers, built directly, which counts against the budget.  Otherwise it
-    is grown from the top layer by `mc.single_element_extensions`, depth
-    first, adding n, n + 1, ... block by block from X_{k-1} down.
+    With one extra element the major is forced: `elementary_witness` of
+    the two layers, which counts against the budget.  Otherwise it is grown
+    from the top layer by `mc.single_element_extensions`, depth first,
+    adding n, n + 1, ... block by block from X_{k-1} down.
     Contracting the extras so far must lower the rank by one per extra and
     give a lift of the layer below the current block, and so that layer at
     the block's end.  `budget` caps the extensions examined (else
-    BudgetExhausted); the result is checked by `verify_major`.
+    BudgetExhausted); the grown major is checked by `verify_major`.
     """
     layers, ranks = fm.layers, fm.cardinalities
     extra = ranks[-1] - ranks[0]
@@ -279,8 +276,7 @@ def search_major(fm: fl.FlagMatroid, budget: int = 20000) -> Optional[MajorStruc
     if extra == 1:
         if budget <= 0:
             raise BudgetExhausted(f"{budget} candidate families examined")
-        q = _coextension(*layers)
-        return MajorStructure(q, ((n,),)) if q.is_matroid and verify_major(q, ((n,),), fm) else None
+        return MajorStructure(elementary_witness(*layers), ((n,),))
     # the block of each extra, in the order they are added
     block_of = [i for i in reversed(range(len(layers) - 1)) for _ in range(ranks[i + 1] - ranks[i])]
     remaining = budget

@@ -21,7 +21,7 @@ raises IndexOutOfRange above that.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional
 
 from . import gf_linalg as gl
 from .bitset import (
@@ -110,11 +110,11 @@ class Matroid(Frozen):
     A_k = {S : r(S) >= k}.  Everything else is derived from them with
     O(n*r) shifts and ANDs: `independent_table` and `rank_table`, read-only
     `bytes` with one byte per subset, and `flat_bits` (bit S set iff S is a
-    flat) and `coflat_bits` (bit S set iff S is a flat of the dual), so no
-    dual matroid is built to test duals.  `is_matroid` (basis exchange) keeps
-    the AND of the per-element `moved_bits` as `flat_bits` on a "yes"; the
-    closures lift test, or `flat_bits` of an unchecked matroid, caches the
-    tuple.  `fundamental_circuits` is read off the basis family.
+    flat); `coflat_bits` is the `flat_bits` of a dual that is not kept.
+    `is_matroid` (basis exchange) keeps the AND of the per-element
+    `moved_bits` as `flat_bits` on a "yes"; the closures lift test, or
+    `flat_bits` of an unchecked matroid, caches the tuple.
+    `fundamental_circuits` is read off the basis family.
     """
 
     n: int
@@ -256,26 +256,8 @@ class Matroid(Frozen):
 
     @cached_property
     def coflat_bits(self) -> int:
-        """Bit S set iff S is a flat of the dual matroid.
-
-        The dual rank is r*(S) = |S| - r(E) + r(E - S), so for e outside S,
-        r*(S + e) - r*(S) = 1 + r(E - S - e) - r(E - S), which is positive
-        iff r(E - S - e) == r(E - S).  S is a dual flat iff its complement T
-        has r(T - e) == r(T) for every e in T.  For T holding e, bit T of
-        A_k << 2^e is bit T - e of A_k, so removing e drops the rank iff
-        some level holds T but not T - e.  The complements T are collected
-        first; the map T -> E - T is the index map T -> 2^n - 1 - T, which
-        reverses the 2^n-bit string.
-        """
-        levels = self.rank_levels
-        size = 1 << self.n
-        dropped = 0
-        for e, has in enumerate(_element_bits(self.n)):
-            step = 1 << e
-            for level in levels:
-                dropped |= level & ~(level << step) & has
-        kept = ((1 << size) - 1) ^ dropped
-        return int(format(kept, f"0{size}b")[::-1], 2)
+        """Bit S set iff S is a flat of the dual: its `flat_bits`."""
+        return dual(self).flat_bits
 
     @cached_property
     def flats(self) -> tuple[int, ...]:
@@ -285,27 +267,23 @@ class Matroid(Frozen):
 
     @cached_property
     def fundamental_circuits(self) -> tuple[tuple[int, ...], ...]:
-        """`fundamental_circuits(n, bases)`, per basis in `bases` order."""
-        return fundamental_circuits(self.n, self.bases)
+        """Per basis B, in `bases` order, the row over e in {0..n-1} of the
+        masks {x : B + e - x is a basis}: the fundamental circuit C(B, e)
+        for e outside B, empty for e in B.  x ranges over B + e, so no x
+        outside it is ever tested."""
+        family = set(self.bases)
+        out = []
+        for b in self.bases:
+            row = [0] * self.n
+            for e in range(self.n):
+                be = b | 1 << e
+                if be != b:
+                    row[e] = sum(1 << x for x in elements_of(be) if be ^ 1 << x in family)
+            out.append(tuple(row))
+        return tuple(out)
 
     def is_independent(self, mask: int) -> bool:
         return bool(self.independent_table[mask])
-
-
-def fundamental_circuits(n: int, bases: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Per basis B, the row over e in {0..n-1} of the masks {x : B + e - x
-    is a basis}: the fundamental circuit C(B, e) for e outside B, empty for
-    e in B.  x ranges over B + e, so no x outside it is ever tested."""
-    family = set(bases)
-    out = []
-    for b in bases:
-        row = [0] * n
-        for e in range(n):
-            be = b | 1 << e
-            if be != b:
-                row[e] = sum(1 << x for x in elements_of(be) if be ^ 1 << x in family)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def basis_exchange_witness(masks: Iterable[int]) -> Optional[tuple[int, int, int]]:
@@ -430,6 +408,22 @@ def first_unlifted(quot_bits: int, lift_bits: int) -> Optional[int]:
     """
     missing = quot_bits & ~lift_bits
     return (missing & -missing).bit_length() - 1 if missing else None
+
+
+def unlifted_basis(quot: Matroid, lift: Matroid) -> Optional[tuple[int, int]]:
+    """The first (F, e), F a basis of lift and e outside F, for which no
+    basis G of quot inside F has its fundamental circuit of e inside F's,
+    or None.  Each G costs one AND of the cached `fundamental_circuits`
+    rows.  This is axiom 2 between two layers of a flag and the "bases"
+    lift test of `lifts_majors.is_lift`."""
+    lower, lower_rows = quot.bases, quot.fundamental_circuits
+    for f, row in zip(lift.bases, lift.fundamental_circuits):
+        inside = [low for g, low in zip(lower, lower_rows) if not g & ~f]
+        for e, up in enumerate(row):
+            # up is empty exactly for e in F
+            if up and all(low[e] & ~up for low in inside):
+                return (f, e)
+    return None
 
 
 def flats(m: Matroid) -> tuple[int, ...]:

@@ -32,6 +32,22 @@ def test_validate_and_axioms(capture, corpus):
     assert code == 0
 
 
+def test_axioms_refuses_a_layer_check_that_contradicts_axiom_1(capture, corpus, monkeypatch):
+    """Axiom 2 reads both layers' matroids from `_layer_check` once axiom 1
+    has passed on each, so a layer it calls no basis family is a fault in
+    the program: exit 4 and an InternalError document."""
+    n = 9  # a layer pair that no other test puts in the pair memo
+    doc = {"n": n, "feasible": [[e] for e in range(n)] + [[0, e] for e in range(1, n)]}
+    path = corpus["write"]("contradicted.json", json.dumps(doc))
+    misses = fl._axiom2_witness.cache_info().misses
+    monkeypatch.setattr(fl, "_layer_check", lambda n, layer: ((layer[0], layer[-1], 0), None))
+    code, out, _ = capture("axioms", path)
+    assert fl._axiom2_witness.cache_info().misses == misses + 1
+    assert (code, json.loads(out)) == (4, {
+        "error": "InternalError", "detail": "a layer that passed axiom 1 fails basis exchange",
+    })
+
+
 def test_seqrep_minor_dual(capture, corpus):
     code, out, _ = capture("seqrep", corpus["chain3.json"])
     assert code == 0
@@ -624,7 +640,7 @@ def test_a_huge_element_builds_no_huge_mask(capture, corpus):
     cases = [
         (("validate", flag), 2, {"error": "IndexOutOfRange",
                                  "detail": "feasible set outside the ground set"}),
-        (("axioms", flag), 2, {"error": "InvalidInput",
+        (("axioms", flag), 2, {"error": "IndexOutOfRange",
                                "detail": "feasible set outside the ground set"}),
         (("validate", {"n": 3, "bases": [[big]]}), 2,
          {"error": "IndexOutOfRange", "detail": "basis element outside the ground set"}),

@@ -3,12 +3,11 @@
 `is_lift` reads `flat_bits`, `coflat_bits`, `moved_bits` and
 `fundamental_circuits`, and `mc.first_unlifted` on the `flat_bits` of the
 checked matroids that `flag_core._layer_check` memoizes for each layer
-gives a flag's lift witness.
-The "bases" method runs `flag_core._unlifted_basis` on the fundamental
-circuit rows cached on both matroids; the memoized `_axiom2_witness` runs
-the same kernel on rows built for its raw layers by
-`matroid_core.fundamental_circuits`, so one kernel serves the lift test and
-axiom 2 of `check_flag_axioms`, and each G inside F costs one AND.  The
+gives a flag's lift witness.  The "bases" method runs
+`matroid_core.unlifted_basis` on the fundamental circuit rows cached on
+both matroids; the memoized `_axiom2_witness` runs it on the two layers'
+matroids from `_layer_check`, so one kernel serves the lift test and axiom
+2 of `check_flag_axioms`, and each G inside F costs one AND.  The
 references below are the loops these replaced: one closure per subset for
 the "flats" and "closures" methods, the "duals" method run on two freshly
 built dual matroids, the per-subset lift witness, the flats

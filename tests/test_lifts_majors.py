@@ -378,6 +378,22 @@ def test_one_element_majors_match_brute_force_on_four_elements():
     assert checked == 313
 
 
+def test_one_element_majors_are_the_elementary_witnesses():
+    """For each matroid m on at most 5 elements and each elementary quotient
+    q of m, the major of the flag (q, m) is `elementary_witness(q, m)`."""
+    checked = 0
+    for n in range(1, 6):
+        for m in mc.enumerate_matroids(n):
+            for fam in mc.elementary_quotients(m):
+                if not fam:  # the last family: e a loop, no quotient
+                    break
+                q = mc.Matroid(n, fam)
+                major = lm.search_major(fl.from_sequence([q, m]))
+                assert major == lm.MajorStructure(lm.elementary_witness(q, m), ((n,),)), (q, m)
+                checked += 1
+    assert checked == 3308
+
+
 def test_one_element_major_counts_against_the_budget():
     fm = fl.from_sequence([mc.uniform(1, 15), mc.uniform(2, 15)])
     with pytest.raises(BudgetExhausted):

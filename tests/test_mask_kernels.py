@@ -7,7 +7,9 @@ boundaries by bisection, and `bitset.squeeze` shifts out one removed
 position per step.  The references below are the implementations these
 replaced: the lowest-bit loop, the `to_bytes`/`translate` formula, the
 `groupby` walk and the per-bit re-indexing loop.  The library must return exactly what they return.
-Negative masks raise instead of looping forever.  The two byte tables are
+Negative masks raise instead of looping forever, and a negative element
+is IndexOutOfRange at every entry point that takes element lists, through
+`bitset.mask_of`.  The two byte tables are
 built by doubling; the comprehensions they replaced are kept as references.
 """
 
@@ -19,7 +21,8 @@ import pytest
 from conftest import random_flag
 from flagmatroids import bitset
 from flagmatroids import flag_core as fl
-from flagmatroids.bitset import canonical, elements_of, iter_bits, order_key, squeeze
+from flagmatroids import matroid_core as mc
+from flagmatroids.bitset import canonical, elements_of, iter_bits, mask_of, order_key, squeeze
 from flagmatroids.errors import IndexOutOfRange
 
 
@@ -108,6 +111,31 @@ def test_flag_minor_rejects_negative_masks():
         fl.flag_minor(fm, -2, ())
     with pytest.raises(IndexOutOfRange):
         fl.flag_minor(fm, (), -1)
+
+
+NEGATIVE_ELEMENT_CALLS = {
+    "check_flag_axioms": lambda: fl.check_flag_axioms(2, [[-1]]),
+    "from_feasible_sets": lambda: fl.from_feasible_sets(2, [[-1]]),
+    "flag_matroid": lambda: fl.flag_matroid(2, [[-1]]),
+    "matroid_from_bases": lambda: mc.matroid_from_bases(2, [[-1]]),
+    "rank_of": lambda: mc.rank_of(mc.uniform(1, 2), [-1]),
+    "flag_rank": lambda: fl.flag_rank(fl.flag_matroid(2, [[0], [1]]), [-1]),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_ELEMENT_CALLS.values(), ids=NEGATIVE_ELEMENT_CALLS)
+def test_a_negative_element_is_out_of_range(call):
+    with pytest.raises(IndexOutOfRange, match="^negative element -1$"):
+        call()
+
+
+def test_mask_of_passes_on_a_value_error_of_its_elements():
+    def elements():
+        yield 3
+        raise ValueError("from the caller")
+
+    with pytest.raises(ValueError, match="^from the caller$"):
+        mask_of(elements())
 
 
 def test_order_key_matches_to_bytes_formula():

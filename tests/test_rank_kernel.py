@@ -1,9 +1,9 @@
 """Differential tests for the bit-parallel rank kernel on `Matroid`.
 
-`independent_table`, `rank_table`, `flat_bits` and `coflat_bits` are built
-from the level bitsets A_k = {S : r(S) >= k}.  The references below are the
-per-subset loops they replaced; the kernel must return exactly what they
-return.  `tests/test_lift_bitsets.py` builds its references from
+`independent_table`, `rank_table` and `flat_bits` are built from the level
+bitsets A_k = {S : r(S) >= k}, and `coflat_bits` is the dual's `flat_bits`.
+The references below are the per-subset loops they replaced; the kernel
+must return exactly what they return.  `tests/test_lift_bitsets.py` builds its references from
 `m.rank_table`, so it cannot catch a wrong rank table; these can.
 Hypothesis settings come from the `tier1` profile in conftest.py.
 """

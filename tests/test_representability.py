@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import (
+    all_flags,
     random_full_flag,
     random_gf_matrix,
     random_prefix_chain_matrix,
@@ -94,6 +95,21 @@ def test_uniform_representation_every_subset_feasible():
         for k in range(1, r + 1):
             for cols in combinations(range(n), k):
                 assert mask_of(cols) in fm.feasible
+
+
+def test_decide_agrees_on_a_flag_and_its_dual():
+    """fm is representable over GF(p) iff its dual is, and a representation
+    of fm maps through `dual_representation` to one of the dual: every
+    flag on at most 3 elements and 200 seeded flags on 4."""
+    flags = [fm for n in range(4) for fm in all_flags(n)]
+    flags += random.Random(31).sample(all_flags(4), 200)
+    for fm in flags:
+        dual = fl.flag_dual(fm)
+        for p in (2, 3):
+            got = rp.decide(fm, p)
+            assert got.representable == rp.decide(dual, p).representable, (fm, p)
+            if got.representable:
+                assert rp.represents(rp.dual_representation(got.certificate), dual), (fm, p)
 
 
 def test_dual_representation_examples(fano):
