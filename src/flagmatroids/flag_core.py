@@ -3,14 +3,12 @@
 A flag matroid stores its feasible family grouped by cardinality; the layers
 are basis families of matroids forming a chain of nontrivial lifts (the
 sequential representation).  Construction always re-validates the layered
-conditions; the axiomatic checker `check_flag_axioms` is the independent
-brute-force route used by tests and the CLI.
+conditions; the axiomatic checker `check_flag_axioms` decides by the same tests.
 
-Each distinct layer is checked once: `_layer_check` memoizes its exchange
-witness or, for a basis family, the checked `Matroid` that every flag's `layers`
-share, with its `flat_bits` (2^n bits, 128 KB at n = 20), so a lift test is one
-AND of two memoized bitsets; axiom 2 of `check_flag_axioms` reads the same
-matroids' fundamental circuits.  Each memo holds at most MEMO_SIZE entries.
+Each distinct layer is checked once: `_layer_check`, the module's one memo (at
+most MEMO_SIZE entries), holds its exchange witness or, for a basis family, the
+checked `Matroid` that every flag's `layers` share, with its `flat_bits` (2^n
+bits, 128 KB at n = 20), so a lift test is one AND of two memoized bitsets.
 Isomorphism screens by layer sizes, then runs `bitset.family_bijection`,
 as matroid isomorphism does.
 """
@@ -165,8 +163,7 @@ class AxiomReport(NamedTuple):
     witness: Optional[dict] = None
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _axiom1_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
+def _axiom1_witness(layer: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
     """Witness (F, G, x) violating same-cardinality exchange, or None."""
     fam = set(layer)
     for f in layer:
@@ -180,22 +177,12 @@ def _axiom1_witness(n: int, layer: tuple[int, ...]) -> Optional[tuple[int, int, 
     return None
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _axiom2_witness(
-    n: int, lower: tuple[int, ...], upper: tuple[int, ...]
-) -> Optional[tuple[int, int]]:
-    """`mc.unlifted_basis` of two layers' matroids from `_layer_check`.  Both
-    passed axiom 1, so a layer it calls no matroid is an InternalError."""
-    (_, quot), (_, lift) = _layer_check(n, lower), _layer_check(n, upper)
-    if quot is None or lift is None:
-        raise InternalError("a layer that passed axiom 1 fails basis exchange")
-    return mc.unlifted_basis(quot, lift)
-
-
 def check_flag_axioms(n: int, family: Iterable[Iterable[int] | int]) -> AxiomReport:
-    """Brute-force check of the two feasible-set axioms, exactly as stated.
-    A ground set outside 0..MAX_GROUND, or a set reaching past it, is
-    IndexOutOfRange, as for `FlagMatroid`."""
+    """The two feasible-set axioms: a layer satisfies axiom 1 iff it is a basis
+    family and a pair axiom 2 iff it is a lift, as `_layer_check` decides.  Only
+    the first failure is searched for a witness in the stated form; finding none
+    is an InternalError.  A ground set outside 0..MAX_GROUND, or a set past it,
+    is IndexOutOfRange."""
     if not (0 <= n <= mc.MAX_GROUND):
         raise IndexOutOfRange(f"ground set size {n} outside 0..{mc.MAX_GROUND}")
     masks = canonical(s if isinstance(s, int) else mask_of(s) for s in family)
@@ -203,20 +190,22 @@ def check_flag_axioms(n: int, family: Iterable[Iterable[int] | int]) -> AxiomRep
         return AxiomReport(False, axiom=0, witness={"reason": "empty family"})
     if max(masks) >> n:
         raise IndexOutOfRange("feasible set outside the ground set")
-    groups = _group_by_size(masks)
-    for size, layer in groups:
-        w = _axiom1_witness(n, layer)
-        if w is not None:
-            return AxiomReport(
-                False, axiom=1,
-                witness={"F": elements_of(w[0]), "G": elements_of(w[1]), "x": w[2]},
-            )
-    for (_, lower), (_, upper) in zip(groups, groups[1:]):
-        w = _axiom2_witness(n, lower, upper)
-        if w is not None:
-            return AxiomReport(
-                False, axiom=2, witness={"F": elements_of(w[0]), "e": w[1]},
-            )
+    layers = []
+    for _, layer in _group_by_size(masks):
+        m = _layer_check(n, layer)[1]
+        if m is None:
+            w = _axiom1_witness(layer)
+            if w is None:
+                raise InternalError("a layer that fails basis exchange satisfies axiom 1")
+            witness = {"F": elements_of(w[0]), "G": elements_of(w[1]), "x": w[2]}
+            return AxiomReport(False, axiom=1, witness=witness)
+        layers.append(m)
+    for quot, lift in zip(layers, layers[1:]):
+        if quot.flat_bits & ~lift.flat_bits:
+            w = mc.unlifted_basis(quot, lift)
+            if w is None:
+                raise InternalError("a pair that fails the flats lift test satisfies axiom 2")
+            return AxiomReport(False, axiom=2, witness={"F": elements_of(w[0]), "e": w[1]})
     return AxiomReport(True)
 
 

@@ -29,7 +29,7 @@ subset.  `column_bases` lists the independent r-sets of an r x n matrix in
 normalised (pivot, vector) pairs (`_absorb`): vector[pivot] == 1, and each
 stored vector is zero at every earlier pivot, so reducing a new column
 against them in order leaves it zero at every pivot, and it is independent
-iff the remainder is nonzero.  `rank` absorbs the rows the same way.
+iff the remainder is nonzero.  `rank` and `independent_prefix` absorb rows alike.
 """
 
 from __future__ import annotations
@@ -222,6 +222,13 @@ def rref(a: GFMatrix) -> tuple[GFMatrix, tuple[int, ...]]:
 def rank(a: GFMatrix) -> int:
     basis: list[tuple[int, list[int]]] = []
     return sum(_absorb(basis, a.row(i), a.p) for i in range(a.rows))
+
+
+def independent_prefix(a: GFMatrix) -> int:
+    """How many leading rows of a are independent: a[:d] has full rank d iff
+    d <= independent_prefix(a).  One `_absorb` pass, to the first dependent row."""
+    basis: list[tuple[int, list[int]]] = []
+    return next((i for i in range(a.rows) if not _absorb(basis, a.row(i), a.p)), a.rows)
 
 
 def is_nonsingular(a: GFMatrix) -> bool:
@@ -462,8 +469,9 @@ def nested_kernel_chain(a: GFMatrix, levels: Sequence[int]) -> list[tuple[int, .
         raise IndexOutOfRange("levels must be strictly increasing and nonempty")
     if levels[-1] > a.rows or levels[0] < 0:
         raise IndexOutOfRange("level outside row range")
+    full = independent_prefix(a)
     for d in levels:
-        if rank(prefix_rows(a, d)) != d:
+        if d > full:
             raise RankDeficient(f"prefix {d} has rank below {d}")
     p = a.p
     chain: list[tuple[int, ...]] = []

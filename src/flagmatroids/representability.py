@@ -76,8 +76,9 @@ class FlagRepresentation(Frozen):
             raise RankDeficientPrefix("levels must be strictly increasing and nonempty")
         if levels[0] < 0 or levels[-1] != matrix.rows:
             raise RankDeficientPrefix("top level must equal the row count")
+        full = gl.independent_prefix(matrix)
         for d in levels:
-            if gl.rank(gl.prefix_rows(matrix, d)) != d:
+            if d > full:
                 raise RankDeficientPrefix(f"prefix {d} is rank deficient", level=d)
         self.__dict__.update(matrix=matrix, levels=levels)
 
@@ -167,7 +168,8 @@ def delete_representation(rep: FlagRepresentation, e: int) -> FlagRepresentation
     except fl.EmptyResult as exc:
         raise LevelCollapse("deletion empties the flag; no repair exists") from exc
     a2 = gl.drop_col(rep.matrix, e)
-    kept = [d for d in rep.levels if gl.rank(gl.prefix_rows(a2, d)) == d]
+    full = gl.independent_prefix(a2)
+    kept = [d for d in rep.levels if d <= full]
     if not kept:
         raise InternalError("every level collapsed")  # pragma: no cover
     out = FlagRepresentation(gl.prefix_rows(a2, kept[-1]), tuple(kept))

@@ -1,6 +1,7 @@
 """Shared fixtures: brute-force oracles, seeded random generators, every
 flag on a few elements (`all_flags`), every elementary coextension of a
-pair (`enumerate_elementary_coextensions`), and the CLI harness (`capture` runs
+pair (`enumerate_elementary_coextensions`), the flag axioms as stated
+(`reference_check_flag_axioms`), and the CLI harness (`capture` runs
 one verb in-process, `corpus` writes the small documents the CLI tests
 read).
 
@@ -26,7 +27,7 @@ from flagmatroids import graphic as gr
 from flagmatroids import jsonio as io
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import canonical
+from flagmatroids.bitset import canonical, elements_of
 from flagmatroids.representability import FlagRepresentation
 
 # Every property test is deterministic: examples come from a fixed
@@ -322,6 +323,36 @@ def all_flags(n):
 
     extend([])
     return out
+
+
+def reference_check_flag_axioms(n: int, family) -> fl.AxiomReport:
+    """`check_flag_axioms` as the axioms are stated, reading no memo: axiom 1
+    (for F, G in a layer and x in F - G, some y in G - F has G + x - y in the
+    layer) on every layer, then `mc.unlifted_basis` on freshly built
+    matroids of each adjacent pair, with the same first witness."""
+    masks = canonical(family)
+    if not masks:
+        return fl.AxiomReport(False, axiom=0, witness={"reason": "empty family"})
+    layers = {}
+    for f in masks:
+        layers.setdefault(f.bit_count(), []).append(f)
+    for layer in layers.values():
+        present = set(layer)
+        for f in layer:
+            for g in layer:
+                for x in range(n):
+                    if f >> x & 1 and not g >> x & 1 and not any(
+                        g >> y & 1 and not f >> y & 1 and (g | 1 << x) ^ 1 << y in present
+                        for y in range(n)
+                    ):
+                        witness = {"F": elements_of(f), "G": elements_of(g), "x": x}
+                        return fl.AxiomReport(False, axiom=1, witness=witness)
+    matroids = [mc.Matroid(n, layer) for layer in layers.values()]
+    for quot, lift in zip(matroids, matroids[1:]):
+        w = mc.unlifted_basis(quot, lift)
+        if w is not None:
+            return fl.AxiomReport(False, axiom=2, witness={"F": elements_of(w[0]), "e": w[1]})
+    return fl.AxiomReport(True)
 
 
 def enumerate_elementary_coextensions(quot: mc.Matroid, lift: mc.Matroid) -> list[mc.Matroid]:

@@ -33,18 +33,27 @@ def test_validate_and_axioms(capture, corpus):
 
 
 def test_axioms_refuses_a_layer_check_that_contradicts_axiom_1(capture, corpus, monkeypatch):
-    """Axiom 2 reads both layers' matroids from `_layer_check` once axiom 1
-    has passed on each, so a layer it calls no basis family is a fault in
-    the program: exit 4 and an InternalError document."""
-    n = 9  # a layer pair that no other test puts in the pair memo
-    doc = {"n": n, "feasible": [[e] for e in range(n)] + [[0, e] for e in range(1, n)]}
-    path = corpus["write"]("contradicted.json", json.dumps(doc))
-    misses = fl._axiom2_witness.cache_info().misses
+    """Axiom 1 is decided by `_layer_check`, and its stated-form witness is
+    searched for only on a layer that check refuses; a search that finds no
+    violation means the two implementations of basis exchange disagree, a
+    fault in the program: exit 4 and an InternalError document."""
     monkeypatch.setattr(fl, "_layer_check", lambda n, layer: ((layer[0], layer[-1], 0), None))
-    code, out, _ = capture("axioms", path)
-    assert fl._axiom2_witness.cache_info().misses == misses + 1
+    code, out, _ = capture("axioms", corpus["iu23.json"])
     assert (code, json.loads(out)) == (4, {
-        "error": "InternalError", "detail": "a layer that passed axiom 1 fails basis exchange",
+        "error": "InternalError",
+        "detail": "a layer that fails basis exchange satisfies axiom 1",
+    })
+
+
+def test_axioms_refuses_a_bases_test_that_contradicts_the_flats_test(capture, corpus, monkeypatch):
+    """Axiom 2 is decided by the layers' flats, and its witness is read by
+    `mc.unlifted_basis` only on a pair that fails; no witness there means
+    the flats and bases lift tests disagree: exit 4, not {"ok": true}."""
+    monkeypatch.setattr(mc, "unlifted_basis", lambda quot, lift: None)
+    code, out, _ = capture("axioms", corpus["bad_family.json"])
+    assert (code, json.loads(out)) == (4, {
+        "error": "InternalError",
+        "detail": "a pair that fails the flats lift test satisfies axiom 2",
     })
 
 

@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_flag, random_prefix_chain_matrix
+from conftest import random_flag, random_prefix_chain_matrix, reference_check_flag_axioms
 from flagmatroids import flag_core as fl
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
@@ -273,11 +275,35 @@ def test_cryptomorphism_exhaustive_n3():
     sets = list(range(1 << n))
     for pick in range(1, 1 << len(sets)):
         fam = [sets[i] for i in range(len(sets)) if pick >> i & 1]
-        assert fl.check_flag_axioms(n, fam).ok == (fl.layered_witness(n, fam) is None)
+        report = fl.check_flag_axioms(n, fam)
+        assert report == reference_check_flag_axioms(n, fam)
+        assert report.ok == (fl.layered_witness(n, fam) is None)
+
+
+@st.composite
+def axiom_families(draw):
+    """(n, family) over 5-7 elements: random sets, or a seeded flag with one
+    set toggled, so both axioms fail and hold often."""
+    if draw(st.booleans()):
+        n = draw(st.integers(5, 7))
+        return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fm = random_flag(rng, 7)
+    while fm.n < 5:
+        fm = random_flag(rng, 7)
+    return fm.n, set(fm.feasible) ^ {draw(st.integers(0, (1 << fm.n) - 1))}
+
+
+@given(axiom_families())
+def test_check_flag_axioms_matches_the_stated_axioms(case):
+    n, family = case
+    report = fl.check_flag_axioms(n, family)
+    assert report == reference_check_flag_axioms(n, family)
+    assert report.ok == (fl.layered_witness(n, family) is None)
 
 
 def test_every_memo_is_bounded():
     memos = [f for f in vars(fl).values() if hasattr(f, "cache_info")]
-    assert {f.__name__ for f in memos} == {"_layer_check", "_axiom1_witness", "_axiom2_witness"}
+    assert {f.__name__ for f in memos} == {"_layer_check"}
     for f in memos:
         assert f.cache_info().maxsize is not None, f.__name__

@@ -5,15 +5,13 @@
 checked matroids that `flag_core._layer_check` memoizes for each layer
 gives a flag's lift witness.  The "bases" method runs
 `matroid_core.unlifted_basis` on the fundamental circuit rows cached on
-both matroids; the memoized `_axiom2_witness` runs it on the two layers'
-matroids from `_layer_check`, so one kernel serves the lift test and axiom
-2 of `check_flag_axioms`, and each G inside F costs one AND.  The
-references below are the loops these replaced: one closure per subset for
-the "flats" and "closures" methods, the "duals" method run on two freshly
+both matroids, the kernel that also gives the witness of axiom 2 in
+`check_flag_axioms`, and each G inside F costs one AND.  The references
+below are the loops these replaced: one closure per subset for the
+"flats" and "closures" methods, the "duals" method run on two freshly
 built dual matroids, the per-subset lift witness, the flats
 comprehension, and the basis-exchange loop that rebuilds both fundamental
-circuits for every (F, e, G), which checks both the lift test and the
-memoized `_axiom2_witness`.  The rows themselves are checked against the
+circuits for every (F, e, G).  The rows themselves are checked against the
 unique circuit of `matroid_core.circuits` inside B + e.  The library must
 return exactly what the references return, witnesses included.
 Hypothesis settings come from the `tier1` profile in conftest.py.
@@ -29,7 +27,7 @@ from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import elements_of, iter_bits, mask_of
+from flagmatroids.bitset import elements_of, iter_bits
 
 
 def reference_closure(m, mask):
@@ -112,10 +110,6 @@ def assert_pair_matches(lift, quot):
     lower = fl._layer_check(n, quot.bases)[1].flat_bits
     upper = fl._layer_check(n, lift.bases)[1].flat_bits
     assert mc.first_unlifted(lower, upper) == reference_lift_witness(n, quot.bases, lift.bases)
-    by_bases = reference_by_bases(n, lift, quot)
-    assert fl._axiom2_witness(n, quot.bases, lift.bases) == (
-        None if by_bases is None else (mask_of(by_bases[1]), by_bases[2])
-    )
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     all_flags,
+    oracle_rank_mod_p,
     random_full_flag,
     random_gf_matrix,
     random_prefix_chain_matrix,
@@ -22,6 +23,8 @@ from flagmatroids.errors import (
     LevelCollapse,
     NoTransform,
     NotFull,
+    RankDeficient,
+    RankDeficientPrefix,
     SingleLevel,
 )
 
@@ -170,6 +173,38 @@ def test_contract_representation_fano(fano, f7):
     rep = rp.FlagRepresentation(fano, (3,))
     out = rp.contract_representation(rep, 0)
     assert rp.represented_flag(out) == fl.basis_flag(mc.contract(f7, 0))
+
+
+def test_prefix_ranks_match_one_rank_per_level():
+    """`independent_prefix` decides every level's prefix rank at once: on
+    random matrices, some with a row that combines earlier rows,
+    `FlagRepresentation` refuses the least rank-deficient level, as one
+    rank per level does, and `nested_kernel_chain` refuses exactly when
+    some level is deficient."""
+    rng = random.Random(2020)
+    for _ in range(2000):
+        p = rng.choice([2, 3, 5, 7])
+        rows, cols = rng.randint(0, 5), rng.randint(1, 6)
+        entries = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and rng.random() < 0.5:
+            i = rng.randrange(1, rows)
+            entries[i] = [
+                sum(rng.randrange(p) * entries[k][j] for k in range(i)) % p for j in range(cols)
+            ]
+        a = gl.matrix(p, entries, cols=cols)
+        levels = tuple(sorted(rng.sample(range(rows), rng.randint(0, rows)))) + (rows,)
+        full = [oracle_rank_mod_p(entries[:d], p) == d for d in range(rows + 1)]
+        assert gl.independent_prefix(a) == (full.index(False) - 1 if False in full else rows)
+        deficient = next((d for d in levels if not full[d]), None)
+        if deficient is None:
+            assert rp.FlagRepresentation(a, levels).levels == levels
+            gl.nested_kernel_chain(a, levels)
+            continue
+        with pytest.raises(RankDeficientPrefix) as exc:
+            rp.FlagRepresentation(a, levels)
+        assert exc.value.payload["level"] == deficient
+        with pytest.raises(RankDeficient):
+            gl.nested_kernel_chain(a, levels)
 
 
 def test_delete_representation_level_collapse():
