@@ -129,10 +129,6 @@ class SingleLevel(Error):
     """A single-level representation needs no major."""
 
 
-class LevelCollapse(Error):
-    """A prefix rank dropped and no level repair matches the set-system minor."""
-
-
 # --- graphs -----------------------------------------------------------------
 
 class BadPartition(Error):
@@ -148,7 +144,7 @@ class ChainNotGrounded(Error):
 
 
 class GraphNotConnected(Error):
-    """Operation needs a connected graph; apply connectify first."""
+    """Operation needs a connected graph."""
 
 
 class ConfigInconsistent(Error):

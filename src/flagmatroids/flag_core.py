@@ -6,9 +6,11 @@ sequential representation).  Construction always re-validates the layered
 conditions; the axiomatic checker `check_flag_axioms` decides by the same tests.
 
 Each distinct layer is checked once: `_layer_check`, the module's one memo (at
-most MEMO_SIZE entries), holds its exchange witness or, for a basis family, the
-checked `Matroid` that every flag's `layers` share, with its `flat_bits` (2^n
-bits, 128 KB at n = 20), so a lift test is one AND of two memoized bitsets.
+most MEMO_SIZE entries), holds its `Matroid`, whose cached `is_matroid` says
+whether it is a basis family and whose cached `exchange_witness` is computed
+only when a failure is reported.  Every flag's `layers` share the memo's
+matroids, with their `flat_bits` (2^n bits, 128 KB at n = 20), so a lift test
+is one AND of two memoized bitsets.
 Isomorphism screens by layer sizes, then runs `bitset.family_bijection`,
 as matroid isomorphism does.
 """
@@ -69,10 +71,10 @@ MEMO_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _layer_check(n: int, layer: tuple[int, ...]) -> tuple[Optional[tuple], Optional[mc.Matroid]]:
-    """(None, checked Matroid) for a basis family, else (exchange witness, None)."""
-    m = mc.Matroid(n, layer)
-    return (None, m) if m.is_matroid else (mc.basis_exchange_witness(layer), None)
+def _layer_check(n: int, layer: tuple[int, ...]) -> mc.Matroid:
+    """The layer's one `Matroid`, so its cached `is_matroid` and
+    `exchange_witness` are computed once per distinct layer."""
+    return mc.Matroid(n, layer)
 
 
 def layered_witness(n: int, family: Iterable[int]) -> Optional[tuple[str, object]]:
@@ -87,9 +89,9 @@ def _canonical_layered_witness(n: int, masks: tuple[int, ...]) -> Optional[tuple
         return ("layer", (0, None))
     groups, layers = _group_by_size(masks), []
     for size, layer in groups:
-        w, m = _layer_check(n, layer)
-        if w is not None:
-            return ("layer", (size, w))
+        m = _layer_check(n, layer)
+        if not m.is_matroid:
+            return ("layer", (size, m.exchange_witness))
         layers.append(m)
     for (s1, _), (s2, _), lower, upper in zip(groups, groups[1:], layers, layers[1:]):
         w = mc.first_unlifted(lower.flat_bits, upper.flat_bits)
@@ -147,7 +149,7 @@ class FlagMatroid(Frozen):
     @cached_property
     def layers(self) -> tuple[mc.Matroid, ...]:
         """The sequential representation (M_1, ..., M_k): the memo's matroids."""
-        return tuple(_layer_check(self.n, layer)[1] for _, layer in _group_by_size(self.feasible))
+        return tuple(_layer_check(self.n, layer) for _, layer in _group_by_size(self.feasible))
 
 
 def flag_matroid(n: int, family: Iterable[Iterable[int]]) -> FlagMatroid:
@@ -192,8 +194,8 @@ def check_flag_axioms(n: int, family: Iterable[Iterable[int] | int]) -> AxiomRep
         raise IndexOutOfRange("feasible set outside the ground set")
     layers = []
     for _, layer in _group_by_size(masks):
-        m = _layer_check(n, layer)[1]
-        if m is None:
+        m = _layer_check(n, layer)
+        if not m.is_matroid:
             w = _axiom1_witness(layer)
             if w is None:
                 raise InternalError("a layer that fails basis exchange satisfies axiom 1")

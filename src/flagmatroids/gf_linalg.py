@@ -192,10 +192,6 @@ def select_cols(a: GFMatrix, cols: Iterable[int]) -> GFMatrix:
     return matrix(a.p, rows, cols=len(idx))
 
 
-def drop_col(a: GFMatrix, j: int) -> GFMatrix:
-    return select_cols(a, [c for c in range(a.cols) if c != j])
-
-
 def rref(a: GFMatrix) -> tuple[GFMatrix, tuple[int, ...]]:
     """Reduced row echelon form: (R, pivot columns), with R row-equivalent
     to a and its zero rows last."""

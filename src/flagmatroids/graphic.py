@@ -19,7 +19,6 @@ from .errors import (
     BadPartition,
     ChainNotGrounded,
     ConfigInconsistent,
-    EmptyResult,
     GraphNotConnected,
     IndexOutOfRange,
     InternalError,
@@ -185,85 +184,6 @@ def identify_vertices(g: MultiGraph, u: int, v: int) -> MultiGraph:
     )
 
 
-def vertex_identifications(g: MultiGraph) -> list[MultiGraph]:
-    """All graphs obtained by merging one unordered vertex pair."""
-    return [identify_vertices(g, u, v) for u, v in combinations(range(g.vertices), 2)]
-
-
-def _transport_partition(cells: Partition, u: int, v: int, n: int) -> Partition:
-    """Partition after identifying v into u, merging the two incident cells."""
-    merged: list[set[int]] = []
-    joint: set[int] = set()
-    for cell in cells:
-        image = {_identified(w, u, v) for w in cell}
-        if u in cell or v in cell:
-            joint |= image
-        else:
-            merged.append(image)
-    if joint:
-        merged.append(joint)
-    return _canon_partition(merged, n - 1)
-
-
-def connectify(g: MultiGraph, chain: PartitionChain) -> tuple[MultiGraph, PartitionChain]:
-    """Identify one vertex per connected component; quotients are unchanged."""
-    reps = sorted(_roots(g))
-    before = [quotient_graph_matroid(g, p) for p in chain.partitions]
-    while len(reps) > 1:
-        g2 = identify_vertices(g, reps[0], reps[1])
-        chain = PartitionChain(
-            tuple(_transport_partition(p, reps[0], reps[1], g.vertices) for p in chain.partitions)
-        )
-        g = g2
-        reps = sorted(_roots(g))
-    after = [quotient_graph_matroid(g, p) for p in chain.partitions]
-    if before != after:
-        raise InternalError("connectify changed a quotient matroid")  # pragma: no cover
-    return g, chain
-
-
-def _drop_edge(g: MultiGraph, e: int) -> MultiGraph:
-    return MultiGraph(g.vertices, g.edges[:e] + g.edges[e + 1 :])
-
-
-def graphic_minor(
-    g: MultiGraph, chain: PartitionChain, e: int, op: str
-) -> tuple[MultiGraph, PartitionChain]:
-    """Graph-level deletion/contraction matching the set-system flag minor.
-
-    Layers where e is a coloop (for deletion) or a loop (for contraction)
-    disappear from the set-system minor, so their partitions are dropped
-    here; contracting a graph loop therefore empties the chain, exactly like
-    the flag-level contraction.
-    """
-    if not (0 <= e < len(g.edges)):
-        raise IndexOutOfRange(f"edge {e} out of range")
-    if op not in ("delete", "contract"):
-        raise ValueError(f"unknown op {op!r}")
-    layers = [quotient_graph_matroid(g, p) for p in chain.partitions]
-    before = graphic_flag(g, chain)
-    if op == "delete":
-        kept = [p for p, m in zip(chain.partitions, layers) if not m.coloops_mask >> e & 1]
-        if not kept:
-            raise EmptyResult(f"deleting edge {e} empties every layer")
-        out = (_drop_edge(g, e), PartitionChain(tuple(kept)))
-        expected = fl.flag_delete(before, e)
-    else:
-        kept = [p for p, m in zip(chain.partitions, layers) if not m.loops_mask >> e & 1]
-        if not kept:
-            raise EmptyResult(f"contracting edge {e} empties every layer")
-        u, v = g.edges[e]
-        g2 = identify_vertices(_drop_edge(g, e), u, v)
-        out = (
-            g2,
-            PartitionChain(tuple(_transport_partition(p, u, v, g.vertices) for p in kept)),
-        )
-        expected = fl.flag_contract(before, e)
-    if graphic_flag(*out) != expected:
-        raise InternalError("graph minor does not match the flag minor")  # pragma: no cover
-    return out
-
-
 # --- majors ---------------------------------------------------------------------
 
 def graphic_major(g: MultiGraph, chain: PartitionChain):
@@ -275,7 +195,7 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
     i+1, so contracting X_i..X_{k-1} collapses each cell of partition i.
     """
     if len(_roots(g)) != 1:
-        raise GraphNotConnected("apply connectify first")
+        raise GraphNotConnected("graph is not connected")
     parts = chain.partitions
     if parts[-1] != singletons(g.vertices):
         raise ChainNotGrounded("finest partition must be all singletons")
@@ -300,31 +220,6 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
     if not verify_major(major.matroid, major.blocks, fm):
         raise InternalError("constructed graph is not a major")  # pragma: no cover
     return h, major
-
-
-def major_to_chain(g_major: MultiGraph, blocks: Sequence[Iterable[int]]) -> PartitionChain:
-    """Partition i = components of the subgraph on block edges i..k-1."""
-    block_edges = [tuple(b) for b in blocks]
-    parts = []
-    for i in range(len(block_edges) + 1):
-        uf = _UnionFind(g_major.vertices)
-        for blk in block_edges[i:]:
-            for e in blk:
-                u, v = g_major.edges[e]
-                uf.union(u, v)
-        cells: dict[int, set[int]] = {}
-        for v in range(g_major.vertices):
-            cells.setdefault(uf.find(v), set()).add(v)
-        parts.append(_canon_partition(cells.values(), g_major.vertices))
-    return PartitionChain(tuple(parts))
-
-
-def strip_major_edges(g_major: MultiGraph, blocks: Sequence[Iterable[int]]) -> MultiGraph:
-    """The graph on the non-block edges, keeping their relative order."""
-    drop = {e for b in blocks for e in b}
-    return MultiGraph(
-        g_major.vertices, tuple(e for i, e in enumerate(g_major.edges) if i not in drop)
-    )
 
 
 # --- the non-graphic counterexample harness ---------------------------------------

@@ -5,7 +5,7 @@ in `bitset.canonical` form, so equal families make equal matroids, and
 checks only its shape and equal cardinality; `Matroid.is_matroid` decides
 basis exchange by the local rank axiom on the rank levels.  The public
 constructors (`matroid_from_bases`, JSON loading) run that test and take a
-witness from `basis_exchange_witness` only when it fails;
+witness, the cached `exchange_witness`, only when it fails;
 `matroid_from_independent_sets` checks the independence axioms as stated.
 Operations whose outputs are always matroids (duals, minors, linear and
 graphic constructions) trust themselves.
@@ -255,6 +255,11 @@ class Matroid(Frozen):
         return True
 
     @cached_property
+    def exchange_witness(self) -> Optional[tuple[int, int, int]]:
+        """None on a basis family, else `basis_exchange_witness` of the bases."""
+        return None if self.is_matroid else basis_exchange_witness(self.bases)
+
+    @cached_property
     def coflat_bits(self) -> int:
         """Bit S set iff S is a flat of the dual: its `flat_bits`."""
         return dual(self).flat_bits
@@ -319,7 +324,7 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
     """Validated construction from explicit basis sets, as element lists or masks."""
     m = Matroid(n, (b if isinstance(b, int) else mask_of(b) for b in bases))
     if not m.is_matroid:
-        witness = basis_exchange_witness(m.bases)
+        witness = m.exchange_witness
         raise ConstructionFailed(
             "basis exchange fails",
             bases=tuple(elements_of(w) for w in witness[:2]),

@@ -53,7 +53,6 @@ from .errors import (
     InternalError,
     InvalidInput,
     LastLayer,
-    LevelCollapse,
     NoTransform,
     NotFull,
     RankDeficientPrefix,
@@ -151,58 +150,6 @@ def dual_representation(rep: FlagRepresentation) -> FlagRepresentation:
     out = FlagRepresentation(b, levels)
     if not represents(out, fl.flag_dual(represented_flag(rep))):
         raise InternalError("dual construction mismatch")  # pragma: no cover
-    return out
-
-
-def delete_representation(rep: FlagRepresentation, e: int) -> FlagRepresentation:
-    """Representation of the flag with column e deleted.
-
-    Levels whose layer had e as a coloop collapse; collapses are always an
-    upper tail of the level list, so the repair drops those levels and the
-    rows above the last survivor.  If everything collapses the set-system
-    minor is empty and there is nothing to represent.
-    """
-    before = represented_flag(rep)
-    try:
-        expected = fl.flag_delete(before, e)
-    except fl.EmptyResult as exc:
-        raise LevelCollapse("deletion empties the flag; no repair exists") from exc
-    a2 = gl.drop_col(rep.matrix, e)
-    full = gl.independent_prefix(a2)
-    kept = [d for d in rep.levels if d <= full]
-    if not kept:
-        raise InternalError("every level collapsed")  # pragma: no cover
-    out = FlagRepresentation(gl.prefix_rows(a2, kept[-1]), tuple(kept))
-    if not represents(out, expected):
-        raise InternalError("no level repair matches the set-system minor")  # pragma: no cover
-    return out
-
-
-def contract_representation(rep: FlagRepresentation, e: int) -> FlagRepresentation:
-    """Representation of the contraction, by one elimination step.
-
-    Row t, the first row nonzero at e, clears e from the rows below it;
-    dropping row t and column e then leaves, in the top d - 1 rows, layer d
-    contracted by e, for each level d > t.  In a level d <= t, e is a loop:
-    no feasible set of that layer contains e, so the level vanishes.
-    """
-    try:
-        expected = fl.flag_contract(represented_flag(rep), e)
-    except fl.EmptyResult as exc:
-        raise LevelCollapse("contraction empties the flag") from exc
-    p, rows = rep.p, rep.matrix.row_lists()
-    t = next(i for i, row in enumerate(rows) if row[e])
-    pivot = rows.pop(t)
-    inv = pow(pivot[e], p - 2, p)
-    # rows above t are zero at e, so clearing e from every row changes none of them
-    rows = [
-        [(x - row[e] * inv * y) % p for j, (x, y) in enumerate(zip(row, pivot)) if j != e]
-        for row in rows
-    ]
-    levels = tuple(d - 1 for d in rep.levels if d > t)
-    out = FlagRepresentation(gl.matrix(p, rows, cols=rep.n - 1), levels)
-    if not represents(out, expected):
-        raise InternalError("contraction repair mismatch")  # pragma: no cover
     return out
 
 

@@ -37,7 +37,12 @@ def test_axioms_refuses_a_layer_check_that_contradicts_axiom_1(capture, corpus, 
     searched for only on a layer that check refuses; a search that finds no
     violation means the two implementations of basis exchange disagree, a
     fault in the program: exit 4 and an InternalError document."""
-    monkeypatch.setattr(fl, "_layer_check", lambda n, layer: ((layer[0], layer[-1], 0), None))
+    def refused(n, layer):
+        m = mc.Matroid(n, layer)
+        m.__dict__["is_matroid"] = False  # as the cached property stores it
+        return m
+
+    monkeypatch.setattr(fl, "_layer_check", refused)
     code, out, _ = capture("axioms", corpus["iu23.json"])
     assert (code, json.loads(out)) == (4, {
         "error": "InternalError",
@@ -460,6 +465,16 @@ def test_graphic_verbs(capture, corpus):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["graph"]["edges"]) == 9
+
+
+def test_graphic_major_refuses_a_disconnected_graph(capture, corpus):
+    bundle = io.graphic_bundle_json(
+        gr.multigraph(4, [(0, 1), (2, 3)]), gr.chain_of(4, [gr.singletons(4)])
+    )
+    code, out, _ = capture("graphic-major", corpus["write"]("disconnected.json", bundle))
+    assert (code, json.loads(out)) == (2, {
+        "error": "GraphNotConnected", "detail": "graph is not connected",
+    })
 
 
 def test_isomorphic(capture, corpus):

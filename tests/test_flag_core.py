@@ -41,6 +41,19 @@ def test_axiom1_failure_witness():
     assert not report.ok and report.axiom == 1
 
 
+def test_axiom_checker_computes_no_exchange_witness(monkeypatch):
+    """`check_flag_axioms` reads only the layer's `is_matroid`: its axiom 1
+    witness is searched for in the stated form, so the memo's exchange
+    witness is never computed, even for a layer the memo has not seen."""
+    def refuse(masks):
+        raise AssertionError("exchange witness computed")
+
+    monkeypatch.setattr(mc, "basis_exchange_witness", refuse)
+    fl._layer_check.cache_clear()
+    report = fl.check_flag_axioms(5, [(0,), (0, 1), (2, 3), (0, 1, 4)])
+    assert report == (False, 1, {"F": (0, 1), "G": (2, 3), "x": 0})
+
+
 @pytest.mark.parametrize(
     "n, family",
     [(2, [[0, 3]]), (2, [8]), (-1, [[0]]), (30, [[0]])],

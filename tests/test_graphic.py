@@ -169,68 +169,12 @@ def test_lift_chain_closure_property():
                 assert mc.closure(high, mask) & ~mc.closure(low, mask) == 0
 
 
-def test_connectify():
-    g = gr.multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    chain = gr.chain_of(6, [gr.singletons(6)])
-    h, chain2 = gr.connectify(g, chain)
-    assert h.vertices == 5
-    assert gr.cycle_matroid(h) == gr.cycle_matroid(g)
-
-    g2 = gr.multigraph(4, [(0, 1), (2, 3)])
-    h2, _ = gr.connectify(g2, gr.chain_of(4, [gr.singletons(4)]))
-    assert h2.vertices == 3
-    assert gr.cycle_matroid(h2) == gr.cycle_matroid(g2)
-
-    conn = gr.multigraph(3, [(0, 1), (1, 2)])
-    h3, _ = gr.connectify(conn, gr.chain_of(3, [gr.singletons(3)]))
-    assert h3 == conn
-
-
-def test_graphic_minor_k4_examples():
-    fm = gr.graphic_flag(K4, K4_CHAIN)
-    g2, chain2 = gr.graphic_minor(K4, K4_CHAIN, 0, "delete")
-    assert gr.graphic_flag(g2, chain2) == fl.flag_delete(fm, 0)
-    g3, chain3 = gr.graphic_minor(K4, K4_CHAIN, 0, "contract")
-    assert gr.graphic_flag(g3, chain3) == fl.flag_contract(fm, 0)
-    # contracting a non-loop edge merges the endpoint cells of each partition
-    assert chain3.partitions[-1] == gr.singletons(3)
-
-
-def test_graphic_minor_matches_flag_ops():
-    rng = random.Random(5)
-    checked_delete = checked_contract = 0
-    while checked_delete < 15 or checked_contract < 15:
-        v = rng.randint(2, 4)
-        g = random_multigraph(rng, v, rng.randint(1, 6))
-        chain = random_merge_chain(rng, v, rng.randint(0, v - 1))
-        try:
-            fm = gr.graphic_flag(g, chain)
-        except Exception:
-            continue
-        e = rng.randrange(len(g.edges))
-        op = rng.choice(["delete", "contract"])
-        try:
-            g2, chain2 = gr.graphic_minor(g, chain, e, op)
-        except EmptyResult:
-            with pytest.raises(EmptyResult):
-                fl.flag_delete(fm, e) if op == "delete" else fl.flag_contract(fm, e)
-            continue
-        want = fl.flag_delete(fm, e) if op == "delete" else fl.flag_contract(fm, e)
-        assert gr.graphic_flag(g2, chain2) == want
-        if op == "delete":
-            checked_delete += 1
-        else:
-            checked_contract += 1
-
-
-def test_graphic_minor_contract_loop_matches_set_system():
+def test_flag_contract_of_a_graph_loop_is_empty():
     g = gr.multigraph(2, [(0, 0), (0, 1)])
     chain = gr.chain_of(2, [gr.singletons(2)])
     fm = gr.graphic_flag(g, chain)
     # a graph loop is a loop of every layer: the set-system contraction is
     # empty, unlike the matroid-level convention where it equals deletion
-    with pytest.raises(EmptyResult):
-        gr.graphic_minor(g, chain, 0, "contract")
     with pytest.raises(EmptyResult):
         fl.flag_contract(fm, 0)
     m = gr.cycle_matroid(g)
@@ -267,18 +211,7 @@ def test_graphic_major_preconditions():
         gr.graphic_major(K4, gr.chain_of(4, [[[0, 1], [2], [3]]]))
 
 
-def test_major_to_chain_roundtrip():
-    h, major = gr.graphic_major(K4, K4_CHAIN)
-    chain = gr.major_to_chain(h, major.blocks)
-    stripped = gr.strip_major_edges(h, major.blocks)
-    assert gr.graphic_flag(stripped, chain) == gr.graphic_flag(K4, K4_CHAIN)
-
-    assert gr.major_to_chain(K4, []).partitions == (gr.singletons(4),)
-    spanning = gr.major_to_chain(K4, [(0, 3, 5)])  # edges (0,1),(1,3),(3,2): a tree
-    assert spanning.partitions[0] == ((0, 1, 2, 3),)
-
-
-def test_major_roundtrip_random():
+def test_graphic_major_random():
     rng = random.Random(7)
     done = 0
     while done < 10:
@@ -289,10 +222,8 @@ def test_major_roundtrip_random():
             fm = gr.graphic_flag(g, chain)
         except Exception:
             continue
-        h, major = gr.graphic_major(g, chain)
+        _, major = gr.graphic_major(g, chain)
         assert lm.verify_major(major.matroid, major.blocks, fm)
-        rec = gr.major_to_chain(h, major.blocks)
-        assert gr.graphic_flag(gr.strip_major_edges(h, major.blocks), rec) == fm
         done += 1
 
 
@@ -310,23 +241,6 @@ def test_graphic_layers_pass_is_graphic():
         for layer in fm.layers:
             assert mc.is_graphic(layer)
         done += 1
-
-
-def test_vertex_identifications():
-    single = gr.multigraph(2, [(0, 1)])
-    out = gr.vertex_identifications(single)
-    assert len(out) == 1 and out[0].edges == ((0, 0),)
-
-    triangle = gr.multigraph(3, [(0, 1), (1, 2), (0, 2)])
-    outs = gr.vertex_identifications(triangle)
-    assert len(outs) == 3
-    for g in outs:
-        loops = [e for e in g.edges if e[0] == e[1]]
-        parallel = [e for e in g.edges if e[0] != e[1]]
-        assert len(loops) == 1 and len(parallel) == 2
-
-    five = gr.multigraph(5, [])
-    assert len(gr.vertex_identifications(five)) == 10
 
 
 def test_counterexample_harness_reference():

@@ -107,8 +107,8 @@ def assert_pair_matches(lift, quot):
     for method in lm.LIFT_METHODS:
         assert lm.is_lift(lift, quot, method) == reference_is_lift(lift, quot, method), method
     n = lift.n
-    lower = fl._layer_check(n, quot.bases)[1].flat_bits
-    upper = fl._layer_check(n, lift.bases)[1].flat_bits
+    lower = fl._layer_check(n, quot.bases).flat_bits
+    upper = fl._layer_check(n, lift.bases).flat_bits
     assert mc.first_unlifted(lower, upper) == reference_lift_witness(n, quot.bases, lift.bases)
 
 

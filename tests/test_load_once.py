@@ -1,9 +1,9 @@
 """Loading a flag costs one JSON pass and one rank computation per layer.
 
-`flag_core._layer_check` memoizes each distinct layer's exchange witness
-or checked `Matroid`, which `FlagMatroid.layers` returns, and the lift test
-between adjacent layers is one AND of the two matroids' memoized
-`flat_bits`.  `jsonio._element_mask` builds each feasible set's mask in
+`flag_core._layer_check` memoizes each distinct layer's `Matroid`, with its
+basis-exchange verdict and witness, which `FlagMatroid.layers` returns,
+and the lift test between adjacent layers is one AND of the two matroids'
+memoized `flat_bits`.  `jsonio._element_mask` builds each feasible set's mask in
 one pass.  The references below are the code these replaced: a fresh
 `Matroid` per layer and per lift, and the list parser that checked every
 element, then repeats, then clamped.  The library must give exactly what the
@@ -66,7 +66,7 @@ def test_layers_are_the_memo_matroids(corpus):
         layers = fm.layers
         assert fl._layer_check.cache_info().misses == misses
         for m in layers:
-            assert m is fl._layer_check(fm.n, m.bases)[1]
+            assert m is fl._layer_check(fm.n, m.bases)
             assert seen.setdefault((fm.n, m.bases), m) is m
             # a canonical tuple is kept, not copied, so the memo key is the bases
             assert mc.Matroid(fm.n, m.bases).bases is m.bases
