@@ -154,8 +154,12 @@ def family_bijection(n: int, family: Iterable[int], other: Iterable[int]) -> Opt
     `least_bijection` puts d only on a t of equal degree such that each S of
     {0..d} holding d is in the family iff its image is: the family's sets
     with largest element d land in the other, which has as many sets holding
-    t inside the image of {0..d}.  Nothing of size 2^d is kept."""
+    t inside the image of {0..d}.  While d + 2 is at most the smallest set
+    size, which the degree screen makes both families' smallest, no set ends
+    at d and none of the other's is one element off the image: nothing to
+    scan.  Nothing of size 2^d is kept."""
     ours, theirs = set(family), set(other)
+    smallest = min(map(int.bit_count, ours), default=0)
 
     def degrees(sets: set[int]) -> list[list[tuple[int, int]]]:
         sizes = sorted({s.bit_count() for s in sets})
@@ -176,6 +180,8 @@ def family_bijection(n: int, family: Iterable[int], other: Iterable[int]) -> Opt
         nonlocal prefix, before, ends
         if deg_b[t] != deg_a[len(image)]:
             return False
+        if len(image) + 2 <= smallest:
+            return True
         if prefix != image:
             prefix, bits = image[:], [1 << x for x in image]
             before = [sum(map(bits.__getitem__, elements_of(s))) for s in heads[len(image)]]

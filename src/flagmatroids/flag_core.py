@@ -281,12 +281,7 @@ def flag_contract(fm: FlagMatroid, e: int) -> FlagMatroid:
 
 def chop(fm: FlagMatroid, size: int) -> FlagMatroid:
     """Remove every feasible set of the given cardinality (one whole layer)."""
-    cards = fm.cardinalities
-    if size not in cards:
-        raise IndexOutOfRange(f"no layer of cardinality {size}")
-    if len(cards) == 1:
-        raise LastLayer("chopping the only layer")
-    return FlagMatroid(fm.n, tuple(f for f in fm.feasible if f.bit_count() != size))
+    return flag_minor(fm, (), (), (size,))
 
 
 def flag_minor(
@@ -296,7 +291,8 @@ def flag_minor(
     chops: Iterable[int] = (),
 ) -> FlagMatroid:
     """Contract, delete, then chop.  Chop values refer to cardinalities in
-    the flag after contraction and deletion.
+    the flag after contraction and deletion and the chops before them; the
+    chops are applied to the kept sets, so one flag is built and validated.
 
     Element lists are checked against the ground set before their masks are
     built, so an element such as 10^8 costs no 10^8-bit int."""
@@ -317,10 +313,14 @@ def flag_minor(
     ]
     if not kept:
         raise EmptyResult("minor empties the feasible family")
-    out = FlagMatroid(fm.n - removed.bit_count(), kept)
+    sizes = list({f.bit_count() for f in kept})
     for size in chops:
-        out = chop(out, size)
-    return out
+        if size not in sizes:
+            raise IndexOutOfRange(f"no layer of cardinality {size}")
+        if len(sizes) == 1:
+            raise LastLayer("chopping the only layer")
+        sizes.remove(size)
+    return FlagMatroid(fm.n - removed.bit_count(), (f for f in kept if f.bit_count() in sizes))
 
 
 def flag_rank(fm: FlagMatroid, subset: int | Iterable[int]) -> Optional[int]:

@@ -291,13 +291,13 @@ def matroid_representation(m: mc.Matroid, p: int) -> Optional[gl.GFMatrix]:
     lexicographically first basis B = {b_0 < b_1 < ...} becomes the
     identity, and entry (i, e) of another column is nonzero iff
     B - b_i + e is a basis.  Over GF(2) that fixes the matrix; over GF(3)
-    `_ternary_signs` fixes the signs and `_least_row_signs` picks the
-    canonical one of the 2^r row-sign choices: every column has leading
-    entry 1 (loops are zero) and the columns, taken in increasing order,
-    are each lexicographically least.  That is the first matrix an
-    exhaustive column-by-column search in that order would find.  The
-    candidate is checked once against the bases of m; by uniqueness a
-    mismatch means that m is not representable over GF(p).
+    `_ternary_signs` fixes the canonical signs, the one of the 2^r row-sign
+    choices in which every column has leading entry 1 (loops are zero) and
+    the columns, taken in increasing order, are each lexicographically
+    least.  That is the first matrix an exhaustive column-by-column search
+    in that order would find.  The candidate is checked once against the
+    bases of m; by uniqueness a mismatch means that m is not representable
+    over GF(p).
     """
     if p not in (2, 3):
         raise InvalidInput("unique representations need p in (2, 3)")
@@ -318,7 +318,6 @@ def matroid_representation(m: mc.Matroid, p: int) -> Optional[gl.GFMatrix]:
     entries = {(i, j): 1 for i in range(r) for j in range(len(rest)) if is_basis((i,), (j,))}
     if p == 3:
         _ternary_signs(entries, r, len(rest), is_basis)
-        _least_row_signs(entries, r, len(rest))
     columns = {e: tuple(int(i == pos) for i in range(r)) for pos, e in enumerate(base)}
     for j, e in enumerate(rest):
         columns[e] = tuple(entries.get((i, j), 0) for i in range(r))
@@ -332,26 +331,29 @@ def _ternary_signs(
     c: int,
     is_basis: Callable[[Sequence[int], Sequence[int]], bool],
 ) -> None:
-    """Give each GF(3) entry of the support its sign, in place.
+    """Give each GF(3) entry of the support its canonical sign, in place.
 
     The support graph has row nodes 0..r-1 and column nodes r..r+c-1, with
-    an edge i - r + j for each entry (i, j).  Entries are fixed one at a
-    time, always one whose ends are nearest in the graph of the entries
-    fixed so far (the first in sorted order among those).  An entry whose
-    ends are not yet connected joins a spanning forest; rows and columns can
-    be scaled so that the forest carries 1s, so it keeps its 1.  Any other
-    entry closes a cycle with a shortest path between its ends, and the
-    cycle has no chord in the whole support: a chord would be a shorter
-    path, or an unfixed entry with nearer ends.  So the cycle's square
-    submatrix has determinant ±1 ± 1, nonsingular for exactly one sign of
-    the new entry, and `is_basis` says which.
+    an edge i - r + j for each entry (i, j).  Walking the support column by
+    column, and down each column, every entry that joins two components of
+    the entries before it keeps its 1: these edges form a spanning forest,
+    rows and columns can be scaled so that it carries 1s, and they are the
+    entries the canonical form makes 1 (each column's leading entry, and
+    each later entry whose row is not yet tied to the leading row).  The
+    other entries are then fixed one at a time, always one whose ends are
+    nearest in the graph of the entries fixed so far (the first in sorted
+    order among those).  It closes a cycle with a shortest path between its
+    ends, and the cycle has no chord in the whole support: a chord would be
+    a shorter path, or an unfixed entry with nearer ends.  So the cycle's
+    square submatrix has determinant ±1 ± 1, nonsingular for exactly one
+    sign of the new entry, and `is_basis` says which.
 
     A pending entry is not an edge yet, so its ends are at distance 3 or
     more, and at 3 exactly when it closes a 4-cycle: when a row sharing a
     fixed column with row i (`near[i]`, a bitset) has a fixed entry in
     column j (`rows_at[j]`).  That is one AND per candidate.  Only when no
     pending entry is at distance 3 are breadth-first distances computed,
-    from the column ends of the entries whose ends are already connected.
+    from the column ends of the pending entries.
     """
     size = r + c
     fixed: list[list[int]] = [[] for _ in range(size)]
@@ -363,38 +365,42 @@ def _ternary_signs(
             u = root[u]
         return u
 
-    pending = sorted(entries)
+    def fix(i: int, j: int) -> None:
+        fixed[i].append(r + j)
+        fixed[r + j].append(i)
+        rows_at[j] |= 1 << i
+        for u in elements_of(rows_at[j]):
+            near[u] |= rows_at[j]
+
+    pending = []
+    for i, j in sorted(entries, key=lambda e: (e[1], e[0])):
+        a, b = find(i), find(r + j)
+        if a == b:
+            pending.append((i, j))
+        else:
+            root[a] = b
+            fix(i, j)
+    pending.sort()
     while pending:
-        path = None
         pick = next((k for k, (i, j) in enumerate(pending) if near[i] & rows_at[j]), None)
         if pick is not None:
             i, j = pending.pop(pick)
             col = next(v for v in fixed[i] if rows_at[v - r] & rows_at[j])
             path = [i, col, next(u for u in fixed[col] if rows_at[j] >> u & 1)]
         else:
-            close = [k for k, (i, j) in enumerate(pending) if find(i) == find(r + j)]
-            if close:
-                dist = {j: _bfs(fixed, r + j) for _, j in (pending[k] for k in close)}
-                i, j = pending.pop(min(close, key=lambda k: dist[pending[k][1]][pending[k][0]]))
-                path = [i]
-                while dist[j][path[-1]] > 1:
-                    u = path[-1]
-                    path.append(next(v for v in fixed[u] if dist[j][v] == dist[j][u] - 1))
-            else:
-                i, j = pending.pop(0)
-        if path is not None:
-            rows = sorted(u for u in path if u < r)
-            cols = sorted([u - r for u in path if u >= r] + [j])
-            square = [[entries.get((a, b), 0) for a in rows] for b in cols]
-            if gl.independent_columns(3, square) != is_basis(rows, cols):
-                entries[i, j] = 2
-        end = r + j
-        fixed[i].append(end)
-        fixed[end].append(i)
-        rows_at[j] |= 1 << i
-        for u in elements_of(rows_at[j]):
-            near[u] |= rows_at[j]
-        root[find(i)] = find(end)
+            dist = {j: _bfs(fixed, r + j) for _, j in pending}
+            i, j = min(pending, key=lambda e: dist[e[1]][e[0]])
+            pending.remove((i, j))
+            path = [i]
+            while dist[j][path[-1]] > 1:
+                u = path[-1]
+                path.append(next(v for v in fixed[u] if dist[j][v] == dist[j][u] - 1))
+        rows = sorted(u for u in path if u < r)
+        cols = sorted([u - r for u in path if u >= r] + [j])
+        square = [[entries.get((a, b), 0) for a in rows] for b in cols]
+        if gl.independent_columns(3, square) != is_basis(rows, cols):
+            entries[i, j] = 2
+        fix(i, j)
 
 
 def _bfs(adjacent: list[list[int]], start: int) -> list[int]:
@@ -411,43 +417,6 @@ def _bfs(adjacent: list[list[int]], start: int) -> list[int]:
                     nxt.append(v)
         frontier = nxt
     return dist
-
-
-def _least_row_signs(entries: dict[tuple[int, int], int], r: int, c: int) -> None:
-    """Rescale the rows of a GF(3) matrix [I | X] (and restore I by scaling
-    its columns) so that each column of X, in order, has leading entry 1 and
-    is lexicographically least.
-
-    A column's entries after scaling row i by the sign s_i and the column by
-    its leading entry are x_i s_i x_lead s_lead.  Going down the column,
-    each entry can be made 1 unless its row is already tied to the leading
-    row by an earlier choice; ties are kept as a union-find over rows with
-    the relative sign (0 for +1, 1 for -1) to the parent.
-    """
-    parent, flip = list(range(r)), [0] * r
-
-    def find(i: int) -> tuple[int, int]:
-        sign = 0
-        while parent[i] != i:
-            sign ^= flip[i]
-            i = parent[i]
-        return i, sign
-
-    def negative(i: int, j: int) -> int:
-        return int(entries[i, j] == 2)
-
-    supports = [[i for i in range(r) if (i, j) in entries] for j in range(c)]
-    for j, col in enumerate(supports):
-        for i in col[1:]:
-            (root_i, sign_i), (root_lead, sign_lead) = find(i), find(col[0])
-            if root_i != root_lead:
-                parent[root_i] = root_lead
-                flip[root_i] = sign_i ^ sign_lead ^ negative(i, j) ^ negative(col[0], j)
-    sign = [find(i)[1] for i in range(r)]
-    for j, col in enumerate(supports):
-        lead = negative(col[0], j) ^ sign[col[0]] if col else 0
-        for i in col:
-            entries[i, j] = 2 if negative(i, j) ^ sign[i] ^ lead else 1
 
 
 # --- flag representation search ------------------------------------------------------

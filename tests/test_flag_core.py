@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_flag, random_prefix_chain_matrix, reference_check_flag_axioms
+from conftest import all_flags, random_flag, random_prefix_chain_matrix, reference_check_flag_axioms
 from flagmatroids import flag_core as fl
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
 from flagmatroids.bitset import elements_of, mask_of
 from flagmatroids.errors import (
     EmptyResult,
+    Error,
     IndexOutOfRange,
     LastLayer,
     LayerNotMatroid,
@@ -127,6 +128,54 @@ def test_chop_example():
     assert fl.chop(fm, 2).layers == (mc.uniform(1, 3), mc.uniform(3, 3))
     with pytest.raises(LastLayer):
         fl.chop(fl.basis_flag(mc.uniform(2, 3)), 2)
+
+
+def sequential_chops(out, chops):
+    """The chop loop `flag_minor` ran after contraction and deletion: one
+    validated flag per chop."""
+    for size in chops:
+        cards = out.cardinalities
+        if size not in cards:
+            raise IndexOutOfRange(f"no layer of cardinality {size}")
+        if len(cards) == 1:
+            raise LastLayer("chopping the only layer")
+        out = fl.FlagMatroid(out.n, tuple(f for f in out.feasible if f.bit_count() != size))
+    return out
+
+
+def test_chops_match_the_sequential_loop(monkeypatch):
+    # every flag on at most 4 elements, every split with |C u D| <= 1 and
+    # every run of at most two chops over sizes 0..n, absent sizes and
+    # repeats included: the same flag or the same error, one flag built
+    built = []
+    post_init = fl.FlagMatroid.__post_init__
+
+    def counted(self, n, feasible):
+        built.append(n)
+        post_init(self, n, feasible)
+
+    def outcome(minor, *args):
+        try:
+            return minor(*args)
+        except Error as exc:
+            return type(exc), str(exc)
+
+    monkeypatch.setattr(fl.FlagMatroid, "__post_init__", counted)
+    for n in range(5):
+        splits = [((), ())] + [s for e in range(n) for s in (((e,), ()), ((), (e,)))]
+        sizes = range(n + 1)
+        runs = [()] + [(a,) for a in sizes] + [(a, b) for a in sizes for b in sizes]
+        for fm in all_flags(n):
+            for c, d in splits:
+                minor = outcome(fl.flag_minor, fm, c, d)
+                for chops in runs:
+                    want = minor
+                    if isinstance(minor, fl.FlagMatroid):
+                        want = outcome(sequential_chops, minor, chops)
+                    built.clear()
+                    got = outcome(fl.flag_minor, fm, c, d, chops)
+                    assert got == want
+                    assert len(built) == isinstance(got, fl.FlagMatroid)
 
 
 def test_flag_delete_example():

@@ -196,15 +196,36 @@ def first_bijection(n, family, other):
 
 def test_isomorphisms_are_the_first_bijection_in_permutation_order():
     rng = random.Random(8128)
+
+    def relabeled(m):
+        perm = rng.sample(range(m.n), m.n)
+        return mc.Matroid(m.n, tuple(sorted(
+            (mask_of(perm[e] for e in elements_of(b)) for b in m.bases), key=elements_of
+        )))
+
+    def assert_first(m, other):
+        assert mc.is_isomorphic(m, other) == first_bijection(m.n, m.bases, other.bases)
+
     for n in range(5):
         pool = list(mc.enumerate_matroids(n))
         for m in pool:
-            perm = rng.sample(range(n), n)
-            relabeled = mc.Matroid(n, tuple(sorted(
-                (mask_of(perm[e] for e in elements_of(b)) for b in m.bases), key=elements_of
-            )))
-            for other in [relabeled] + [o for o in pool if o.rank == m.rank]:
-                assert mc.is_isomorphic(m, other) == first_bijection(n, m.bases, other.bases)
+            for other in [relabeled(m)] + [o for o in pool if o.rank == m.rank]:
+                assert_first(m, other)
+    # while d + 2 is at most the rank, element d is placed with no scan
+    for n in (6, 7):
+        for k in range(n + 1):
+            assert_first(mc.uniform(k, n), relabeled(mc.uniform(k, n)))
+    pool = [m for m in mc.enumerate_matroids(6) if m.rank >= 2]
+    for m, other in zip(rng.sample(pool, 20), rng.sample(pool, 20)):
+        assert_first(m, relabeled(m))
+        if other.rank == m.rank:
+            assert_first(m, other)
+    # families holding the empty set never skip
+    pool = list(mc.enumerate_matroids(5))
+    for m, other in zip(rng.sample(pool, 20), rng.sample(pool, 20)):
+        fm = fl.independent_flag(m)
+        for target in (fl.relabel_flag(fm, rng.sample(range(5), 5)), fl.independent_flag(other)):
+            assert fl.flag_isomorphic(fm, target) == first_bijection(5, fm.feasible, target.feasible)
     previous = None
     for _ in range(300):
         fm = random_flag(rng, 4)

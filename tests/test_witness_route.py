@@ -6,8 +6,10 @@ family once and checks it once, through its candidate matrix; the checked
 below are the route it replaced, which built every witness through
 `lift_witness_sequence` and validated every pair and every stitched
 intermediate, and the signing rule with its all-pairs distance table.  The
-route must return exactly what they return: the verdict, the certificate
-matrix and its levels.
+route, with its one-pass signing, must return exactly what that route
+returns with the two-step signing it replaced (a forest that falls out of
+the nearest-first order, then a row re-signing to the canonical form): the
+verdict, the certificate matrix and its levels.
 """
 
 import random
@@ -25,14 +27,27 @@ from flagmatroids.errors import InternalError
 RD = rp.RepresentabilityDecision
 
 
-def reference_ternary_signs(entries, r, c, is_basis):
-    """The signing rule with an all-pairs distance table, rebuilt after
-    every entry it fixes."""
+def distance_table_signs(entries, r, c, is_basis, forest):
+    """Fix the `forest` entries, in order, with their 1s, then every other
+    entry, the one with the nearest ends first, by an all-pairs distance
+    table rebuilt after every entry it fixes; an entry whose ends are not
+    connected keeps its 1."""
     size = r + c
     far = 2 * size
     dist = [[0 if u == v else far for v in range(size)] for u in range(size)]
     fixed = [[] for _ in range(size)]
-    pending = sorted(entries)
+
+    def fix(i, end):
+        from_i, from_end = dist[i][:], dist[end][:]
+        for u in range(size):
+            via_i, via_end = dist[u][i] + 1, dist[u][end] + 1
+            dist[u] = [min(d, via_i + e, via_end + f) for d, e, f in zip(dist[u], from_end, from_i)]
+        fixed[i].append(end)
+        fixed[end].append(i)
+
+    for i, j in forest:
+        fix(i, r + j)
+    pending = sorted(set(entries) - set(forest))
     while pending:
         i, j = min(pending, key=lambda edge: dist[edge[0]][r + edge[1]])
         pending.remove((i, j))
@@ -47,12 +62,64 @@ def reference_ternary_signs(entries, r, c, is_basis):
             square = [[entries.get((a, b), 0) for a in rows] for b in cols]
             if gl.independent_columns(3, square) != is_basis(rows, cols):
                 entries[i, j] = 2
-        from_i, from_end = dist[i][:], dist[end][:]
-        for u in range(size):
-            via_i, via_end = dist[u][i] + 1, dist[u][end] + 1
-            dist[u] = [min(d, via_i + e, via_end + f) for d, e, f in zip(dist[u], from_end, from_i)]
-        fixed[i].append(end)
-        fixed[end].append(i)
+        fix(i, end)
+
+
+def reference_ternary_signs(entries, r, c, is_basis):
+    """The one-pass signing rule: the column-major spanning forest (each
+    entry, column by column and down each column, that joins two components
+    of the entries before it) keeps its 1s, then the distance table."""
+    label, forest = list(range(r + c)), []
+    for i, j in sorted(entries, key=lambda edge: (edge[1], edge[0])):
+        a, b = label[i], label[r + j]
+        if a != b:
+            forest.append((i, j))
+            label = [a if x == b else x for x in label]
+    distance_table_signs(entries, r, c, is_basis, forest)
+
+
+def reference_old_ternary_signs(entries, r, c, is_basis):
+    """The signing rule the one pass replaced: no forest first, so the
+    entries that keep their 1 fall out of the nearest-first order."""
+    distance_table_signs(entries, r, c, is_basis, ())
+
+
+def least_row_signs(entries, r, c):
+    """The canonicalisation that ran after the replaced rule: rescale the
+    rows of [I | X] (and restore I by scaling its columns) so that each
+    column of X, in order, has leading entry 1 and is lexicographically
+    least, with a union-find over rows holding the relative sign (0 for +1,
+    1 for -1) to the parent."""
+    parent, flip = list(range(r)), [0] * r
+
+    def find(i):
+        sign = 0
+        while parent[i] != i:
+            sign ^= flip[i]
+            i = parent[i]
+        return i, sign
+
+    def negative(i, j):
+        return int(entries[i, j] == 2)
+
+    supports = [[i for i in range(r) if (i, j) in entries] for j in range(c)]
+    for j, col in enumerate(supports):
+        for i in col[1:]:
+            (root_i, sign_i), (root_lead, sign_lead) = find(i), find(col[0])
+            if root_i != root_lead:
+                parent[root_i] = root_lead
+                flip[root_i] = sign_i ^ sign_lead ^ negative(i, j) ^ negative(col[0], j)
+    sign = [find(i)[1] for i in range(r)]
+    for j, col in enumerate(supports):
+        lead = negative(col[0], j) ^ sign[col[0]] if col else 0
+        for i in col:
+            entries[i, j] = 2 if negative(i, j) ^ sign[i] ^ lead else 1
+
+
+def old_canonical_signs(entries, r, c, is_basis):
+    """The replaced two-step signing: the old rule, then `least_row_signs`."""
+    reference_old_ternary_signs(entries, r, c, is_basis)
+    least_row_signs(entries, r, c)
 
 
 def reference_pair(rmat, x):
@@ -113,7 +180,7 @@ def assert_routes_agree(flags, monkeypatch):
         for p in (2, 3):
             got = rp.witness_route_decision(fm, p)
             with monkeypatch.context() as patch:
-                patch.setattr(rp, "_ternary_signs", reference_ternary_signs)
+                patch.setattr(rp, "_ternary_signs", old_canonical_signs)
                 want = reference_route(fm, p)
             assert got == want
             verdicts.add((p, got.representable))
@@ -189,6 +256,27 @@ def test_signs_on_random_supports_match_the_reference():
         support = {(i, j): 1 for i in range(r) for j in range(c) if rng.random() < density}
         for is_basis in (matrix_basis_test(rng, support, r, c), arbitrary_basis_test(trial)):
             negative += 2 in assert_same_signs(support, r, c, is_basis).values()
+    assert negative > 100
+
+
+def test_one_pass_signs_are_the_old_signs_canonicalised():
+    # on matroid predicates the signing is unique once the forest carries
+    # 1s, so the one pass gives what the old rule and its row re-signing gave
+    rng = random.Random(34)
+    cases = [(cycle_support(k), k, k) for k in (3, 4, 5, 6)]
+    cases += [(theta_support(k), 2 * k - 1, 2 * k - 1) for k in (3, 4, 5, 6)]
+    for _ in range(300):
+        r, c = rng.randint(1, 7), rng.randint(1, 8)
+        density = rng.choice((0.25, 0.5, 0.8))
+        cases.append(({(i, j): 1 for i in range(r) for j in range(c) if rng.random() < density}, r, c))
+    negative = 0
+    for support, r, c in cases:
+        is_basis = matrix_basis_test(rng, support, r, c)
+        got, want = dict(support), dict(support)
+        rp._ternary_signs(got, r, c, is_basis)
+        old_canonical_signs(want, r, c, is_basis)
+        assert got == want
+        negative += 2 in got.values()
     assert negative > 100
 
 
