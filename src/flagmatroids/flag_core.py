@@ -124,17 +124,10 @@ class FlagMatroid(Frozen):
             return
         kind, payload = bad
         if kind == "layer":
-            size, w = payload
-            witness = None
-            if w is not None:
-                witness = {
-                    "B1": elements_of(w[0]),
-                    "B2": elements_of(w[1]),
-                    "x": w[2],
-                }
+            size, (b1, b2, x) = payload
             raise LayerNotMatroid(
                 f"cardinality-{size} layer fails basis exchange",
-                size=size, witness=witness,
+                size=size, witness={"B1": elements_of(b1), "B2": elements_of(b2), "x": x},
             )
         sizes, flat = payload
         raise NotALift(

@@ -3,7 +3,7 @@
 Edges are identified by list index, which is the ground-set order of every
 matroid built here; loops and parallel edges are allowed.  Quotient graphs
 keep the edge indexing, so quotient matroids share one ground set.  Graphs
-are matched edge by edge by the bijection search of `bitset`.
+are matched by their vertices' incident-edge masks.
 """
 
 from __future__ import annotations
@@ -102,27 +102,19 @@ def singletons(n: int) -> Partition:
 
 # --- cycle matroids -----------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 def _roots(g: MultiGraph, removed: Collection[int] = ()) -> set[int]:
     """One vertex per connected component of g with `removed` taken out."""
-    uf = _UnionFind(g.vertices)
+    parent = list(range(g.vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     for u, v in g.edges:
         if u not in removed and v not in removed:
-            uf.union(u, v)
-    return {uf.find(v) for v in range(g.vertices) if v not in removed}
+            parent[find(u)] = find(v)
+    return {find(v) for v in range(g.vertices) if v not in removed}
 
 
 def cycle_matroid(g: MultiGraph) -> mc.Matroid:
@@ -164,24 +156,12 @@ def graphic_flag(g: MultiGraph, chain: PartitionChain) -> fl.FlagMatroid:
     return fl.from_sequence(layers)
 
 
-# --- graph surgery -------------------------------------------------------------
-
-def _identified(w: int, u: int, v: int) -> int:
-    """The label of vertex w once v and u are identified: max(u, v) goes to
-    min(u, v), and the vertices above it shift down."""
-    lo, hi = min(u, v), max(u, v)
-    if w == hi:
-        return lo
-    return w - 1 if w > hi else w
-
-
 def identify_vertices(g: MultiGraph, u: int, v: int) -> MultiGraph:
-    """Merge v into u (keeping min(u,v)); vertices above max(u,v) shift down."""
+    """Merge v into u (keeping min(u,v)); vertices above max(u,v) shift down:
+    the quotient by the pair, since cells are ordered by their least vertex."""
     if u == v or not (0 <= u < g.vertices and 0 <= v < g.vertices):
         raise IndexOutOfRange(f"bad vertex pair ({u}, {v})")
-    return MultiGraph(
-        g.vertices - 1, tuple((_identified(a, u, v), _identified(b, u, v)) for a, b in g.edges)
-    )
+    return quotient_graph(g, [(u, v)] + [(w,) for w in range(g.vertices) if w not in (u, v)])
 
 
 # --- majors ---------------------------------------------------------------------
@@ -202,18 +182,15 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
     fm = graphic_flag(g, chain)
     edges = list(g.edges)
     blocks: list[tuple[int, ...]] = []
-    for i in range(1, len(parts)):
-        coarse, fine = parts[i - 1], parts[i]
-        fine_cells = list(fine)
+    for coarse, fine in zip(parts, parts[1:]):
         step: list[int] = []
         for cell in coarse:
-            if cell in fine_cells:
+            if cell in fine:
                 continue
-            sub = sorted((c for c in fine_cells if set(c) <= set(cell)), key=lambda c: c[0])
-            reps = [c[0] for c in sub]
+            reps = [c[0] for c in fine if set(c) <= set(cell)]
             for a, b in zip(reps, reps[1:]):
                 step.append(len(edges))
-                edges.append((min(a, b), max(a, b)))
+                edges.append((a, b))
         blocks.append(tuple(step))
     h = MultiGraph(g.vertices, tuple(edges))
     major = MajorStructure(cycle_matroid(h), tuple(blocks))
@@ -224,21 +201,25 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
 
 # --- the non-graphic counterexample harness ---------------------------------------
 
+def _incident_edges(g: MultiGraph) -> list[int]:
+    """Per vertex, the mask of the indices of the edges it is an end of."""
+    masks = [0] * g.vertices
+    for i, (u, v) in enumerate(g.edges):
+        masks[u] |= 1 << i
+        masks[v] |= 1 << i
+    return masks
+
+
 def graphs_match(a: MultiGraph, b: MultiGraph) -> Optional[tuple[int, ...]]:
     """The lexicographically least vertex bijection under which edge i of a
-    equals edge i of b, or None.  `least_bijection` places the vertices in
-    order, and an edge is checked when its later end is placed."""
-    if a.vertices != b.vertices or len(a.edges) != len(b.edges):
+    equals edge i of b, or None.  An edge's ends are the vertices whose
+    incident-edge mask holds it, so a bijection carries the edges iff it
+    keeps every vertex's mask.  Vertices of equal mask are interchangeable,
+    so once the sorted masks agree `least_bijection` never backtracks."""
+    ours, theirs = _incident_edges(a), _incident_edges(b)
+    if sorted(ours) != sorted(theirs):
         return None
-    checks: dict[int, list] = {}  # (earlier end, target) by the edge's later end
-    for (u, v), target in zip(a.edges, b.edges):
-        checks.setdefault(max(u, v), []).append((min(u, v), set(target)))
-
-    def fits(image: list[int], t: int) -> bool:
-        d = len(image)
-        return all({t, image[u] if u < d else t} == to for u, to in checks.get(d, ()))
-
-    return least_bijection(a.vertices, fits)
+    return least_bijection(a.vertices, lambda image, t: ours[len(image)] == theirs[t])
 
 
 def is_three_connected_simple(g: MultiGraph) -> bool:

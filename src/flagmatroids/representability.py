@@ -123,8 +123,9 @@ def represents(rep: FlagRepresentation, fm: fl.FlagMatroid) -> bool:
 def uniform_flag_representation(r: int, n: int, p: int) -> FlagRepresentation:
     """Representation of the rank-r uniform flag on n elements.
 
-    For r >= 2 this is the r x n Vandermonde matrix on nodes 0..n-1, which
-    needs p >= n; for r <= 1 a constant row works over any field.  Levels
+    This is the r x n Vandermonde matrix on nodes 0..n-1, whose row 0 is all
+    ones (0^0 = 1), so it works over any field for r = 1 and needs p >= n
+    for r >= 2.  Levels
     are 1..r (the empty set rides along at level 0 only when r = 0).
     """
     if not (0 <= r <= n):
@@ -135,8 +136,6 @@ def uniform_flag_representation(r: int, n: int, p: int) -> FlagRepresentation:
     gl.check_shape(r, n)
     if r == 0:
         return FlagRepresentation(gl.matrix(p, [], cols=n), (0,))
-    if r == 1:
-        return FlagRepresentation(gl.matrix(p, [[1] * n]), (1,))
     rows = [[pow(j, i, p) for j in range(n)] for i in range(r)]
     return FlagRepresentation(gl.matrix(p, rows), tuple(range(1, r + 1)))
 

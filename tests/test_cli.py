@@ -508,6 +508,19 @@ def test_counterexample_rejects_a_pair_without_two_vertices(capture, corpus, tmp
     assert json.loads(out)["error"] == "InvalidInput"
 
 
+def test_counterexample_refuses_a_pair_of_one_vertex(capture, corpus):
+    """[2, 2] names two vertices, so the loader takes it; identifying a
+    vertex with itself is then refused."""
+    with open(corpus["config.json"]) as f:
+        doc = json.load(f)
+    doc["rb_pair"] = [2, 2]
+    path = corpus["write"]("one_vertex_pair.json", json.dumps(doc))
+    code, out, _ = capture("counterexample", path)
+    assert (code, json.loads(out)) == (2, {
+        "error": "IndexOutOfRange", "detail": "bad vertex pair (2, 2)",
+    })
+
+
 def test_counterexample_refuses_a_graph_above_the_vertex_bound(capture, corpus):
     """The fixture with 10^9 - 3 isolated vertices added to each graph (so
     the bottom has 10^9) exits 2 before anything is built per vertex; the

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -8,13 +9,14 @@ from flagmatroids import flag_core as fl
 from flagmatroids import graphic as gr
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
-from flagmatroids.bitset import elements_of, mask_of
+from flagmatroids.bitset import elements_of, least_bijection, mask_of
 from flagmatroids.errors import (
     BadPartition,
     ChainNotGrounded,
     ConfigInconsistent,
     EmptyResult,
     GraphNotConnected,
+    IndexOutOfRange,
     TrivialLiftLayer,
 )
 
@@ -275,6 +277,33 @@ def test_three_connectivity():
     assert not gr.is_three_connected_simple(path)
 
 
+def reference_identify_vertices(g, u, v):
+    """Vertex w's label once u and v are identified: max(u, v) goes to
+    min(u, v), and the vertices above it shift down."""
+    lo, hi = min(u, v), max(u, v)
+
+    def label(w):
+        if w == hi:
+            return lo
+        return w - 1 if w > hi else w
+
+    return gr.MultiGraph(g.vertices - 1, tuple((label(a), label(b)) for a, b in g.edges))
+
+
+def test_identify_vertices_relabels_as_the_shift_rule_does():
+    """Every ordered pair of distinct vertices of seeded multigraphs on 2 to
+    7 vertices, loops and parallel edges included; a pair that is not two
+    vertices of the graph is refused."""
+    rng = random.Random(35)
+    for _ in range(3000):
+        g = random_multigraph(rng, rng.randint(2, 7), rng.randint(0, 10))
+        for u, v in permutations(range(g.vertices), 2):
+            assert gr.identify_vertices(g, u, v) == reference_identify_vertices(g, u, v), (g, u, v)
+        for u, v in [(1, 1), (-1, 0), (0, g.vertices)]:
+            with pytest.raises(IndexOutOfRange):
+                gr.identify_vertices(g, u, v)
+
+
 def reference_graphs_match(a, b):
     """The first vertex permutation, in lexicographic order, that maps edge
     i of a onto edge i of b."""
@@ -323,6 +352,58 @@ def test_graphs_match_places_thousands_of_vertices():
     a = gr.multigraph(n, edges)
     b = gr.multigraph(n, [(rotate[u], rotate[v]) for u, v in edges])
     assert gr.graphs_match(a, b) == rotate
+
+
+def reference_graphs_match_by_edges(a, b):
+    """The least bijection found by checking edge i when the later of its
+    ends is placed: its image must be edge i of b."""
+    if a.vertices != b.vertices or len(a.edges) != len(b.edges):
+        return None
+    checks = {}
+    for (u, v), target in zip(a.edges, b.edges):
+        checks.setdefault(max(u, v), []).append((min(u, v), set(target)))
+
+    def fits(image, t):
+        d = len(image)
+        return all({t, image[u] if u < d else t} == to for u, to in checks.get(d, ()))
+
+    return least_bijection(a.vertices, fits)
+
+
+def test_graphs_match_agrees_with_the_edge_by_edge_search():
+    """Seeded connected multigraphs on up to 12 vertices, loops and parallel
+    edges included, each against a relabelling of itself, a relabelling
+    with one end of one edge moved, and itself.  Connected, so that every
+    vertex after the first has its image forced by an edge to an earlier
+    one and the edge-by-edge search stays short."""
+    rng = random.Random(1212)
+    matched = 0
+    for k in range(3000):
+        vertices = rng.randint(1, 12)
+        a = random_connected_multigraph(rng, vertices, rng.randint(1, 2 * vertices))
+        perm = list(range(vertices))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in a.edges]
+        if k % 3 == 1:
+            i = rng.randrange(len(edges))
+            edges[i] = (edges[i][0], rng.randrange(vertices))
+        b = a if k % 3 == 2 else gr.multigraph(vertices, edges)
+        got = gr.graphs_match(a, b)
+        assert got == reference_graphs_match_by_edges(a, b), (a, b)
+        matched += got is not None
+    assert 2000 < matched < 2900
+
+
+def test_graphs_match_refuses_a_long_near_match_at_once():
+    """A 2,000-vertex path against its rotation v -> v + 1 with the last
+    edge's end 0 moved to 1: vertex 0 of b is an end of no edge, so the
+    masks differ and no search runs."""
+    n = 2000
+    edges = [(v, v + 1) for v in range(n - 1)]
+    moved = [(v + 1, v + 2) for v in range(n - 2)] + [(n - 1, 1)]
+    start = time.perf_counter()
+    assert gr.graphs_match(gr.multigraph(n, edges), gr.multigraph(n, moved)) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def reference_is_three_connected_simple(g):

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
 )
 from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
+from flagmatroids import jsonio as io
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
@@ -80,8 +83,9 @@ def test_uniform_flag_representation():
     want = fl.chop(fl.independent_flag(mc.uniform(2, 4)), 0)
     assert rp.represented_flag(rep) == want
 
-    ones = rp.uniform_flag_representation(1, 6, 2)
-    assert ones.matrix.row_lists() == [[1] * 6]
+    for n, p in ((1, 2), (6, 2), (8, 5), (3, 7)):
+        ones = rp.uniform_flag_representation(1, n, p)
+        assert (ones.matrix.row_lists(), ones.levels) == ([[1] * n], (1,))
 
     with pytest.raises(FieldTooSmall):
         rp.uniform_flag_representation(2, 4, 3)
@@ -128,6 +132,69 @@ def test_search_refuses_a_uniform_flag_and_its_dual_over_gf5(ranks, n):
     fm = fl.from_sequence([mc.uniform(r, n) for r in ranks])
     for flag in (fm, fl.flag_dual(fm)):
         assert rp.decide(flag, 5, "search").representable is False, (ranks, n, flag)
+
+
+DUAL_NAMES = {"U_{2,5}": "U_{3,5}", "U_{3,5}": "U_{2,5}", "F_7": "F_7^*", "F_7^*": "F_7"}
+
+
+def dual_forbidden_minor_witness(fm, w):
+    """The witness for flag_dual(fm) that w maps to.  (fm/C\\D)* is
+    fm*/D\\C, a layer of size k on m elements has its complements at size
+    m - k, and relabelling commutes with duality, so the bijection stays.
+    Both lists are closed under duality: the binary targets are self-dual,
+    and U_{2,5} and U_{3,5}, F_7 and F_7^* swap, in their pairs too."""
+    m = fm.n - len(w.contract) - len(w.delete)
+    name = re.sub(r"U_\{[23],5\}|F_7\^\*|F_7", lambda x: DUAL_NAMES[x[0]], w.target_name)
+    chops = tuple(sorted(m - k for k in w.chops))
+    return w._replace(target_name=name, target=fl.flag_dual(w.target),
+                      contract=w.delete, delete=w.contract, chops=chops)
+
+
+def planted_no_flag(rng, q, k, n, levels):
+    """The flag of a full-rank GF(q) matrix whose top two rows hold k
+    pairwise independent columns, so its rank-2 layer has U_{2,k} as a
+    restriction: not binary for k = 4, not ternary for k = 5."""
+    r = levels[-1]
+    vectors = [(1, 0), (0, 1)] + [(1, a) for a in range(1, q)]
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+        for c, (x, y) in zip(rng.sample(range(n), k), vectors[:k]):
+            rows[0][c], rows[1][c] = x, y
+        a = gl.matrix(q, rows)
+        if gl.rank(a) == r:
+            return rp.flag_from_matrix(a, levels)
+
+
+def test_forbidden_minor_certificates_map_to_the_dual(capture, tmp_path):
+    """Duality as an oracle for "no" certificates: the certificate of each
+    seeded full "no" flag, and of its dual, mapped by
+    `dual_forbidden_minor_witness`, validates for the other flag, which
+    `decide` also calls a "no".  Planted U_{2,4} over GF(2) and U_{2,5} over
+    GF(3); the 3-element (U_{1,3}, U_{2,3}) over GF(2); U_{2,5} (GF(3) has
+    4 projective points), (U_{1,4}, U_{2,4}) (and 3 affine ones) and Fano
+    flags over GF(3).  Every listed name is met."""
+    f7 = mc.linear_matroid(mc.fano_matrix())
+    cases = [(2, fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3)])),
+             (3, fl.from_sequence([mc.uniform(2, 5)])),
+             (3, fl.from_sequence([mc.uniform(1, 4), mc.uniform(2, 4)])),
+             (3, fl.from_sequence([f7])),
+             (3, fl.from_sequence([mc.contract(f7, 0), mc.delete(f7, 0)]))]
+    for seed in range(1, 8):
+        rng = random.Random(seed)
+        for p, q, n, levels in ((2, 3, 6, (2, 3)), (2, 3, 8, (1, 2, 3)), (2, 3, 9, (2, 3, 4)),
+                                (3, 5, 7, (2, 3)), (3, 5, 8, (1, 2, 3)), (3, 5, 9, (2, 3, 4))):
+            cases.append((p, planted_no_flag(rng, q, p + 2, n, levels)))
+    names = set()
+    for i, (p, fm) in enumerate(cases):
+        for flag, dual in ((fm, fl.flag_dual(fm)), (fl.flag_dual(fm), fm)):
+            witness = dual_forbidden_minor_witness(flag, rp.decide(flag, p).witness)
+            names.add(witness.target_name)
+            path = tmp_path / f"dual{i}.json"
+            path.write_text(json.dumps(io.forbidden_minor_certificate(p, dual, witness)))
+            code, out, _ = capture("validate", str(path))
+            assert (code, json.loads(out)["valid"]) == (0, True), (p, flag, witness)
+            assert rp.decide(dual, p).representable is False, (p, flag)
+    assert names == {name for p in (2, 3) for name, _ in rp.forbidden_flags(p)}
 
 
 def test_dual_representation_examples(fano):
