@@ -37,10 +37,6 @@ class IndexOutOfRange(Error):
     """Row, column or ground-set index outside the valid range."""
 
 
-class RankDeficient(Error):
-    """A matrix prefix does not have the full rank the operation needs."""
-
-
 class NoTransform(Error):
     """No invertible left transform exists (row spaces differ)."""
 

@@ -41,13 +41,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .bitset import size_masks
-from .errors import (
-    FieldMismatch,
-    IndexOutOfRange,
-    MatrixTooLarge,
-    NotPrime,
-    RankDeficient,
-)
+from .errors import FieldMismatch, IndexOutOfRange, MatrixTooLarge, NotPrime
 from .frozen import Frozen
 
 MAX_DIM = 32
@@ -427,12 +421,6 @@ def _lex_reader(m: int, k: int) -> tuple[tuple[int, ...], itemgetter]:
     return sets, itemgetter(*sets, 0)
 
 
-def row_space_echelon(a: GFMatrix) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of the row space: nonzero rows of the RREF."""
-    r, pivots = rref(a)
-    return tuple(r.row(i) for i in range(len(pivots)))
-
-
 def kernel_basis(a: GFMatrix) -> list[tuple[int, ...]]:
     """Canonical basis of the right kernel, one vector per free column.
 
@@ -451,35 +439,3 @@ def kernel_basis(a: GFMatrix) -> list[tuple[int, ...]]:
             v[c] = (-r.at(i, f)) % p
         basis.append(tuple(v))
     return basis
-
-
-def nested_kernel_chain(a: GFMatrix, levels: Sequence[int]) -> list[tuple[int, ...]]:
-    """Vectors x_1..x_{n-d_1} whose prefixes span the nested prefix kernels.
-
-    levels must be strictly increasing with d_k <= rows and every prefix
-    a[:d] of full rank d.  For each level d_i the first n - d_i vectors form
-    a basis of ker(a[:d_i]); the chain is built from the deepest kernel
-    outward, extending with canonical kernel vectors.
-    """
-    if not levels or any(x >= y for x, y in zip(levels, levels[1:])):
-        raise IndexOutOfRange("levels must be strictly increasing and nonempty")
-    if levels[-1] > a.rows or levels[0] < 0:
-        raise IndexOutOfRange("level outside row range")
-    full = independent_prefix(a)
-    for d in levels:
-        if d > full:
-            raise RankDeficient(f"prefix {d} has rank below {d}")
-    p = a.p
-    chain: list[tuple[int, ...]] = []
-    # the span of `chain` in the column kernel's (pivot, vector) form
-    span: list[tuple[int, list[int]]] = []
-    for d in reversed(levels):
-        target = a.cols - d
-        for v in kernel_basis(prefix_rows(a, d)):
-            if len(chain) == target:
-                break
-            if _absorb(span, v, p):
-                chain.append(v)
-        if len(chain) != target:
-            raise RankDeficient(f"kernel extension failed at prefix {d}")
-    return chain

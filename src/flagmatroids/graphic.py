@@ -14,7 +14,6 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 from . import flag_core as fl
 from . import gf_linalg as gl
 from . import matroid_core as mc
-from .bitset import least_bijection
 from .errors import (
     BadPartition,
     ChainNotGrounded,
@@ -56,11 +55,15 @@ def complete_bipartite(m: int, n: int) -> MultiGraph:
 Partition = tuple[tuple[int, ...], ...]
 
 
+def _sorted_cells(cells: Iterable[Iterable[int]]) -> Partition:
+    """Every cell sorted, and the cells ordered by their least vertex."""
+    return tuple(sorted((tuple(sorted(c)) for c in cells), key=lambda c: c[:1]))
+
+
 def _canon_partition(cells: Iterable[Iterable[int]], n: int) -> Partition:
-    cells = [tuple(sorted(c)) for c in cells]
-    if not all(cells):
+    canon = _sorted_cells(cells)
+    if not all(canon):
         raise BadPartition("empty cell")
-    canon = tuple(sorted(cells, key=lambda c: c[0]))
     seen: set[int] = set()
     for cell in canon:
         for v in cell:
@@ -81,11 +84,13 @@ def _refines(coarse: Partition, fine: Partition) -> bool:
 
 
 class PartitionChain(Frozen):
-    """Immutable: vertex partitions, coarsest first, each refined by the next."""
+    """Immutable: vertex partitions, coarsest first, each refined by the next,
+    stored as `_sorted_cells` puts them, however their cells were listed."""
 
     partitions: tuple[Partition, ...]
 
-    def __init__(self, partitions: tuple[Partition, ...]):
+    def __init__(self, partitions: Iterable[Iterable[Iterable[int]]]):
+        partitions = tuple(_sorted_cells(p) for p in partitions)
         for coarse, fine in zip(partitions, partitions[1:]):
             if not _refines(coarse, fine):
                 raise BadPartition("consecutive partitions are not a refinement")
@@ -215,11 +220,14 @@ def graphs_match(a: MultiGraph, b: MultiGraph) -> Optional[tuple[int, ...]]:
     equals edge i of b, or None.  An edge's ends are the vertices whose
     incident-edge mask holds it, so a bijection carries the edges iff it
     keeps every vertex's mask.  Vertices of equal mask are interchangeable,
-    so once the sorted masks agree `least_bijection` never backtracks."""
+    so the least one sends the k-th vertex of each mask to the k-th target
+    of that mask: both vertex lists, stably sorted by mask, paired up."""
     ours, theirs = _incident_edges(a), _incident_edges(b)
-    if sorted(ours) != sorted(theirs):
+    vs = sorted(range(a.vertices), key=ours.__getitem__)
+    ts = sorted(range(b.vertices), key=theirs.__getitem__)
+    if [ours[v] for v in vs] != [theirs[t] for t in ts]:
         return None
-    return least_bijection(a.vertices, lambda image, t: ours[len(image)] == theirs[t])
+    return tuple(t for _, t in sorted(zip(vs, ts)))
 
 
 def is_three_connected_simple(g: MultiGraph) -> bool:

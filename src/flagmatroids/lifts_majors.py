@@ -25,6 +25,7 @@ from .errors import (
     BudgetExhausted,
     GroundSetMismatch,
     InternalError,
+    InvalidInput,
     NotElementaryLift,
     NotFull,
 )
@@ -100,7 +101,7 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
             raise InternalError(f"characterizations disagree: {verdicts}", verdicts=verdicts)
         first = results["flats"]
         return LiftResult(first.ok, "all", first.witness)
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidInput(f"unknown lift method {method!r}")
 
 
 def verify_quotient_pair(q: mc.Matroid, x: Iterable[int], quot: mc.Matroid, lift: mc.Matroid) -> bool:

@@ -141,12 +141,20 @@ def uniform_flag_representation(r: int, n: int, p: int) -> FlagRepresentation:
 
 
 def dual_representation(rep: FlagRepresentation) -> FlagRepresentation:
-    """Representation of the dual flag, built from the nested kernel chain."""
+    """Representation of the dual flag: rows x_1..x_{n-d_1} whose first
+    n - d rows span the kernel of the prefix at each level d.  The chain
+    starts from the deepest prefix's canonical kernel basis, and each
+    shallower prefix adds its canonical kernel vectors that are independent
+    of the chain so far; `FlagRepresentation` has checked every prefix's
+    rank, so each adds exactly the n - d the kernel needs."""
     n = rep.n
-    chain = gl.nested_kernel_chain(rep.matrix, rep.levels)
-    b = gl.matrix(rep.p, [list(v) for v in chain], cols=n)
+    chain: list[tuple[int, ...]] = []
+    for d in reversed(rep.levels):
+        for v in gl.kernel_basis(gl.prefix_rows(rep.matrix, d)):
+            if gl.independent_columns(rep.p, chain + [v]):
+                chain.append(v)
     levels = tuple(n - d for d in reversed(rep.levels))
-    out = FlagRepresentation(b, levels)
+    out = FlagRepresentation(gl.matrix(rep.p, chain, cols=n), levels)
     if not represents(out, fl.flag_dual(represented_flag(rep))):
         raise InternalError("dual construction mismatch")  # pragma: no cover
     return out
@@ -195,12 +203,14 @@ def major_from_representation(rep: FlagRepresentation) -> MajorStructure:
 # --- projective equivalence and stitching -----------------------------------------
 
 def projectively_equivalent(a: gl.GFMatrix, b: gl.GFMatrix) -> bool:
-    """Equal row spaces (after discarding dependent rows)."""
+    """Equal row spaces: the nonzero rows of the two RREFs, each row
+    space's canonical basis, agree."""
     if a.p != b.p:
         raise FieldMismatch("different fields")
     if a.cols != b.cols:
         raise GroundSetMismatch("different column counts")
-    return gl.row_space_echelon(a) == gl.row_space_echelon(b)
+    (ra, pa), (rb, pb) = gl.rref(a), gl.rref(b)
+    return ra.entries[: len(pa) * a.cols] == rb.entries[: len(pb) * b.cols]
 
 
 def stitch_representations(
@@ -778,9 +788,8 @@ def is_representable_via_fillings(
     for filling in search.fillings:
         cert = witness_route_decision(filling, p).certificate
         if cert is not None:
-            for level in cert.levels:
-                if level not in fm.cardinalities:
-                    cert = chop_representation(cert, level)
+            # a filling keeps fm's bottom and top levels, so no row is trimmed
+            cert = FlagRepresentation(cert.matrix, fm.cardinalities)
             return RepresentabilityDecision(p, True, certificate=cert)
     return RepresentabilityDecision(p, False if search.complete else None)
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import FANO_ROWS, oracle_rank_mod_p, random_gf_matrix
 from flagmatroids import gf_linalg as gl
-from flagmatroids.errors import IndexOutOfRange, MatrixTooLarge, NotPrime, RankDeficient
+from flagmatroids.errors import IndexOutOfRange, MatrixTooLarge, NotPrime
 
 
 def test_field_rejects_non_primes():
@@ -78,41 +78,6 @@ def test_kernel_count_property():
         for v in kb:
             col = gl.matrix(p, [[x] for x in v], cols=1)
             assert all(e == 0 for e in gl.matmul(a, col).entries)
-
-
-def test_nested_kernel_chain_trivial():
-    assert gl.nested_kernel_chain(gl.identity(2, 1), [1]) == []
-
-
-def test_nested_kernel_chain_vandermonde():
-    a = gl.matrix(5, [[1, 1, 1, 1], [0, 1, 2, 3]])
-    chain = gl.nested_kernel_chain(a, [1, 2])
-    assert len(chain) == 3
-    for i, v in enumerate(chain):
-        col = gl.matrix(5, [[x] for x in v], cols=1)
-        top = gl.matmul(gl.prefix_rows(a, 1), col).entries
-        assert all(e == 0 for e in top)
-        full = gl.matmul(a, col).entries
-        if i < 2:
-            assert all(e == 0 for e in full)
-        else:
-            assert any(e != 0 for e in full)
-
-
-def test_nested_kernel_chain_fano(fano):
-    chain = gl.nested_kernel_chain(fano, [1, 2, 3])
-    assert len(chain) == 6
-    for d, keep in ((3, 4), (2, 5), (1, 6)):
-        prefix = gl.prefix_rows(fano, d)
-        for v in chain[:keep]:
-            col = gl.matrix(2, [[x] for x in v], cols=1)
-            assert all(e == 0 for e in gl.matmul(prefix, col).entries)
-
-
-def test_nested_kernel_chain_rank_deficient():
-    a = gl.matrix(2, [[1, 1], [1, 1]])
-    with pytest.raises(RankDeficient):
-        gl.nested_kernel_chain(a, [1, 2])
 
 
 def test_submatrix_helpers(fano):

@@ -341,7 +341,8 @@ def test_graphs_match_places_thousands_of_vertices():
     """A 3,000-vertex path with loops and parallel edges, its edges in
     shuffled order, against its rotation v -> v + 1: the path's edges force
     every image, so the rotation is the only bijection, hence the least.
-    The search places one vertex per level, far past the recursion limit."""
+    Vertex masks pair the images up with no search, far past the recursion
+    limit."""
     rng = random.Random(3000)
     n = 3000
     edges = [(v, v + 1) for v in range(n - 1)]
@@ -404,6 +405,34 @@ def test_graphs_match_refuses_a_long_near_match_at_once():
     start = time.perf_counter()
     assert gr.graphs_match(gr.multigraph(n, edges), gr.multigraph(n, moved)) is None
     assert time.perf_counter() - start < 0.5
+
+
+def test_graphs_match_pairs_a_relabelled_long_path_at_once():
+    """A 2,000-vertex path against a random relabelling of itself: the
+    vertices are paired by their sorted incident-edge masks, with no
+    search over the targets."""
+    rng = random.Random(2000)
+    n = 2000
+    perm = list(range(n))
+    rng.shuffle(perm)
+    path = gr.multigraph(n, [(v, v + 1) for v in range(n - 1)])
+    relabelled = gr.multigraph(n, [(perm[u], perm[v]) for u, v in path.edges])
+    start = time.perf_counter()
+    assert gr.graphs_match(path, relabelled) == tuple(perm)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_partition_chain_is_canonical_however_it_is_listed():
+    """A hand-built chain whose cells are unsorted and out of order is
+    stored as `chain_of` stores it, so `graphic_major` adds the same path
+    edges to K6."""
+    middle = ((5,), (1, 0), (3, 2, 4))
+    hand = gr.PartitionChain((((0, 1, 2, 3, 4, 5),), middle, gr.singletons(6)))
+    canon = gr.chain_of(6, [[range(6)], middle, gr.singletons(6)])
+    assert hand == canon
+    assert hand.partitions[1] == ((0, 1), (2, 3, 4), (5,))
+    k6 = gr.complete_graph(6)
+    assert gr.graphic_major(k6, hand) == gr.graphic_major(k6, canon)
 
 
 def reference_is_three_connected_simple(g):

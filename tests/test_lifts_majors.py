@@ -9,7 +9,13 @@ from flagmatroids import graphic as gr
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
 from flagmatroids.bitset import mask_of
-from flagmatroids.errors import BudgetExhausted, InternalError, NotElementaryLift, NotFull
+from flagmatroids.errors import (
+    BudgetExhausted,
+    InternalError,
+    InvalidInput,
+    NotElementaryLift,
+    NotFull,
+)
 
 
 def test_is_lift_examples():
@@ -24,6 +30,12 @@ def test_is_lift_all_raises_when_a_method_disagrees(monkeypatch):
     monkeypatch.setitem(lm._LIFT_TESTS, "closures", lambda lift, quot: ("subset", ()))
     with pytest.raises(InternalError, match="characterizations disagree"):
         lm.is_lift(lift, quot, "all")
+
+
+def test_is_lift_refuses_an_unknown_method():
+    """An unknown method is an input error, as it is for `decide`."""
+    with pytest.raises(InvalidInput, match="^unknown lift method 'rank'$"):
+        lm.is_lift(mc.uniform(2, 3), mc.uniform(1, 3), "rank")
 
 
 def test_is_lift_methods_agree_n4():

@@ -25,7 +25,6 @@ from flagmatroids.errors import (
     LastLayer,
     NoTransform,
     NotFull,
-    RankDeficient,
     RankDeficientPrefix,
     SingleLevel,
 )
@@ -235,6 +234,78 @@ def test_dual_representation_zero_level():
     assert back.levels == (0,)
 
 
+def assert_rows_are_a_kernel_chain(rep, dual):
+    """For each level d of rep, the first n - d rows of dual's matrix span
+    the kernel of rep's d-row prefix: they are independent and it kills
+    them."""
+    n, p = rep.n, rep.p
+    rows = dual.matrix.row_lists()
+    assert len(rows) == n - rep.levels[0]
+    assert gl.independent_columns(p, rows)
+    for d in rep.levels:
+        prefix = gl.prefix_rows(rep.matrix, d)
+        for v in rows[: n - d]:
+            col = gl.matrix(p, [[x] for x in v], cols=1)
+            assert not any(gl.matmul(prefix, col).entries)
+
+
+def test_dual_kernel_chain_trivial():
+    dual = rp.dual_representation(rp.FlagRepresentation(gl.identity(2, 1), (1,)))
+    assert (dual.matrix.rows, dual.matrix.cols, dual.levels) == (0, 1, (0,))
+
+
+def test_dual_kernel_chain_vandermonde():
+    rep = rp.FlagRepresentation(gl.matrix(5, [[1, 1, 1, 1], [0, 1, 2, 3]]), (1, 2))
+    dual = rp.dual_representation(rep)
+    assert dual.levels == (2, 3)
+    assert_rows_are_a_kernel_chain(rep, dual)
+    # the third row leaves the kernel of the whole matrix
+    col = gl.matrix(5, [[x] for x in dual.matrix.row(2)], cols=1)
+    assert any(gl.matmul(rep.matrix, col).entries)
+
+
+def test_dual_kernel_chain_fano(fano):
+    rep = rp.FlagRepresentation(fano, (1, 2, 3))
+    dual = rp.dual_representation(rep)
+    assert dual.levels == (4, 5, 6)
+    assert_rows_are_a_kernel_chain(rep, dual)
+
+
+def reference_kernel_chain(a, levels):
+    """The chain built level by level from the deepest prefix outward, each
+    prefix's canonical kernel vectors absorbed until the chain has n - d."""
+    chain, span = [], []
+    for d in reversed(levels):
+        for v in gl.kernel_basis(gl.prefix_rows(a, d)):
+            if len(chain) == a.cols - d:
+                break
+            if gl._absorb(span, v, a.p):
+                chain.append(v)
+    return chain
+
+
+def test_dual_representation_rows_are_the_reference_chain():
+    """Seeded validated representations over GF(2/3/5/7) with up to 8
+    columns, level 0 included: the dual's rows are the reference chain and
+    its levels the complements."""
+    rng = random.Random(3636)
+    made = zero = 0
+    while made < 1200:
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randint(1, 8)
+        r = rng.randint(0, n)
+        a = random_prefix_chain_matrix(rng, p, r, n) if r else gl.matrix(p, [], cols=n)
+        if a is None:
+            continue
+        levels = tuple(sorted(rng.sample(range(r), rng.randint(0, r)))) + (r,)
+        dual = rp.dual_representation(rp.FlagRepresentation(a, levels))
+        assert dual.matrix == gl.matrix(p, reference_kernel_chain(a, levels), cols=n)
+        assert dual.levels == tuple(n - d for d in reversed(levels))
+        made += 1
+        zero += levels[0] == 0
+    assert 200 < zero < 1000
+
+
 def test_chop_representation():
     rep3 = rp.FlagRepresentation(gl.matrix(5, [[1] * 4, [0, 1, 2, 3], [0, 1, 4, 4]]), (1, 2, 3))
     chopped = rp.chop_representation(rep3, 2)
@@ -248,8 +319,7 @@ def test_prefix_ranks_match_one_rank_per_level():
     """`independent_prefix` decides every level's prefix rank at once: on
     random matrices, some with a row that combines earlier rows,
     `FlagRepresentation` refuses the least rank-deficient level, as one
-    rank per level does, and `nested_kernel_chain` refuses exactly when
-    some level is deficient."""
+    rank per level does."""
     rng = random.Random(2020)
     for _ in range(2000):
         p = rng.choice([2, 3, 5, 7])
@@ -267,13 +337,10 @@ def test_prefix_ranks_match_one_rank_per_level():
         deficient = next((d for d in levels if not full[d]), None)
         if deficient is None:
             assert rp.FlagRepresentation(a, levels).levels == levels
-            gl.nested_kernel_chain(a, levels)
             continue
         with pytest.raises(RankDeficientPrefix) as exc:
             rp.FlagRepresentation(a, levels)
         assert exc.value.payload["level"] == deficient
-        with pytest.raises(RankDeficient):
-            gl.nested_kernel_chain(a, levels)
 
 
 def test_major_from_representation_reproduces_known_major():
