@@ -1,8 +1,9 @@
-"""Subsets of {0..n-1} encoded as int bit masks."""
+"""Subsets of {0..n-1} as int bit masks, and families of them as 2^n-bit ints."""
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -189,3 +190,56 @@ def family_bijection(n: int, family: Iterable[int], other: Iterable[int]) -> Opt
         return ends[1 << t] == len(before) and all(p | 1 << t in theirs for p in before)
 
     return least_bijection(n, fits)
+
+
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@lru_cache(maxsize=22)  # n = 0..21, every ground set of a `Matroid`
+def _element_bits(n: int) -> tuple[int, ...]:
+    """has[e] for e < n: the 2^n-bit int with bit S set iff e is in S.
+
+    Runs of 2^e clear then 2^e set bits, doubled up to 2^n bits."""
+    out = []
+    for e in range(n):
+        run = 1 << e
+        bits = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < 1 << n:
+            bits |= bits << width
+            width *= 2
+        out.append(bits)
+    return tuple(out)
+
+
+@lru_cache(maxsize=22)  # n = 0..21, every ground set of a `Matroid`
+def _size_bits(n: int) -> tuple[int, ...]:
+    """size[k] for k <= n: the 2^n-bit int with bit S set iff |S| == k.
+
+    The upper half of the subsets of {0..n-1} holds n - 1, so size[k] is
+    size[k] on n - 1 elements plus size[k - 1] on n - 1 elements shifted
+    up by 2^(n - 1)."""
+    if n == 0:
+        return (1,)
+    low = _size_bits(n - 1) + (0,)
+    half = 1 << (n - 1)
+    return (low[0],) + tuple(low[k] | low[k - 1] << half for k in range(1, n + 1))
+
+
+def _down_closure(n: int, masks: Iterable[int]) -> int:
+    """The 2^n-bit int with bit S set iff S lies inside one of the masks.
+
+    The masks are set one bit each in a bytearray read as one int, then
+    every set S passes its bit to S - e, one element at a time."""
+    marked = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        marked[m >> 3] |= 1 << (m & 7)
+    bits = int.from_bytes(marked, "little")
+    for e, has in enumerate(_element_bits(n)):
+        bits |= (bits & has) >> (1 << e)
+    return bits
+
+
+def _bit_bytes(bits: int, n: int) -> bytes:
+    """One byte per subset S of {0..n-1}: bit S of the 2^n-bit int bits."""
+    return format(bits, f"0{1 << n}b")[::-1].encode().translate(_DIGIT_BYTES)

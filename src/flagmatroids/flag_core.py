@@ -163,8 +163,6 @@ def _axiom1_witness(layer: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
     fam = set(layer)
     for f in layer:
         for g in layer:
-            if f == g:
-                continue
             for x in iter_bits(f & ~g):
                 moved = g | (1 << x)
                 if not any(moved ^ (1 << y) in fam for y in iter_bits(g & ~f)):

@@ -40,7 +40,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import size_masks
+from .bitset import _bit_bytes, _down_closure, size_masks
 from .errors import FieldMismatch, IndexOutOfRange, MatrixTooLarge, NotPrime
 from .frozen import Frozen
 
@@ -330,8 +330,8 @@ def _hyperplane_bases(p: int, n: int, rows: list[Sequence[int]]) -> list[int]:
     iff it lies in no hyperplane (Oxley, Matroid Theory), and the
     hyperplanes are the zero sets {j : x.c_j = 0} of the normals x.  Those
     come from `_zero_sets` and are down-closed in a 2^n-bit int by
-    `matroid_core._down_closure`, which also builds
-    `Matroid.independent_bits`, so the r-sets left unmarked are the bases.
+    `bitset._down_closure`, which also builds `Matroid.independent_bits`,
+    so the r-sets left unmarked are the bases.
     If the rows are dependent, some normal is zero on every column,
     everything is marked and nothing is returned, as the DFS returns
     nothing.
@@ -342,11 +342,9 @@ def _hyperplane_bases(p: int, n: int, rows: list[Sequence[int]]) -> list[int]:
     the same low part in the order of their high parts, which
     `_lex_reader(m, k)` lists; so each low part costs one strided slice of
     the one-byte-per-set table and one memoized read of it."""
-    from . import matroid_core as mc  # matroid_core imports this module
-
     r = len(rows)
-    marks = mc._down_closure(n, _zero_sets(p, n, rows))
-    free = mc._bit_bytes(((1 << (1 << n)) - 1) ^ marks, n)
+    marks = _down_closure(n, _zero_sets(p, n, rows))
+    free = _bit_bytes(((1 << (1 << n)) - 1) ^ marks, n)
     m = min(n, _LEX_TABLE_COLS)
     w = n - m
     if w == 0:

@@ -190,8 +190,6 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
     for coarse, fine in zip(parts, parts[1:]):
         step: list[int] = []
         for cell in coarse:
-            if cell in fine:
-                continue
             reps = [c[0] for c in fine if set(c) <= set(cell)]
             for a, b in zip(reps, reps[1:]):
                 step.append(len(edges))
@@ -200,7 +198,7 @@ def graphic_major(g: MultiGraph, chain: PartitionChain):
     h = MultiGraph(g.vertices, tuple(edges))
     major = MajorStructure(cycle_matroid(h), tuple(blocks))
     if not verify_major(major.matroid, major.blocks, fm):
-        raise InternalError("constructed graph is not a major")  # pragma: no cover
+        raise InternalError("constructed graph is not a major")
     return h, major
 
 

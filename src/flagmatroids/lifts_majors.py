@@ -246,7 +246,7 @@ def verify_major(q: mc.Matroid, blocks: Sequence[Iterable[int]], fm: fl.FlagMatr
     extras = ((1 << q.n) - 1) ^ ((1 << fm.n) - 1)
     if q.n != fm.n + xmask.bit_count() or xmask != extras:
         return False
-    if not q.is_independent(xmask):
+    if all(xmask & ~b for b in q.bases):  # no basis holds every extra
         return False
     contract = xmask
     for layer, bm in zip(layers, block_masks + [0]):
@@ -270,11 +270,8 @@ def search_major(fm: fl.FlagMatroid, budget: int = 20000) -> Optional[MajorStruc
     BudgetExhausted); the grown major is checked by `verify_major`.
     """
     layers, ranks = fm.layers, fm.cardinalities
-    extra = ranks[-1] - ranks[0]
-    if extra == 0:
-        return MajorStructure(layers[0], ())
     n = fm.n
-    if extra == 1:
+    if ranks[-1] - ranks[0] == 1:
         if budget <= 0:
             raise BudgetExhausted(f"{budget} candidate families examined")
         return MajorStructure(elementary_witness(*layers), ((n,),))

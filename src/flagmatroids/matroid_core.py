@@ -25,6 +25,10 @@ from typing import Collection, Iterable, Iterator, Optional
 
 from . import gf_linalg as gl
 from .bitset import (
+    _bit_bytes,
+    _down_closure,
+    _element_bits,
+    _size_bits,
     canonical,
     elements_of,
     family_bijection,
@@ -47,57 +51,6 @@ MAX_GROUND = 20  # the largest ground set of a loaded document or a flag
 # A lift witness of a flag on n elements has n + 1 (lifts_majors), so a
 # matroid built inside the library may have one element more.
 MAX_MATROID_GROUND = MAX_GROUND + 1
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-@lru_cache(maxsize=MAX_MATROID_GROUND + 1)
-def _element_bits(n: int) -> tuple[int, ...]:
-    """has[e] for e < n: the 2^n-bit int with bit S set iff e is in S.
-
-    Runs of 2^e clear then 2^e set bits, doubled up to 2^n bits."""
-    out = []
-    for e in range(n):
-        run = 1 << e
-        bits = ((1 << run) - 1) << run
-        width = 2 * run
-        while width < 1 << n:
-            bits |= bits << width
-            width *= 2
-        out.append(bits)
-    return tuple(out)
-
-
-@lru_cache(maxsize=MAX_MATROID_GROUND + 1)
-def _size_bits(n: int) -> tuple[int, ...]:
-    """size[k] for k <= n: the 2^n-bit int with bit S set iff |S| == k.
-
-    The upper half of the subsets of {0..n-1} holds n - 1, so size[k] is
-    size[k] on n - 1 elements plus size[k - 1] on n - 1 elements shifted
-    up by 2^(n - 1)."""
-    if n == 0:
-        return (1,)
-    low = _size_bits(n - 1) + (0,)
-    half = 1 << (n - 1)
-    return (low[0],) + tuple(low[k] | low[k - 1] << half for k in range(1, n + 1))
-
-
-def _down_closure(n: int, masks: Iterable[int]) -> int:
-    """The 2^n-bit int with bit S set iff S lies inside one of the masks.
-
-    The masks are set one bit each in a bytearray read as one int, then
-    every set S passes its bit to S - e, one element at a time."""
-    marked = bytearray(((1 << n) + 7) >> 3)
-    for m in masks:
-        marked[m >> 3] |= 1 << (m & 7)
-    bits = int.from_bytes(marked, "little")
-    for e, has in enumerate(_element_bits(n)):
-        bits |= (bits & has) >> (1 << e)
-    return bits
-
-
-def _bit_bytes(bits: int, n: int) -> bytes:
-    """One byte per subset S of {0..n-1}: bit S of the 2^n-bit int bits."""
-    return format(bits, f"0{1 << n}b")[::-1].encode().translate(_DIGIT_BYTES)
 
 
 class Matroid(Frozen):

@@ -50,6 +50,7 @@ from .errors import (
     FieldMismatch,
     FieldTooSmall,
     GroundSetMismatch,
+    IndexOutOfRange,
     InternalError,
     InvalidInput,
     LastLayer,
@@ -134,10 +135,8 @@ def uniform_flag_representation(r: int, n: int, p: int) -> FlagRepresentation:
     if r >= 2 and p < n:
         raise FieldTooSmall(f"GF({p}) has fewer than {n} elements", p=p, n=n)
     gl.check_shape(r, n)
-    if r == 0:
-        return FlagRepresentation(gl.matrix(p, [], cols=n), (0,))
     rows = [[pow(j, i, p) for j in range(n)] for i in range(r)]
-    return FlagRepresentation(gl.matrix(p, rows), tuple(range(1, r + 1)))
+    return FlagRepresentation(gl.matrix(p, rows, cols=n), tuple(range(1, r + 1)) or (0,))
 
 
 def dual_representation(rep: FlagRepresentation) -> FlagRepresentation:
@@ -146,8 +145,11 @@ def dual_representation(rep: FlagRepresentation) -> FlagRepresentation:
     starts from the deepest prefix's canonical kernel basis, and each
     shallower prefix adds its canonical kernel vectors that are independent
     of the chain so far; `FlagRepresentation` has checked every prefix's
-    rank, so each adds exactly the n - d the kernel needs."""
+    rank, so each adds exactly the n - d the kernel needs.  Each level d is
+    checked: the top n - d rows have the dual of the d-row prefix's bases."""
     n = rep.n
+    if n > mc.MAX_GROUND:
+        raise IndexOutOfRange(f"ground set size {n} outside 0..{mc.MAX_GROUND}")
     chain: list[tuple[int, ...]] = []
     for d in reversed(rep.levels):
         for v in gl.kernel_basis(gl.prefix_rows(rep.matrix, d)):
@@ -155,8 +157,10 @@ def dual_representation(rep: FlagRepresentation) -> FlagRepresentation:
                 chain.append(v)
     levels = tuple(n - d for d in reversed(rep.levels))
     out = FlagRepresentation(gl.matrix(rep.p, chain, cols=n), levels)
-    if not represents(out, fl.flag_dual(represented_flag(rep))):
-        raise InternalError("dual construction mismatch")  # pragma: no cover
+    for d in rep.levels:
+        layer = mc.Matroid(n, gl.column_bases(gl.prefix_rows(rep.matrix, d)))
+        if not _level_matches(out.matrix, mc.dual(layer)):
+            raise InternalError("dual construction mismatch")
     return out
 
 
@@ -311,8 +315,6 @@ def matroid_representation(m: mc.Matroid, p: int) -> Optional[gl.GFMatrix]:
     if p not in (2, 3):
         raise InvalidInput("unique representations need p in (2, 3)")
     r, n = m.rank, m.n
-    if r == 0:
-        return gl.matrix(p, [], cols=n)
     first, bases = m.bases[0], m.basis_set
     base = elements_of(first)
     rest = [e for e in range(n) if not first >> e & 1]
@@ -769,7 +771,7 @@ def witness_route_decision(fm: fl.FlagMatroid, p: int) -> RepresentabilityDecisi
         mat = pair if mat is None else _stitch(mat, pair)
     rep = FlagRepresentation(mat, fm.cardinalities)
     if not represents(rep, fm):
-        raise InternalError("stitched certificate mismatch")  # pragma: no cover
+        raise InternalError("stitched certificate mismatch")
     return RepresentabilityDecision(p, True, certificate=rep)
 
 

@@ -872,3 +872,62 @@ def test_every_verb_reports_an_unreadable_file(capture, tmp_path, argv, text, de
     doc = json.loads(out)
     assert (code, doc["error"]) == (2, "InvalidInput")
     assert str(path) in doc["detail"] and detail in doc["detail"]
+
+
+def test_isomorphic_on_two_flag_files(capture, corpus):
+    flag = corpus["write"]("fa.json", {"n": 3, "feasible": [[0], [1], [0, 1], [0, 2], [1, 2]]})
+    moved = corpus["write"]("fb.json", {"n": 3, "feasible": [[1], [2], [1, 2], [0, 1], [0, 2]]})
+    full = corpus["write"]("fc.json", io.flag_json(fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3)])))
+    code, out, _ = capture("isomorphic", flag, moved)
+    assert (code, out) == (0, '{"bijection":[1,2,0],"isomorphic":true}\n')
+    code, out, _ = capture("isomorphic", flag, full)
+    assert (code, out) == (1, '{"isomorphic":false}\n')
+
+
+def test_validate_refuses_a_minor_script_that_misses_the_target(capture, corpus):
+    """U_{2,5} over GF(2): the certificate deletes 0 to reach U_{2,4}; a
+    script that contracts 0 instead reaches U_{1,4}."""
+    flag = corpus["write"]("u25.json", io.flag_json(fl.basis_flag(mc.uniform(2, 5))))
+    code, out, _ = capture("is-representable", flag, "--p", "2")
+    assert code == 1
+    cert = json.loads(out)
+    assert (cert["contract"], cert["delete"]) == ([], [0])
+    code, out, _ = capture("validate", corpus["write"]("u25-ok.json", out))
+    assert code == 0
+    cert.update(contract=[0], delete=[])
+    code, out, _ = capture("validate", corpus["write"]("u25-bad.json", json.dumps(cert)))
+    assert (code, json.loads(out)) == (1, {
+        "kind": "certificate-forbidden-minor",
+        "reason": "minor script does not yield the target",
+        "valid": False,
+    })
+
+
+def test_validate_refuses_a_bare_partition_chain(capture, corpus):
+    chain = corpus["write"](
+        "chain.json", {"schema": "partition-chain/1", "partitions": [[[0, 1]], [[0], [1]]]}
+    )
+    code, out, _ = capture("validate", chain)
+    assert code == 2 and json.loads(out)["error"] == "InvalidInput"
+
+
+def test_major_verify_says_no_and_needs_the_flag(capture, corpus):
+    major = {"schema": "major/1", "matroid": io.matroid_json(mc.uniform(3, 4)), "blocks": [[3]]}
+    flag = io.flag_json(fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3)]))
+    bundle = corpus["write"]("mv.json", {"major": major, "flag": flag})
+    code, out, _ = capture("major", "verify", bundle)
+    assert (code, out) == (1, '{"valid":false}\n')
+    code, out, _ = capture("major", "verify", corpus["write"]("mv-bare.json", {"major": major}))
+    assert code == 2 and json.loads(out)["error"] == "InvalidInput"
+
+
+def test_input_errors_of_from_matrix_and_minor(capture, corpus):
+    code, out, _ = capture("from-matrix", corpus["fano.json"], "--levels", "1,x")
+    assert (code, json.loads(out)) == (2, {
+        "error": "InvalidInput", "detail": "expected comma-separated integers, got '1,x'",
+    })
+    short = {"schema": "gf-matrix/1", "p": 2, "rows": 2, "cols": 3, "entries": [[1, 0, 1], [0, 1]]}
+    code, out, _ = capture("from-matrix", corpus["write"]("short.json", short), "--levels", "1,2")
+    assert code == 2 and json.loads(out)["error"] == "InvalidInput"
+    code, out, _ = capture("minor", corpus["iu23.json"], "--contract", "0", "--delete", "0")
+    assert code == 2 and json.loads(out)["error"] == "OverlappingSets"

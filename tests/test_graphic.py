@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from itertools import combinations, permutations
@@ -17,6 +18,7 @@ from flagmatroids.errors import (
     EmptyResult,
     GraphNotConnected,
     IndexOutOfRange,
+    InternalError,
     TrivialLiftLayer,
 )
 
@@ -204,6 +206,27 @@ def test_graphic_major_triangle():
     h, major = gr.graphic_major(triangle, chain)
     assert len(h.edges) == 5
     assert lm.verify_major(major.matroid, major.blocks, gr.graphic_flag(triangle, chain))
+
+
+def test_graphic_major_refuses_a_graph_that_is_not_a_major(capture, corpus, monkeypatch):
+    """The major is checked through `cycle_matroid` of the grown graph; a
+    cycle matroid that reads the last added edge as a loop is no major (a
+    loop lies in no basis), so the call raises and `graphic-major` exits 4."""
+    real = gr.cycle_matroid
+
+    def last_added_edge_a_loop(g):
+        if len(g.edges) > len(K4.edges):
+            u = g.edges[-1][0]
+            g = gr.MultiGraph(g.vertices, g.edges[:-1] + ((u, u),))
+        return real(g)
+
+    monkeypatch.setattr(gr, "cycle_matroid", last_added_edge_a_loop)
+    with pytest.raises(InternalError, match="constructed graph is not a major"):
+        gr.graphic_major(K4, K4_CHAIN)
+    code, out, _ = capture("graphic-major", corpus["k4bundle.json"])
+    assert (code, json.loads(out)) == (4, {
+        "error": "InternalError", "detail": "constructed graph is not a major",
+    })
 
 
 def test_graphic_major_preconditions():

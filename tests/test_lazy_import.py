@@ -105,3 +105,16 @@ def test_bare_package_import_loads_no_submodule_until_a_name_is_read():
     assert loaded_after("import flagmatroids") == {"flagmatroids"}
     loaded = loaded_after("import flagmatroids; flagmatroids.graphic_flag")
     assert {"flagmatroids.graphic", "flagmatroids.flag_core"} <= loaded
+
+
+def test_column_bases_on_the_hyperplane_path_loads_no_matroid_core():
+    """The 2^n-bit family kernels live in `bitset`, so the GF(p) layer reads
+    a 3 x 8 GF(2) matrix's bases through `_hyperplane_bases` without the
+    matroid layer."""
+    loaded = loaded_after(
+        "from flagmatroids import gf_linalg as gl; "
+        "a = gl.matrix(2, [[1,0,0,1,1,0,1,1], [0,1,0,1,0,1,1,0], [0,0,1,0,1,1,1,1]]); "
+        "assert gl._hyperplanes_pay(2, 8, 3); assert len(list(gl.column_bases(a))) == 40"
+    )
+    assert "flagmatroids.gf_linalg" in loaded
+    assert "flagmatroids.matroid_core" not in loaded

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import all_flags, enumerate_elementary_coextensions
 from flagmatroids import flag_core as fl
 from flagmatroids import graphic as gr
+from flagmatroids import jsonio as io
 from flagmatroids import lifts_majors as lm
 from flagmatroids import matroid_core as mc
 from flagmatroids.bitset import mask_of
@@ -416,6 +418,59 @@ def test_one_element_major_counts_against_the_budget():
 
 
 def test_search_major_trivial():
+    """A one-layer flag is its own major: the search returns the top layer
+    at once and spends no budget, and `verify_major` finds the extras (none)
+    in a basis without building q's independence table."""
     single = fl.basis_flag(mc.uniform(2, 4))
     major = lm.search_major(single)
     assert major is not None and major.matroid == mc.uniform(2, 4)
+    fm = fl.basis_flag(mc.uniform(3, 20))
+    for budget in (20000, 0):
+        assert lm.search_major(fm, budget) == lm.MajorStructure(fm.layers[0], ())
+    q = mc.uniform(3, 20)
+    assert lm.verify_major(q, (), fm)
+    assert "independent_bits" not in q.__dict__ and "independent_table" not in q.__dict__
+
+
+def test_verify_major_refuses_a_loop_as_the_extra():
+    """The extras must lie in one basis: adding element 3 as a loop to the
+    top layer of (U_{1,3}, U_{2,3}) gives the right deletion but no major."""
+    fm = fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3)])
+    looped = mc.Matroid(4, mc.uniform(2, 3).bases)
+    assert not lm.verify_major(looped, [(3,)], fm)
+    assert "independent_bits" not in looped.__dict__
+    assert lm.verify_major(mc.uniform(2, 4), [(3,)], fm)
+
+
+def test_elementary_witness_refuses_a_family_that_fails_basis_exchange(
+    capture, corpus, monkeypatch
+):
+    """`_coextension` is trusted to build a basis family; when it does not,
+    the checked witness raises, and the `witness` verb exits 4."""
+    def two_disjoint_bases(quot, lift):
+        return mc.Matroid(quot.n + 1, (0b0011, 0b1100))
+
+    monkeypatch.setattr(lm, "_coextension", two_disjoint_bases)
+    with pytest.raises(InternalError, match="witness family fails basis exchange"):
+        lm.elementary_witness(mc.uniform(1, 3), mc.uniform(2, 3))
+    code, out, _ = capture("witness", corpus["chain3.json"])
+    assert (code, json.loads(out)) == (4, {
+        "error": "InternalError", "detail": "witness family fails basis exchange",
+    })
+
+
+def test_search_major_refuses_a_grown_matroid_that_is_not_a_major(capture, corpus, monkeypatch):
+    """The search trusts `single_element_extensions` to extend the matroid it
+    is given; extensions of the uniform matroid of the top layer's rank
+    instead pass every pruning test but delete to the wrong top layer, and
+    `verify_major` catches it: InternalError, and `major search` exits 4."""
+    layers = [mc.Matroid(4, (0,)), mc.Matroid(4, (1, 2, 4)), mc.Matroid(4, (3, 5, 6))]
+    fm = fl.from_sequence(layers)
+    real = mc.single_element_extensions
+    monkeypatch.setattr(mc, "single_element_extensions", lambda q: real(mc.uniform(q.rank, q.n)))
+    with pytest.raises(InternalError, match="the major search built a matroid that is not a"):
+        lm.search_major(fm)
+    code, out, _ = capture("major", "search", corpus["write"]("loopy.json", io.flag_json(fm)))
+    assert (code, json.loads(out)) == (4, {
+        "error": "InternalError", "detail": "the major search built a matroid that is not a major",
+    })

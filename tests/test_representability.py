@@ -22,6 +22,8 @@ from flagmatroids import representability as rp
 from flagmatroids.bitset import mask_of
 from flagmatroids.errors import (
     FieldTooSmall,
+    IndexOutOfRange,
+    InternalError,
     LastLayer,
     NoTransform,
     NotFull,
@@ -232,6 +234,37 @@ def test_dual_representation_zero_level():
     assert rp.represented_flag(d) == fl.basis_flag(mc.uniform(3, 3))
     back = rp.dual_representation(d)
     assert back.levels == (0,)
+
+
+def test_dual_representation_checks_each_level_against_the_dual_layer(monkeypatch):
+    """The self-check compares the dual's prefixes with the duals of rep's
+    layers: unit vectors in place of the kernel vectors still make a valid
+    representation, but not of the dual flag, and the call raises."""
+    rep = rp.uniform_flag_representation(2, 4, 5)
+
+    def units(a):
+        return [tuple(int(j == f) for j in range(a.cols)) for f in range(a.rows, a.cols)]
+
+    monkeypatch.setattr(gl, "kernel_basis", units)
+    with pytest.raises(InternalError, match="dual construction mismatch"):
+        rp.dual_representation(rep)
+
+
+def test_dual_representation_builds_no_flag():
+    """The self-check reads column bases only: no `FlagMatroid` is built, so
+    the layer memo gains no entry."""
+    fl._layer_check.cache_clear()
+    rng = random.Random(37)
+    for p in (2, 3, 5, 7):
+        rep = random_representation(rng, p, max_n=8)
+        rp.dual_representation(rep)
+        assert fl._layer_check.cache_info().currsize == 0, rep
+
+
+def test_dual_representation_refuses_more_than_twenty_columns():
+    rep = rp.FlagRepresentation(gl.matrix(2, [[1] * 21]), (1,))
+    with pytest.raises(IndexOutOfRange, match=r"^ground set size 21 outside 0\.\.20$"):
+        rp.dual_representation(rep)
 
 
 def assert_rows_are_a_kernel_chain(rep, dual):

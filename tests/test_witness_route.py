@@ -12,6 +12,7 @@ the nearest-first order, then a row re-signing to the canonical form): the
 verdict, the certificate matrix and its levels.
 """
 
+import json
 import random
 
 import pytest
@@ -317,3 +318,29 @@ def test_a_constructor_that_drops_a_basis_makes_the_no_path_raise(monkeypatch):
     monkeypatch.setattr(lm, "_coextension", drop_first_basis)
     with pytest.raises(InternalError):
         rp.witness_route_decision(fm, 2)
+
+
+def test_a_stitch_that_changes_a_lower_prefix_makes_the_yes_path_raise(
+    capture, corpus, monkeypatch
+):
+    """The certificate is built by `_stitch`; a stitch whose result adds its
+    last row to its first keeps every prefix's rank but changes the lower
+    layers, so `represents` refuses it: InternalError, and
+    `is-representable --method witness` exits 4."""
+    fm = fl.from_sequence([mc.uniform(1, 3), mc.uniform(2, 3), mc.uniform(3, 3)])
+    assert rp.witness_route_decision(fm, 3).representable
+    stitch = rp._stitch
+
+    def skewed(a, b):
+        rows = stitch(a, b).row_lists()
+        rows[0] = [(x + y) % a.p for x, y in zip(rows[0], rows[-1])]
+        return gl.matrix(a.p, rows)
+
+    monkeypatch.setattr(rp, "_stitch", skewed)
+    with pytest.raises(InternalError, match="stitched certificate mismatch"):
+        rp.witness_route_decision(fm, 3)
+    argv = ("is-representable", corpus["chain3.json"], "--p", "3", "--method", "witness")
+    code, out, _ = capture(*argv)
+    assert (code, json.loads(out)) == (4, {
+        "error": "InternalError", "detail": "stitched certificate mismatch",
+    })
