@@ -36,8 +36,13 @@ class LiftResult(NamedTuple):
     witness: Optional[tuple] = None
 
 
-def _flat_witness(quot_bits: int, lift_bits: int) -> Optional[tuple]:
-    mask = mc.first_unlifted(quot_bits, lift_bits)
+def _lift_by_flats(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
+    mask = mc.first_unlifted(quot.flat_bits, lift.flat_bits)
+    return None if mask is None else ("flat", elements_of(mask))
+
+
+def _lift_by_duals(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
+    mask = mc.first_unlifted(lift.coflat_bits, quot.coflat_bits)
     return None if mask is None else ("flat", elements_of(mask))
 
 
@@ -59,8 +64,8 @@ def _lift_by_bases(lift: mc.Matroid, quot: mc.Matroid) -> Optional[tuple]:
 
 # method -> the witness that `lift` is not a lift of `quot`, or None
 _LIFT_TESTS = {
-    "flats": lambda lift, quot: _flat_witness(quot.flat_bits, lift.flat_bits),
-    "duals": lambda lift, quot: _flat_witness(lift.coflat_bits, quot.coflat_bits),
+    "flats": _lift_by_flats,
+    "duals": _lift_by_duals,
     "closures": _lift_by_closures,
     "bases": _lift_by_bases,
 }
@@ -83,7 +88,9 @@ def is_lift(lift: mc.Matroid, quot: mc.Matroid, method: str = "flats") -> LiftRe
     - "bases": for every basis B of lift and e outside B there is a basis
       B' of quot inside B whose fundamental circuit of e lies inside the
       fundamental circuit of e in B; the witness is the first (B, e)
-      without one, read by `mc.unlifted_basis` as axiom 2 is.
+      without one, read by `mc.unlifted_basis` as axiom 2 is, from the
+      two matroids' cached fundamental-cocircuit rows with one OR over
+      the elements of B' per pair (B, B').
 
     "all" evaluates the four; if they disagree that is a fault in the
     program, and InternalError is raised.

@@ -67,7 +67,9 @@ class Matroid(Frozen):
     `is_matroid` (basis exchange) keeps the AND of the per-element
     `moved_bits` as `flat_bits` on a "yes"; the closures lift test, or
     `flat_bits` of an unchecked matroid, caches the tuple.
-    `fundamental_circuits` is read off the basis family.
+    `fundamental_cocircuits`, per basis B the masks of the e outside B that
+    can replace each x in B, is read off the basis family alone; the bases
+    lift test `unlifted_basis` ORs and ANDs these rows.
     """
 
     n: int
@@ -224,19 +226,17 @@ class Matroid(Frozen):
         return tuple(sorted(out, key=elements_of))
 
     @cached_property
-    def fundamental_circuits(self) -> tuple[tuple[int, ...], ...]:
-        """Per basis B, in `bases` order, the row over e in {0..n-1} of the
-        masks {x : B + e - x is a basis}: the fundamental circuit C(B, e)
-        for e outside B, empty for e in B.  x ranges over B + e, so no x
-        outside it is ever tested."""
-        family = set(self.bases)
+    def fundamental_cocircuits(self) -> tuple[tuple[int, ...], ...]:
+        """Per basis B, in `bases` order, the row over x in {0..n-1} of the
+        masks {e outside B : B - x + e is a basis}: the fundamental cocircuit
+        C*(B, x) less x for x in B, empty for x outside B.  Row x of B is
+        `_one_step_reach` of the bases at B - x, less x itself."""
+        reach = _one_step_reach(self.bases)
         out = []
         for b in self.bases:
             row = [0] * self.n
-            for e in range(self.n):
-                be = b | 1 << e
-                if be != b:
-                    row[e] = sum(1 << x for x in elements_of(be) if be ^ 1 << x in family)
+            for x in iter_bits(b):
+                row[x] = reach[b ^ 1 << x] ^ 1 << x
             out.append(tuple(row))
         return tuple(out)
 
@@ -244,14 +244,24 @@ class Matroid(Frozen):
         return bool(self.independent_table[mask])
 
 
+def _one_step_reach(family: Iterable[int]) -> dict[int, int]:
+    """reach[S], for each member less one element, is the mask of the y
+    outside S with S + y in the family (of distinct masks)."""
+    reach: dict[int, int] = {}
+    for b in family:
+        for x in iter_bits(b):
+            rest = b ^ 1 << x
+            reach[rest] = reach.get(rest, 0) | 1 << x
+    return reach
+
+
 def basis_exchange_witness(masks: Iterable[int]) -> Optional[tuple[int, int, int]]:
     """None if the equal-cardinality family satisfies basis exchange,
     else the first witness (B1, B2, x) in family order.
 
     Exchange asks, for B1 != B2 and x in B1 - B2, for some y in B2 - B1 with
-    B1 - x + y in the family.  reach[S] is the mask of the y outside S with
-    S + y in the family, built once from every member minus each of its
-    elements.  A y in reach[B1 - x] & B2 is outside B1 - x and is not x
+    B1 - x + y in the family.  reach is `_one_step_reach` of the family,
+    built once.  A y in reach[B1 - x] & B2 is outside B1 - x and is not x
     (x is not in B2), so it lies in B2 - B1: an exchange for (B1, B2, x)
     exists iff reach[B1 - x] & B2 != 0.  As B1 is in the family, x itself
     is in reach[B1 - x], so the same test passes for every x in B1 & B2,
@@ -259,11 +269,7 @@ def basis_exchange_witness(masks: Iterable[int]) -> Optional[tuple[int, int, int
     finds the same first witness as running it over B1 - B2.
     """
     fam = list(masks)
-    reach: dict[int, int] = {}
-    for b in set(fam):
-        for x in iter_bits(b):
-            rest = b ^ 1 << x
-            reach[rest] = reach.get(rest, 0) | 1 << x
+    reach = _one_step_reach(set(fam))
     for b1 in fam:
         row = [(reach[b1 ^ 1 << x], x) for x in iter_bits(b1)]
         for b2 in fam:
@@ -371,16 +377,29 @@ def first_unlifted(quot_bits: int, lift_bits: int) -> Optional[int]:
 def unlifted_basis(quot: Matroid, lift: Matroid) -> Optional[tuple[int, int]]:
     """The first (F, e), F a basis of lift and e outside F, for which no
     basis G of quot inside F has its fundamental circuit of e inside F's,
-    or None.  Each G costs one AND of the cached `fundamental_circuits`
-    rows.  This is axiom 2 between two layers of a flag and the "bases"
-    lift test of `lifts_majors.is_lift`."""
-    lower, lower_rows = quot.bases, quot.fundamental_circuits
-    for f, row in zip(lift.bases, lift.fundamental_circuits):
-        inside = [low for g, low in zip(lower, lower_rows) if not g & ~f]
-        for e, up in enumerate(row):
-            # up is empty exactly for e in F
-            if up and all(low[e] & ~up for low in inside):
-                return (f, e)
+    or None.  This is axiom 2 between two layers of a flag and the "bases"
+    lift test of `lifts_majors.is_lift`.
+
+    x is in C(G, e) iff e is in C*(G, x), so with the cached
+    `fundamental_cocircuits` rows `low` of G and `up` of F, G fails for
+    every e in the OR over x in G of low[x] & ~up[x].  The e outside F that
+    every G inside F fails for are the AND of those ORs; F's search stops
+    once it is empty, and otherwise its lowest bit is the least such e."""
+    full = lift.full_mask
+    lower, lower_rows = quot.bases, quot.fundamental_cocircuits
+    for f, up in zip(lift.bases, lift.fundamental_cocircuits):
+        failing = full & ~f
+        for g, low in zip(lower, lower_rows):
+            if g & ~f:
+                continue
+            bad = 0
+            for x in iter_bits(g):
+                bad |= low[x] & ~up[x]
+            failing &= bad
+            if not failing:
+                break
+        if failing:
+            return (f, (failing & -failing).bit_length() - 1)
     return None
 
 

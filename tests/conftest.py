@@ -325,11 +325,26 @@ def all_flags(n):
     return out
 
 
+def _least_dependent_subset(layer, s: int) -> int:
+    """The smallest subset of s inside no member of the layer, found by
+    trying every subset: for a basis B and e outside it, the one circuit
+    of B + e, since every dependent subset of B + e holds it."""
+    best, sub = s, s
+    while sub:
+        if sub.bit_count() < best.bit_count() and all(sub & ~g for g in layer):
+            best = sub
+        sub = (sub - 1) & s
+    return best
+
+
 def reference_check_flag_axioms(n: int, family) -> fl.AxiomReport:
-    """`check_flag_axioms` as the axioms are stated, reading no memo: axiom 1
-    (for F, G in a layer and x in F - G, some y in G - F has G + x - y in the
-    layer) on every layer, then `mc.unlifted_basis` on freshly built
-    matroids of each adjacent pair, with the same first witness."""
+    """`check_flag_axioms` as the axioms are stated, reading no memo and no
+    library matroid: axiom 1 (for F, G in a layer and x in F - G, some y in
+    G - F has G + x - y in the layer) on every layer, then axiom 2 on each
+    adjacent pair (for F in the upper layer and e outside F, some G of the
+    lower layer inside F has C(G, e) inside C(F, e)), each circuit the
+    least dependent subset of the basis plus e.  F and e are tried in
+    order, so the first witness is the library's."""
     masks = canonical(family)
     if not masks:
         return fl.AxiomReport(False, axiom=0, witness={"reason": "empty family"})
@@ -347,11 +362,19 @@ def reference_check_flag_axioms(n: int, family) -> fl.AxiomReport:
                     ):
                         witness = {"F": elements_of(f), "G": elements_of(g), "x": x}
                         return fl.AxiomReport(False, axiom=1, witness=witness)
-    matroids = [mc.Matroid(n, layer) for layer in layers.values()]
-    for quot, lift in zip(matroids, matroids[1:]):
-        w = mc.unlifted_basis(quot, lift)
-        if w is not None:
-            return fl.AxiomReport(False, axiom=2, witness={"F": elements_of(w[0]), "e": w[1]})
+    chain = list(layers.values())
+    for lower, upper in zip(chain, chain[1:]):
+        for f in upper:
+            for e in range(n):
+                if f >> e & 1:
+                    continue
+                up = _least_dependent_subset(upper, f | 1 << e)
+                if not any(
+                    not _least_dependent_subset(lower, g | 1 << e) & ~up
+                    for g in lower
+                    if not g & ~f
+                ):
+                    return fl.AxiomReport(False, axiom=2, witness={"F": elements_of(f), "e": e})
     return fl.AxiomReport(True)
 
 

@@ -1,20 +1,23 @@
 """Differential tests for the lift tests on `Matroid`.
 
 `is_lift` reads `flat_bits`, `coflat_bits`, `moved_bits` and
-`fundamental_circuits`, and `mc.first_unlifted` on the `flat_bits` of the
+`fundamental_cocircuits`, and `mc.first_unlifted` on the `flat_bits` of the
 checked matroids that `flag_core._layer_check` memoizes for each layer
 gives a flag's lift witness.  The "bases" method runs
-`matroid_core.unlifted_basis` on the fundamental circuit rows cached on
+`matroid_core.unlifted_basis` on the fundamental-cocircuit rows cached on
 both matroids, the kernel that also gives the witness of axiom 2 in
-`check_flag_axioms`, and each G inside F costs one AND.  The references
-below are the loops these replaced: one closure per subset for the
-"flats" and "closures" methods, the "duals" method run on two freshly
-built dual matroids, the per-subset lift witness, the flats
-comprehension, and the basis-exchange loop that rebuilds both fundamental
-circuits for every (F, e, G).  The rows themselves are checked against the
-unique circuit of `matroid_core.circuits` inside B + e.  The library must
-return exactly what the references return, witnesses included.
-Hypothesis settings come from the `tier1` profile in conftest.py.
+`check_flag_axioms`: each G inside F costs one OR over the elements of G,
+and F's candidates for e are the AND of those ORs.  The references below
+are the loops these replaced: one closure per subset for the "flats" and
+"closures" methods, the "duals" method run on two freshly built dual
+matroids, the per-subset lift witness, the flats comprehension, and the
+basis-exchange loop that rebuilds both fundamental circuits for every
+(F, e, G), which the kernel must match on every ordered pair of matroids
+on 5 elements.  The rows themselves are checked against the unique
+circuit of the dual, from `matroid_core.circuits`, inside (E - B) + x.
+The library must return exactly what the references return, witnesses
+included.  Hypothesis settings come from the `tier1` profile in
+conftest.py.
 """
 
 import random
@@ -134,24 +137,35 @@ def test_seeded_rows_on_5_elements():
             assert_pair_matches(pool[row], quot)
 
 
+def test_unlifted_basis_matches_the_reference_on_every_pair_on_5_elements():
+    pool = matroids_on(5)
+    for lift in pool:
+        for quot in pool:
+            fe = mc.unlifted_basis(quot, lift)
+            got = None if fe is None else ("basis", elements_of(fe[0]), fe[1])
+            assert got == reference_by_bases(5, lift, quot)
+
+
 def test_cached_tables_match_references_on_5_elements():
     for m in matroids_on(4) + matroids_on(5):
         assert m.flats == reference_flats(m)
         assert m.coflat_bits == mc.dual(m).flat_bits
         subsets = range(1 << m.n)
         assert [mc.closure(m, s) for s in subsets] == [reference_closure(m, s) for s in subsets]
-        assert m.fundamental_circuits == reference_fundamental_circuits(m)
+        assert m.fundamental_cocircuits == reference_fundamental_cocircuits(m)
 
 
-def reference_fundamental_circuits(m):
-    """Per basis B, C(B, e) as the one circuit inside B + e; empty for e in B."""
-    circuits = mc.circuits(m)
+def reference_fundamental_cocircuits(m):
+    """Per basis B, C*(B, x) less x, with C*(B, x) the one circuit of the
+    dual inside (E - B) + x; empty for x outside B."""
+    cocircuits = mc.circuits(mc.dual(m))
     rows = []
     for b in m.bases:
         row = [0] * m.n
-        for e in range(m.n):
-            if not b >> e & 1:
-                (row[e],) = [c for c in circuits if not c & ~(b | 1 << e)]
+        for x in range(m.n):
+            if b >> x & 1:
+                (c,) = [c for c in cocircuits if not c & ~(m.full_mask & ~b | 1 << x)]
+                row[x] = c ^ 1 << x
         rows.append(tuple(row))
     return tuple(rows)
 
