@@ -226,15 +226,20 @@ def _size_bits(n: int) -> tuple[int, ...]:
     return (low[0],) + tuple(low[k] | low[k - 1] << half for k in range(1, n + 1))
 
 
-def _down_closure(n: int, masks: Iterable[int]) -> int:
-    """The 2^n-bit int with bit S set iff S lies inside one of the masks.
-
-    The masks are set one bit each in a bytearray read as one int, then
-    every set S passes its bit to S - e, one element at a time."""
+def _family_bits(n: int, masks: Iterable[int]) -> int:
+    """The 2^n-bit int with bit S set iff S is one of the masks: each mask
+    sets one bit of a bytearray, read as one int."""
     marked = bytearray(((1 << n) + 7) >> 3)
     for m in masks:
         marked[m >> 3] |= 1 << (m & 7)
-    bits = int.from_bytes(marked, "little")
+    return int.from_bytes(marked, "little")
+
+
+def _down_closure(n: int, masks: Iterable[int]) -> int:
+    """The 2^n-bit int with bit S set iff S lies inside one of the masks:
+    `_family_bits` of the masks, then every set S passes its bit to S - e,
+    one element at a time."""
+    bits = _family_bits(n, masks)
     for e, has in enumerate(_element_bits(n)):
         bits |= (bits & has) >> (1 << e)
     return bits

@@ -21,8 +21,10 @@ from bisect import bisect_right
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import bitset
 from . import matroid_core as mc
 from .bitset import (
+    _family_bits,
     canonical,
     elements_of,
     family_bijection,
@@ -357,29 +359,34 @@ def flag_has_minor(
     Returns (contract, delete, chops, bijection) for the first split that
     matches, or None.
 
-    Splits are screened by counting before any minor is built.  Layer w of
-    fm/C\\D holds one set f - C for each f in layer w + |C| of fm with
-    f & (C|D) == C, so one `meet_counts` over the removed set C|D gives the
-    layer sizes of every split with that removed set.  Every target layer is
-    nonempty, and `flag_isomorphic` starts by comparing cardinalities and
-    layer sizes, so a split whose count differs from the target's size on
-    some target layer can never match.  The screen drops only those splits.
+    Splits are screened by layer sizes before any minor is built.  Every
+    target layer is nonempty, and `flag_isomorphic` starts by comparing
+    cardinalities and layer sizes, so a split whose minor differs from the
+    target in the size of some target layer can never match; the screen
+    drops only those splits.  The walk has two phases, and the first hit of
+    either is the first matching split of the plain (|C|, C, D) enumeration,
+    so no minor is built after it.
 
-    The removed sets are walked in lexicographic order, so the deletion-only
-    splits (C empty) that survive arrive in (|C|, C, D) order and lead it:
-    each is tried at once, and a hit ends the walk.  Every other survivor is
-    kept under one int, `_split_key(C, D)`, and they are tried after the walk
-    in key order.  The first hit is therefore the first matching split of the
-    plain (|C|, C, D) enumeration, and no minor is built after it.
+    Phase 1, the deletion-only splits (C empty), which lead the order.  Each
+    layer of fm at a target cardinality is a 2^n-bit family int, and the D
+    are walked depth-first in lexicographic order: deleting e takes each of
+    them to `bits & ~has[e]` (`bitset._element_bits`), one AND per layer, so
+    `bit_count` gives the target layer sizes of fm \\ D.  Deleting more never
+    adds a set, so a subtree is pruned as soon as some layer holds fewer sets
+    than the target's.  Each survivor is tried at once, its chops the other
+    layers of fm that keep a set missing D, and a hit ends the search.
+
+    Phase 2, run only when phase 1 finds nothing: the splits with C nonempty.
+    Layer w of fm/C\\D holds one set f - C for each f in layer w + |C| of fm
+    with f & (C|D) == C, so one `meet_counts` over each removed set C|D gives
+    the layer sizes of every split with that removed set.  The survivors are
+    kept under one int, `_split_key(C, D)`, and tried in key order.
     """
     n = fm.n
     total = n - target.n
     if total < 0:
         return None
-    # each feasible set carries its cardinality above the ground set, so one
-    # count per removed set keys every (C, layer) pair as C | size << n
-    tagged = [f | f.bit_count() << n for f in fm.feasible]
-    (w0, size0), *rest = [(w, len(layer)) for w, layer in _group_by_size(target.feasible)]
+    want = [(w, len(layer)) for w, layer in _group_by_size(target.feasible)]
     want_cards = target.cardinalities
 
     def attempt(cmask: int, dmask: int, chops: tuple[int, ...]):
@@ -387,13 +394,46 @@ def flag_has_minor(
         bij = flag_isomorphic(flag_minor(fm, c, d, chops), target)
         return None if bij is None else (c, d, chops, bij)
 
+    layers = dict(_group_by_size(fm.feasible))
+    sizes = [size for _, size in want]
+    # read through the module: this namespace holds no memo but the layer memo
+    full = (1 << (1 << n)) - 1
+    missing = [full ^ has for has in bitset._element_bits(n)]  # the sets without e
+
+    def deleting(start: int, left: int, dmask: int, bits: list[int]):
+        counts = [b.bit_count() for b in bits]
+        if any(map(int.__lt__, counts, sizes)):
+            return None
+        if not left:
+            if counts != sizes:
+                return None
+            chops = tuple(
+                s for s, layer in layers.items()
+                if s not in want_cards and any(not f & dmask for f in layer)
+            )
+            return attempt(0, dmask, chops)
+        for e in range(start, n - left + 1):
+            hit = deleting(e + 1, left - 1, dmask | 1 << e, [b & missing[e] for b in bits])
+            if hit is not None:
+                return hit
+        return None
+
+    # a target cardinality fm lacks is an empty layer, pruned at the root
+    hit = deleting(0, total, 0, [_family_bits(n, layers.get(w, ())) for w in want_cards])
+    if hit is not None:
+        return hit
+
+    # each feasible set carries its cardinality above the ground set, so one
+    # count per removed set keys every (C, layer) pair as C | size << n
+    tagged = [f | f.bit_count() << n for f in fm.feasible]
+    (w0, size0), *rest = want
     later = []
     for removed in size_masks(n, total):
         counts = meet_counts(tagged, removed | -1 << n)
         for key, count in counts.items():
             cmask = key & removed
             k = cmask.bit_count()
-            if count != size0 or key >> n != w0 + k:
+            if count != size0 or key >> n != w0 + k or not cmask:
                 continue
             if any(counts.get(cmask | (w + k) << n) != size for w, size in rest):
                 continue
@@ -401,13 +441,8 @@ def flag_has_minor(
                 s - k for s in fm.cardinalities
                 if s - k not in want_cards and cmask | s << n in counts
             )
-            if cmask:
-                dmask = removed ^ cmask
-                later.append((_split_key(cmask, dmask), cmask, dmask, chops))
-            else:  # deletion-only: the next split of the plain order
-                hit = attempt(0, removed, chops)
-                if hit is not None:
-                    return hit
+            dmask = removed ^ cmask
+            later.append((_split_key(cmask, dmask), cmask, dmask, chops))
     later.sort()
     for _, cmask, dmask, chops in later:
         hit = attempt(cmask, dmask, chops)

@@ -8,10 +8,10 @@ between search, fillings and the full-flag routes) are kept below as
 references: the full-flag decisions, fillings and CLI output must not
 change.  A flag that is not full is now decided by the band walk, so its
 reference is the walk's decision, whose verdict must be the fillings'.
-`flag_has_minor` tries the deletion-only splits during its walk over the
-removed sets and the rest after one sort, and it must build exactly as many
-minors as the plain (|C|, C, D) enumeration of the surviving splits needs to
-reach its hit.
+`flag_has_minor` tries the deletion-only splits first, on layer bitmaps,
+and the rest after one count per removed set and one sort, and it must build
+exactly as many minors as the plain (|C|, C, D) enumeration of the surviving
+splits needs to reach its hit.
 """
 
 import random
@@ -27,7 +27,7 @@ from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
 from flagmatroids.bitset import mask_of, size_masks
 from flagmatroids.lifts_majors import enumerate_fillings, is_full
-from test_minor_search import reference_flag_has_minor
+from test_minor_search import fano_with_a_point_on_a_line, reference_flag_has_minor
 
 FLAG_TARGETS = [t for _, t in rp.binary_forbidden_flags() + rp.ternary_forbidden_flags()]
 
@@ -301,13 +301,22 @@ def surviving_splits(fm, target):
 
 
 def walk_cases():
+    """Seeded flags on at most 7 elements, and the one-element deletions of
+    F_7 with a point on a line: some keep F_7's 28 bases around a 4-point
+    line, a deletion-only survivor that is not F_7."""
     rng = random.Random(61)
     fms = [fm for fm, _ in SEEDED if fm.n <= 7]
     fms += [random_full_flag(rng, 7) for _ in range(20)]
+    m = fano_with_a_point_on_a_line(range(8))
+    fms += [fl.basis_flag(mc.delete(m, e)) for e in range(8)]
     return [(fm, t) for fm in fms for t in FLAG_TARGETS if t.n <= fm.n]
 
 
 def test_the_walk_builds_one_minor_per_split_up_to_the_hit(monkeypatch):
+    """The survivors are built in (|C|, C, D) order up to the hit.  A
+    deletion-only hit is found on the layer bitmaps with no count; a
+    contract hit, or a "no", first builds every deletion-only survivor and
+    then counts once per removed set."""
     built, counted = [], []
     real_minor, real_counts = fl.flag_minor, fl.meet_counts
 
@@ -324,6 +333,8 @@ def test_the_walk_builds_one_minor_per_split_up_to_the_hit(monkeypatch):
     kinds = set()
     for fm, target in walk_cases():
         survivors = surviving_splits(fm, target)
+        deletions = [s for s in survivors if not s[0]]
+        assert survivors[: len(deletions)] == deletions
         expected = reference_flag_has_minor(fm, target)
         built.clear()
         counted.clear()
@@ -331,7 +342,7 @@ def test_the_walk_builds_one_minor_per_split_up_to_the_hit(monkeypatch):
         assert hit == expected
         removed_sets = size_masks(fm.n, fm.n - target.n)
         if hit is None:
-            assert len(built) == len(survivors)
+            assert built == survivors
             assert len(counted) == len(removed_sets)
             kinds.add("no")
             continue
@@ -342,8 +353,7 @@ def test_the_walk_builds_one_minor_per_split_up_to_the_hit(monkeypatch):
             if sum(1 for c, _ in survivors if c) >= 2:
                 kinds.add("contract, order matters")
         else:
-            # a deletion-only hit ends the walk at its removed set
-            assert len(counted) == removed_sets.index(mask_of(hit[1])) + 1
+            assert counted == []
             kinds.add("delete")
     assert kinds == {"no", "contract, order matters", "delete"}
 

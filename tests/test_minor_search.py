@@ -1,7 +1,8 @@
 """Differential tests for the minor search.
 
-`flag_has_minor` screens each (contract, delete) split by counting before
-it builds a minor, and `has_minor_isomorphic_to` runs it on the one-layer
+`flag_has_minor` screens each (contract, delete) split by its layer sizes
+before it builds a minor, the deletion-only splits on layer bitmaps and the
+rest by counting, and `has_minor_isomorphic_to` runs it on the one-layer
 basis flags of two matroids.  The reference implementations below are the
 plain loops that build and compare every candidate minor, flag minors for
 the one and matroid minors of independent contraction sets for the other;
@@ -9,6 +10,7 @@ the searches must return exactly what they return, witness included.
 Hypothesis settings come from the `tier1` profile in conftest.py.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -20,7 +22,7 @@ from flagmatroids import flag_core as fl
 from flagmatroids import gf_linalg as gl
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
-from flagmatroids.bitset import mask_of
+from flagmatroids.bitset import elements_of, mask_of, size_masks
 from flagmatroids.errors import EmptyResult, LastLayer
 
 def reference_flag_has_minor(fm, target):
@@ -155,3 +157,118 @@ def test_flag_search_finds_each_forbidden_flag_in_itself(name, target):
     c, d, chops, bij = hit
     assert (c, d, chops) == ((), (), ())
     assert fl.relabel_flag(target, bij) == target
+
+
+# --- seeded flags with known first hits ---------------------------------------------
+
+def u2k_planted_matrix(rng, p, r, n, k):
+    """A rank-r matrix over GF(p) whose top two rows hold k pairwise
+    independent 2-vectors in k random columns, so its rank-2 prefix has a
+    U_{2,k} restriction."""
+    vectors = [(1, 0), (0, 1)] + [(1, a) for a in range(1, p)]
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+        for c, (x, y) in zip(rng.sample(range(n), k), vectors[:k]):
+            rows[0][c], rows[1][c] = x, y
+        a = gl.matrix(p, rows)
+        if gl.rank(a) == r:
+            return a
+
+
+def planted_flags(count, seed):
+    """(flag, lists asked): U_{2,4} planted over GF(3) is asked for the
+    binary list, U_{2,5} planted over GF(5) for both lists."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        k = 4 + i % 2
+        levels = rng.choice([(2, 3), (1, 2, 3), (2, 3, 4)])
+        a = u2k_planted_matrix(rng, 3 if k == 4 else 5, levels[-1], rng.randint(8, 10), k)
+        lists = (2,) if k == 4 else (2, 3)
+        out.append((rp.flag_from_matrix(a, levels), lists))
+    return out
+
+
+def test_flag_search_matches_reference_on_planted_flags():
+    """Each listed target up to the first hit, as `forbidden_minor_decision`
+    asks them; every first hit deletes only."""
+    cases = planted_flags(12, 83)
+    assert {fm.n for fm, _ in cases} == {8, 9, 10}
+    for fm, lists in cases:
+        for p in lists:
+            for _, target in rp.forbidden_flags(p):
+                got = fl.flag_has_minor(fm, target)
+                assert got == reference_flag_has_minor(fm, target)
+                if got is not None:
+                    assert got[0] == ()
+                    break
+            else:
+                raise AssertionError(f"no listed minor over GF({p})")
+
+
+def fano_with_a_point_on_a_line(perm):
+    """F_7 with an eighth point placed on one of its lines, relabelled by
+    perm.  Deleting a point off that line keeps 28 bases, as F_7 has, but
+    leaves a 4-point line, so a deletion-only split passes the layer-size
+    screen and is not F_7; deleting the eighth point gives F_7 back."""
+    f7 = mc.fano_matroid()
+    lines = [s for s in size_masks(7, 3) if not f7.independent_table[s]]
+    four = lines[0] | 1 << 7
+    bases = [b for b in size_masks(8, 3) if b not in lines and b & four != b]
+    m = mc.Matroid(8, [mask_of(perm[e] for e in elements_of(b)) for b in bases])
+    assert m.is_matroid
+    return m
+
+
+def test_a_failed_deletion_survivor_does_not_end_the_walk(monkeypatch):
+    """The only listed targets not fixed by their layer sizes are F_7, F_7^*
+    and their pairs, so these flags are built around F_7."""
+    built = []
+    real_minor = fl.flag_minor
+
+    def counting_minor(*args):
+        built.append(args[1:3])
+        return real_minor(*args)
+
+    monkeypatch.setattr(fl, "flag_minor", counting_minor)
+    target = dict(rp.ternary_forbidden_flags())["(F_7)"]
+    rng = random.Random(89)
+    failed_first = 0
+    for _ in range(6):
+        m = fano_with_a_point_on_a_line(rng.sample(range(8), 8))
+        for fm in (fl.basis_flag(m), fl.independent_flag(m)):
+            built.clear()
+            got = fl.flag_has_minor(fm, target)
+            assert got == reference_flag_has_minor(fm, target)
+            assert len(got[1]) == 1 and got[0] == ()
+            failed_first += len(built) > 1
+    assert failed_first >= 4
+
+
+def test_flag_search_matches_reference_where_the_first_hit_contracts():
+    """F_7^* in the duals of the flags above, where the deleted point is
+    contracted, and binary prefix chains [I_r | A] asked for F_7, F_7^* and
+    their pairs, drawn until four first hits contract."""
+    targets = dict(rp.ternary_forbidden_flags())
+    rng = random.Random(89)
+    for _ in range(3):
+        fm = fl.basis_flag(mc.dual(fano_with_a_point_on_a_line(rng.sample(range(8), 8))))
+        got = fl.flag_has_minor(fm, targets["(F_7^*)"])
+        assert got == reference_flag_has_minor(fm, targets["(F_7^*)"])
+        assert len(got[0]) == 1 and got[1] == ()
+    rng = random.Random(97)
+    contracted = 0
+    for _ in range(200):
+        r, n = rng.choice([4, 5]), rng.randint(8, 9)
+        rows = [[int(i == j) for j in range(r)] + [rng.randrange(2) for _ in range(n - r)]
+                for i in range(r)]
+        fm = rp.flag_from_matrix(gl.matrix(2, rows), range(1, r + 1))
+        for name, target in targets.items():
+            if "F_7" in name:
+                got = fl.flag_has_minor(fm, target)
+                if got is not None and got[0]:
+                    assert got == reference_flag_has_minor(fm, target)
+                    contracted += 1
+        if contracted >= 4:
+            break
+    assert contracted >= 4

@@ -4,10 +4,13 @@ import re
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_flags,
     oracle_rank_mod_p,
+    random_flag,
     random_full_flag,
     random_gf_matrix,
     random_prefix_chain_matrix,
@@ -120,6 +123,21 @@ def test_decide_agrees_on_a_flag_and_its_dual():
             assert got.representable or p < 5, (fm, p)
             if got.representable:
                 assert rp.represents(rp.dual_representation(got.certificate), dual), (fm, p)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_decide_has_one_verdict_on_a_flag_and_its_dual(seed):
+    """Representability over GF(p) is closed under duality, so every method
+    must give a seeded flag on at most 5 elements, full or not, and its dual
+    the same verdict."""
+    fm = random_flag(random.Random(seed), 5)
+    dual = fl.flag_dual(fm)
+    runs = [(p, method) for p in (2, 3) for method in ("witness", "minors", "all")]
+    runs += [(5, "search"), (7, "search")]
+    for p, method in runs:
+        got = rp.decide(fm, p, method).representable
+        assert got == rp.decide(dual, p, method).representable, (p, method)
 
 
 @pytest.mark.parametrize("ranks, n", [
