@@ -61,14 +61,6 @@ def size_masks(n: int, k: int) -> list[int]:
     return [mask_of(c) for c in combinations(range(n), k)]
 
 
-def meet_counts(masks: Iterable[int], within: int) -> dict[int, int]:
-    """out[C] = how many masks f meet `within` in exactly C (f & within == C).
-
-    Subsets of `within` met by no mask are absent.
-    """
-    return Counter(map(within.__and__, masks))
-
-
 def _order_bytes(k: int) -> list[int]:
     """(|b| << 24) + ((255 - bitreverse8(b)) << 8 * (2 - k)) for each byte b,
     by doubling: adding bit i to b adds one to |b| and clears bit 7 - i of

@@ -18,6 +18,7 @@ as matroid isomorphism does.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -30,9 +31,6 @@ from .bitset import (
     family_bijection,
     iter_bits,
     mask_of,
-    meet_counts,
-    order_key,
-    size_masks,
     squeeze,
 )
 from .errors import (
@@ -47,13 +45,6 @@ from .errors import (
     RankCollision,
 )
 from .frozen import Frozen
-
-
-def _split_key(cmask: int, dmask: int) -> int:
-    """Sorts the (C, D) splits of one total size |C| + |D| in (|C|, C, D)
-    order, C and D compared as element lists.  On at most 20 elements an
-    `order_key` is below 21 << 24 < 2^29, so D's key never reaches C's."""
-    return order_key(cmask) << 29 | order_key(dmask)
 
 
 def _group_by_size(masks: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -363,89 +354,84 @@ def flag_has_minor(
     target layer is nonempty, and `flag_isomorphic` starts by comparing
     cardinalities and layer sizes, so a split whose minor differs from the
     target in the size of some target layer can never match; the screen
-    drops only those splits.  The walk has two phases, and the first hit of
-    either is the first matching split of the plain (|C|, C, D) enumeration,
-    so no minor is built after it.
+    drops only those splits.
 
-    Phase 1, the deletion-only splits (C empty), which lead the order.  Each
-    layer of fm at a target cardinality is a 2^n-bit family int, and the D
-    are walked depth-first in lexicographic order: deleting e takes each of
-    them to `bits & ~has[e]` (`bitset._element_bits`), one AND per layer, so
-    `bit_count` gives the target layer sizes of fm \\ D.  Deleting more never
-    adds a set, so a subtree is pruned as soon as some layer holds fewer sets
-    than the target's.  Each survivor is tried at once, its chops the other
-    layers of fm that keep a set missing D, and a hit ends the search.
-
-    Phase 2, run only when phase 1 finds nothing: the splits with C nonempty.
-    Layer w of fm/C\\D holds one set f - C for each f in layer w + |C| of fm
-    with f & (C|D) == C, so one `meet_counts` over each removed set C|D gives
-    the layer sizes of every split with that removed set.  The survivors are
-    kept under one int, `_split_key(C, D)`, and tried in key order.
+    One walk visits the splits in that order.  For k = 0, 1, ..., the C of
+    size k are walked depth-first in lexicographic order, carrying the
+    feasible sets that hold C: layer w of fm/C\\D has one set f - C for each
+    of them of cardinality w + k that misses D.  Contracting more never adds
+    a set, so a subtree is pruned as soon as some target layer w has fewer
+    sets than the target's at cardinality w + k.  At a C of size k, `squeeze`
+    re-indexes the kept sets f - C onto the m = n - k elements outside C,
+    keeping their canonical order, and the D are walked depth-first in
+    lexicographic order on 2^m-bit bitmaps of the layers at the target's
+    cardinalities: deleting e takes each of them to `bits & ~has[e]`
+    (`bitset._element_bits`), one AND per layer, so `bit_count` gives the
+    target layer sizes of fm/C\\D.  Deleting more never adds a set, so this
+    subtree too is pruned once a layer holds fewer sets than the target's.
+    Each survivor D is mapped back through the elements outside C and tried
+    at once, its chops the other layers of fm/C that keep a set missing D.
+    The first hit is the first matching split of the plain enumeration, so
+    no minor is built after it.
     """
     n = fm.n
-    total = n - target.n
-    if total < 0:
-        return None
-    want = [(w, len(layer)) for w, layer in _group_by_size(target.feasible)]
     want_cards = target.cardinalities
+    sizes = [len(layer) for _, layer in _group_by_size(target.feasible)]
+    missing: dict[int, list[int]] = {}  # m -> the 2^m-bit families of the sets without e
 
-    def attempt(cmask: int, dmask: int, chops: tuple[int, ...]):
-        c, d = elements_of(cmask), elements_of(dmask)
-        bij = flag_isomorphic(flag_minor(fm, c, d, chops), target)
-        return None if bij is None else (c, d, chops, bij)
+    def deleting(cmask: int, kept: Sequence[int]):
+        """The first hit among the splits (C, D) for this C, walking D on
+        the kept sets re-indexed onto the elements outside C."""
+        c, outside = elements_of(cmask), [e for e in range(n) if not cmask >> e & 1]
+        m = len(outside)
+        layers = dict(_group_by_size([squeeze(f ^ cmask, cmask) for f in kept] if cmask else kept))
+        if m not in missing:
+            full = (1 << (1 << m)) - 1
+            # read through the module: this namespace holds no memo but the layer memo
+            missing[m] = [full ^ has for has in bitset._element_bits(m)]
+        without = missing[m]
 
-    layers = dict(_group_by_size(fm.feasible))
-    sizes = [size for _, size in want]
-    # read through the module: this namespace holds no memo but the layer memo
-    full = (1 << (1 << n)) - 1
-    missing = [full ^ has for has in bitset._element_bits(n)]  # the sets without e
-
-    def deleting(start: int, left: int, dmask: int, bits: list[int]):
-        counts = [b.bit_count() for b in bits]
-        if any(map(int.__lt__, counts, sizes)):
-            return None
-        if not left:
-            if counts != sizes:
+        def walk(start: int, left: int, dmask: int, bits: list[int]):
+            counts = [b.bit_count() for b in bits]
+            if any(map(int.__lt__, counts, sizes)):
                 return None
-            chops = tuple(
-                s for s, layer in layers.items()
-                if s not in want_cards and any(not f & dmask for f in layer)
-            )
-            return attempt(0, dmask, chops)
+            if not left:
+                if counts != sizes:
+                    return None
+                chops = tuple(
+                    s for s, layer in layers.items()
+                    if s not in want_cards and any(not f & dmask for f in layer)
+                )
+                d = tuple(outside[i] for i in elements_of(dmask))
+                bij = flag_isomorphic(flag_minor(fm, c, d, chops), target)
+                return None if bij is None else (c, d, chops, bij)
+            for e in range(start, m - left + 1):
+                hit = walk(e + 1, left - 1, dmask | 1 << e, [b & without[e] for b in bits])
+                if hit is not None:
+                    return hit
+            return None
+
+        # a target cardinality fm/C lacks is an empty layer, pruned at the root
+        return walk(0, m - target.n, 0, [_family_bits(m, layers.get(w, ())) for w in want_cards])
+
+    def contracting(k: int, start: int, cmask: int, kept: Sequence[int]):
+        """The first hit among the splits whose C, of size k, extends cmask
+        by elements from start on; kept holds the feasible sets holding cmask."""
+        left = k - cmask.bit_count()
+        if not left:
+            return deleting(cmask, kept)
         for e in range(start, n - left + 1):
-            hit = deleting(e + 1, left - 1, dmask | 1 << e, [b & missing[e] for b in bits])
+            held = tuple(f for f in kept if f >> e & 1)
+            count = Counter(map(int.bit_count, held))
+            if any(count[w + k] < size for w, size in zip(want_cards, sizes)):
+                continue
+            hit = contracting(k, e + 1, cmask | 1 << e, held)
             if hit is not None:
                 return hit
         return None
 
-    # a target cardinality fm lacks is an empty layer, pruned at the root
-    hit = deleting(0, total, 0, [_family_bits(n, layers.get(w, ())) for w in want_cards])
-    if hit is not None:
-        return hit
-
-    # each feasible set carries its cardinality above the ground set, so one
-    # count per removed set keys every (C, layer) pair as C | size << n
-    tagged = [f | f.bit_count() << n for f in fm.feasible]
-    (w0, size0), *rest = want
-    later = []
-    for removed in size_masks(n, total):
-        counts = meet_counts(tagged, removed | -1 << n)
-        for key, count in counts.items():
-            cmask = key & removed
-            k = cmask.bit_count()
-            if count != size0 or key >> n != w0 + k or not cmask:
-                continue
-            if any(counts.get(cmask | (w + k) << n) != size for w, size in rest):
-                continue
-            chops = tuple(
-                s - k for s in fm.cardinalities
-                if s - k not in want_cards and cmask | s << n in counts
-            )
-            dmask = removed ^ cmask
-            later.append((_split_key(cmask, dmask), cmask, dmask, chops))
-    later.sort()
-    for _, cmask, dmask, chops in later:
-        hit = attempt(cmask, dmask, chops)
+    for k in range(n - target.n + 1):  # none when target is larger
+        hit = contracting(k, 0, 0, fm.feasible)
         if hit is not None:
             return hit
     return None

@@ -8,10 +8,10 @@ between search, fillings and the full-flag routes) are kept below as
 references: the full-flag decisions, fillings and CLI output must not
 change.  A flag that is not full is now decided by the band walk, so its
 reference is the walk's decision, whose verdict must be the fillings'.
-`flag_has_minor` tries the deletion-only splits first, on layer bitmaps,
-and the rest after one count per removed set and one sort, and it must build
-exactly as many minors as the plain (|C|, C, D) enumeration of the surviving
-splits needs to reach its hit.
+`flag_has_minor` walks the contraction sets C and, under each, the
+deletion sets D, pruning by layer sizes, and it must build exactly as many
+minors as the plain (|C|, C, D) enumeration of the surviving splits needs
+to reach its hit.
 """
 
 import random
@@ -25,7 +25,7 @@ from flagmatroids import gf_linalg as gl
 from flagmatroids import jsonio as io
 from flagmatroids import matroid_core as mc
 from flagmatroids import representability as rp
-from flagmatroids.bitset import mask_of, size_masks
+from flagmatroids.bitset import mask_of
 from flagmatroids.lifts_majors import enumerate_fillings, is_full
 from test_minor_search import fano_with_a_point_on_a_line, reference_flag_has_minor
 
@@ -313,62 +313,32 @@ def walk_cases():
 
 
 def test_the_walk_builds_one_minor_per_split_up_to_the_hit(monkeypatch):
-    """The survivors are built in (|C|, C, D) order up to the hit.  A
-    deletion-only hit is found on the layer bitmaps with no count; a
-    contract hit, or a "no", first builds every deletion-only survivor and
-    then counts once per removed set."""
-    built, counted = [], []
-    real_minor, real_counts = fl.flag_minor, fl.meet_counts
+    """The survivors are built in (|C|, C, D) order up to the hit, and a
+    "no" builds every survivor."""
+    built = []
+    real_minor = fl.flag_minor
 
     def counting_minor(*args):
         built.append(args[1:3])
         return real_minor(*args)
 
-    def counting_counts(masks, within):
-        counted.append(within)
-        return real_counts(masks, within)
-
     monkeypatch.setattr(fl, "flag_minor", counting_minor)
-    monkeypatch.setattr(fl, "meet_counts", counting_counts)
     kinds = set()
     for fm, target in walk_cases():
         survivors = surviving_splits(fm, target)
-        deletions = [s for s in survivors if not s[0]]
-        assert survivors[: len(deletions)] == deletions
         expected = reference_flag_has_minor(fm, target)
         built.clear()
-        counted.clear()
         hit = fl.flag_has_minor(fm, target)
         assert hit == expected
-        removed_sets = size_masks(fm.n, fm.n - target.n)
         if hit is None:
             assert built == survivors
-            assert len(counted) == len(removed_sets)
             kinds.add("no")
             continue
         position = survivors.index(hit[:2])
         assert built == survivors[: position + 1]
         if hit[0]:
-            assert len(counted) == len(removed_sets)
             if sum(1 for c, _ in survivors if c) >= 2:
                 kinds.add("contract, order matters")
         else:
-            assert counted == []
             kinds.add("delete")
     assert kinds == {"no", "contract, order matters", "delete"}
-
-
-def test_split_keys_follow_the_plain_enumeration():
-    """On 20 elements, where C may hold the high elements whose bits a
-    narrower key would let D's key overwrite."""
-    rng = random.Random(67)
-    n = 20
-    for total in (4, 9, 16, 17):
-        splits = set()
-        while len(splits) < 3000:
-            removed = rng.sample(range(n), total)
-            k = rng.randint(1, total)
-            c = tuple(sorted(removed[:k]))
-            splits.add((c, tuple(sorted(removed[k:]))))
-        keyed = sorted(splits, key=lambda s: fl._split_key(mask_of(s[0]), mask_of(s[1])))
-        assert keyed == sorted(splits, key=lambda s: (len(s[0]), s[0], s[1]))

@@ -1,9 +1,9 @@
 """Differential tests for the minor search.
 
 `flag_has_minor` screens each (contract, delete) split by its layer sizes
-before it builds a minor, the deletion-only splits on layer bitmaps and the
-rest by counting, and `has_minor_isomorphic_to` runs it on the one-layer
-basis flags of two matroids.  The reference implementations below are the
+before it builds a minor, walking C on the feasible sets that hold it and D
+on layer bitmaps of the contraction, and `has_minor_isomorphic_to` runs it
+on the one-layer basis flags of two matroids.  The reference implementations below are the
 plain loops that build and compare every candidate minor, flag minors for
 the one and matroid minors of independent contraction sets for the other;
 the searches must return exactly what they return, witness included.
@@ -272,3 +272,27 @@ def test_flag_search_matches_reference_where_the_first_hit_contracts():
         if contracted >= 4:
             break
     assert contracted >= 4
+
+
+def test_flag_search_matches_reference_on_larger_binary_flags():
+    """Binary [I_r | A] full flags on 9, 10 and 11 elements against every
+    ternary target.  Some first hits contract an element below a deleted
+    one, so the walk finds D on the elements outside C under other labels
+    and must map it back to fm's."""
+    rng = random.Random(16)
+    kinds = []
+    for n in (9, 10, 11):
+        r = rng.choice([4, 5])
+        rows = [[int(i == j) for j in range(r)] + [rng.randrange(2) for _ in range(n - r)]
+                for i in range(r)]
+        fm = rp.flag_from_matrix(gl.matrix(2, rows), range(1, r + 1))
+        for _, target in rp.ternary_forbidden_flags():
+            got = fl.flag_has_minor(fm, target)
+            assert got == reference_flag_has_minor(fm, target)
+            if got is None:
+                kinds.append("no")
+            elif not got[0]:
+                kinds.append("delete")
+            else:
+                kinds.append("relabelled" if max(got[1], default=-1) > got[0][0] else "contract")
+    assert kinds.count("relabelled") >= 4 and {"no", "delete", "contract"} <= set(kinds)
